@@ -8,6 +8,9 @@ with the triangular weight realised exactly: H * S is accumulated as
 sum_h (H - |h|) T_h, which is an integer for integer-valued families, so the
 direct and convolution evaluations can be compared bit for bit.  Shifted
 arguments run outside [X, 2X]; windows are padded by 2H on both sides.
+
+Exact families take one int64 path on both routes (`_digits`, `_exact_dot`,
+`_lag_blocks`), whose stated bounds keep every int64 sum below 2^63.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import enum
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -23,11 +27,8 @@ from .dirichlet import SingularSeries
 from .errors import DomainError
 from .multfunc import CoefficientWindow, MultSpec, WindowCache
 
-_INT64_GUARD = 1 << 61
-
-
-class Weight(enum.Enum):
-    FEJER = "fejer"
+_INT64_MAX = (1 << 63) - 1
+_DIGIT_BITS = 17  # (2^17 + 1)^3 < 2^52: dot chunks of at least 4095 elements
 
 
 class Method(enum.Enum):
@@ -42,7 +43,6 @@ class CorrelationRequest:
     spec3: MultSpec
     x_start: int
     h_span: int
-    weight: Weight = Weight.FEJER
 
     def __post_init__(self):
         if self.h_span < 1:
@@ -95,11 +95,46 @@ def _use_exact(req: CorrelationRequest) -> bool:
     return req.spec1.is_exact and req.spec2.is_exact and req.spec3.is_exact
 
 
-def _exact_fits_int64(windows, x: int, h: int) -> bool:
-    m = [int(np.abs(w.ivalues).max()) for w in windows]
-    per_h = m[0] * m[1] * m[2] * (x + 1)
-    total = per_h * (2 * h + 1) * h
-    return per_h < _INT64_GUARD and total < _INT64_GUARD
+def _digits(a: np.ndarray) -> tuple[int, list[tuple[int, np.ndarray]]]:
+    """(D, [(s_k, d_k)]) with a = sum_k d_k << s_k and every |d_k| <= D.
+
+    D = max|a| if that is at most 2^17 (one digit); else the low digits are
+    the 17-bit fields of a, in [0, 2^17), and the top digit a >> s has
+    magnitude at most (max|a| >> s) + 1, so D = 2^17 + 1.  Three digits
+    always multiply to less than 2^52, for any int64 input.
+    """
+    m = max(int(a.max(initial=0)), -int(a.min(initial=0)), 1)
+    out, s = [], 0
+    while m >> s > 1 << _DIGIT_BITS:
+        out.append((s, (a >> s) & ((1 << _DIGIT_BITS) - 1)))
+        s += _DIGIT_BITS
+    return min(m, (1 << _DIGIT_BITS) + 1), out + [(s, a >> s if s else a)]
+
+
+def _exact_dot(u: np.ndarray, v: np.ndarray, bound: int) -> int:
+    """sum(u * v) of int64 arrays with every |u_i v_i| <= bound < 2^63, exactly.
+
+    Each np.dot covers at most (2^63 - 1) // bound elements, so all its
+    partial sums, in any order, stay within int64 at any array length; the
+    chunk results are added as Python ints.
+    """
+    step = _INT64_MAX // bound
+    chunks = range(0, len(u), step)
+    return sum(int(np.dot(u[i : i + step], v[i : i + step])) for i in chunks)
+
+
+def _lag_blocks(h: int, cap: int) -> list[tuple[range, int]]:
+    """The lags |j| < H grouped as (lags, scale) blocks for int64 sums.
+
+    Lag j has int64 weight (H - |j|) // scale; a block's total is multiplied
+    by scale.  Runs of cap // H lags have scale 1 and weights summing to at
+    most cap; if cap < H each lag is alone, with scale H - |j| and weight 1.
+    """
+    lags = range(1 - h, h)
+    k = cap // h
+    if k:
+        return [(lags[i : i + k], 1) for i in range(0, len(lags), k)]
+    return [(lags[i : i + 1], h - abs(j)) for i, j in enumerate(lags)]
 
 
 def ternary_direct(
@@ -118,52 +153,45 @@ def ternary_direct(
     x, h = req.x_start, req.h_span
     hs = range(-h, h + 1) if h_order == "forward" else range(h, -h - 1, -1)
 
+    numerator = None
     if _use_exact(req):
-        a1 = w1.segment(x, 2 * x, exact=True)
+        # Each digit triple multiplies below bound < 2^52; T_h is exact per
+        # lag and the weighted sum over lags is a Python int.
+        b1, d1 = _digits(w1.segment(x, 2 * x, exact=True))
+        b2, d2 = _digits(w2.segment(x - h, 2 * x + h, exact=True))
+        b3, d3 = _digits(w3.segment(x - 2 * h, 2 * x + 2 * h, exact=True))
+        bound = b1 * b2 * b3
+        combos = [
+            (s1 + s2 + s3, u1, u2, u3)
+            for (s1, u1), (s2, u2), (s3, u3) in product(d1, d2, d3)
+        ]
         numerator = 0
-        fits = _exact_fits_int64((w1, w2, w3), x, h)
         for hh in hs:
-            a2 = w2.segment(x + hh, 2 * x + hh, exact=True)
-            a3 = w3.segment(x + 2 * hh, 2 * x + 2 * hh, exact=True)
-            if fits:
-                t_h = int(np.dot(a1 * a2, a3))
-            else:
-                t_h = sum(
-                    int(u) * int(v) * int(w) for u, v, w in zip(a1, a2, a3)
-                )
+            i2, i3 = h + hh, 2 * (h + hh)
+            t_h = sum(
+                _exact_dot(u1 * u2[i2 : i2 + x + 1], u3[i3 : i3 + x + 1], bound) << s
+                for s, u1, u2, u3 in combos
+            )
             numerator += (h - abs(hh)) * t_h
         value = numerator / h
-        return CorrelationResult(
-            value=value,
-            method=Method.DIRECT,
-            x_start=x,
-            h_span=h,
-            request=req,
-            timing=time.perf_counter() - t0,
-            exact_numerator=numerator,
-        )
-
-    a1 = w1.segment(x, 2 * x)
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j  # Kahan carry over the mixed-sign h-accumulation
-    for hh in hs:
-        a2 = w2.segment(x + hh, 2 * x + hh)
-        a3 = w3.segment(x + 2 * hh, 2 * x + 2 * hh)
-        term = (h - abs(hh)) * complex(np.dot(a1 * a2, a3))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    value = total / h
-    if req.spec1.is_real and req.spec2.is_real and req.spec3.is_real:
-        value = value.real
+    else:
+        a1 = w1.segment(x, 2 * x)
+        total = 0.0 + 0.0j
+        comp = 0.0 + 0.0j  # Kahan carry over the mixed-sign h-accumulation
+        for hh in hs:
+            a2 = w2.segment(x + hh, 2 * x + hh)
+            a3 = w3.segment(x + 2 * hh, 2 * x + 2 * hh)
+            term = (h - abs(hh)) * complex(np.dot(a1 * a2, a3))
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        value = total / h
+        if req.spec1.is_real and req.spec2.is_real and req.spec3.is_real:
+            value = value.real
+    elapsed = time.perf_counter() - t0
     return CorrelationResult(
-        value=value,
-        method=Method.DIRECT,
-        x_start=x,
-        h_span=h,
-        request=req,
-        timing=time.perf_counter() - t0,
+        value, Method.DIRECT, x, h, req, timing=elapsed, exact_numerator=numerator
     )
 
 
@@ -186,76 +214,46 @@ def ternary_convolution(
     x, h = req.x_start, req.h_span
     r_lo, r_hi = x - h, 2 * x + h
     nr = r_hi - r_lo + 1
-
-    if _use_exact(req):
-        f1 = np.zeros(nr + 2 * h, dtype=np.int64)  # indexed by r - j over padding
-        f1_src = w1.segment(x, 2 * x, exact=True)
-        fits = _exact_fits_int64((w1, w2, w3), x, h)
-        if fits:
-            off = x - (r_lo - h)
-            f1[off : off + len(f1_src)] = f1_src
-            acc = np.zeros(nr, dtype=np.int64)
-            f3 = w3.segment(r_lo - h, r_hi + h, exact=True)
-            for j in range(-h, h + 1):
-                # r - j and r + j as slices of the padded arrays
-                s1 = f1[h - j : h - j + nr]
-                s3 = f3[h + j : h + j + nr]
-                acc += (h - abs(j)) * (s1 * s3)
-            f2 = w2.segment(r_lo, r_hi, exact=True)
-            numerator = int(np.dot(f2, acc))
-        else:
-            numerator = _conv_exact_python((w1, w2, w3), x, h)
-        return CorrelationResult(
-            value=numerator / h,
-            method=Method.CONVOLUTION,
-            x_start=x,
-            h_span=h,
-            request=req,
-            timing=time.perf_counter() - t0,
-            exact_numerator=numerator,
-        )
-
-    complex_case = not (
-        req.spec1.is_real and req.spec2.is_real and req.spec3.is_real
-    )
-    dtype = np.complex128 if complex_case else np.float64
-    f1 = np.zeros(nr + 2 * h, dtype=dtype)
-    f1_src = w1.segment(x, 2 * x)
+    exact = _use_exact(req)
+    complex_case = not all(s.is_real for s in (req.spec1, req.spec2, req.spec3))
+    dtype = np.int64 if exact else np.complex128 if complex_case else np.float64
+    f1 = np.zeros(nr + 2 * h, dtype=dtype)  # indexed by r - j over padding
     off = x - (r_lo - h)
-    f1[off : off + len(f1_src)] = f1_src
-    f3 = w3.segment(r_lo - h, r_hi + h).astype(dtype, copy=False)
-    acc = np.zeros(nr, dtype=dtype)
-    for j in range(-h, h + 1):
-        acc += (h - abs(j)) * (f1[h - j : h - j + nr] * f3[h + j : h + j + nr])
-    f2 = w2.segment(r_lo, r_hi).astype(dtype, copy=False)
-    value = complex(np.dot(f2, acc)) / h
-    if not complex_case:
-        value = value.real
-    return CorrelationResult(
-        value=value,
-        method=Method.CONVOLUTION,
-        x_start=x,
-        h_span=h,
-        request=req,
-        timing=time.perf_counter() - t0,
-    )
+    f1[off : off + x + 1] = w1.segment(x, 2 * x, exact=exact)
+    f2 = w2.segment(r_lo, r_hi, exact=exact).astype(dtype, copy=False)
+    f3 = w3.segment(r_lo - h, r_hi + h, exact=exact).astype(dtype, copy=False)
 
-
-def _conv_exact_python(windows, x: int, h: int) -> int:
-    """Arbitrary-precision fallback for the banded contraction."""
-    w1, w2, w3 = windows
-    numerator = 0
-    for r in range(x - h, 2 * x + h + 1):
-        acc = 0
+    numerator = None
+    if exact:
+        (b1, d1), (b2, d2), (b3, d3) = _digits(f1), _digits(f2), _digits(f3)
+        bound = b1 * b2 * b3
+        # A block of weight sum W has W * bound * nr <= 2^63 - 1: its K(r)
+        # stays within int64 and one np.dot contracts it against f2.
+        blocks = _lag_blocks(h, _INT64_MAX // (bound * nr))
+        numerator = 0
+        for (s1, u1), (s3, u3) in product(d1, d3):
+            for lags, scale in blocks:
+                acc = np.zeros(nr, dtype=np.int64)
+                for j in lags:
+                    w = (h - abs(j)) // scale
+                    # r - j and r + j as slices of the padded arrays
+                    acc += w * (u1[h - j : h - j + nr] * u3[h + j : h + j + nr])
+                weight = sum((h - abs(j)) // scale for j in lags)
+                for s2, u2 in d2:
+                    dot = _exact_dot(u2, acc, weight * bound)
+                    numerator += (scale * dot) << (s1 + s2 + s3)
+        value = numerator / h
+    else:
+        acc = np.zeros(nr, dtype=dtype)
         for j in range(-h, h + 1):
-            n = r - j
-            if not (x <= n <= 2 * x):
-                continue
-            acc += (h - abs(j)) * int(w1.ivalues[n - w1.lo]) * int(
-                w3.ivalues[r + j - w3.lo]
-            )
-        numerator += int(w2.ivalues[r - w2.lo]) * acc
-    return numerator
+            acc += (h - abs(j)) * (f1[h - j : h - j + nr] * f3[h + j : h + j + nr])
+        value = complex(np.dot(f2, acc)) / h
+        if not complex_case:
+            value = value.real
+    elapsed = time.perf_counter() - t0
+    return CorrelationResult(
+        value, Method.CONVOLUTION, x, h, req, timing=elapsed, exact_numerator=numerator
+    )
 
 
 def fejer_overlap_weight(h: int, h_span: int) -> int:

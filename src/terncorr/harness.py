@@ -261,7 +261,12 @@ def _parse_value(val: str, lineno: int):
     if val.startswith('"') and val.endswith('"') and len(val) >= 2:
         return val[1:-1]
     if val.startswith("[") and val.endswith("]"):
-        return [int(v.strip()) for v in val[1:-1].split(",") if v.strip()]
+        try:
+            return [int(v.strip()) for v in val[1:-1].split(",") if v.strip()]
+        except ValueError:
+            raise ConfigurationError(
+                f"line {lineno}: bad integer list {val!r}"
+            ) from None
     for caster in (int, float):
         try:
             return caster(val)
@@ -306,7 +311,15 @@ def _apply_values(cfg: ExperimentConfig, values: dict):
         cfg.spec_ids = tuple(str(s) for s in single)
     for key, val in values.items():
         attr, cast = mapping[key]
-        setattr(cfg, attr, cast(val))
+        setattr(cfg, attr, _cast(key, cast, val))
+
+
+def _cast(key: str, cast, val):
+    """cast(val), with a ConfigurationError naming key when val is unusable."""
+    try:
+        return cast(val)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigurationError(f"bad value for {key!r}: {val!r}") from None
 
 
 def _validate(cfg: ExperimentConfig):
@@ -452,9 +465,18 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
 def load_series_record(path: str) -> dirichlet.SingularSeries:
     """Rebuild a SingularSeries from a singular-series RunRecord JSON."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise TerncorrError(f"cannot read series record {path!r}: {exc}") from exc
+    try:
+        return _series_from_record(json.loads(raw))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{path!r} is not a singular-series record: {exc!r}"
+        ) from None
+
+
+def _series_from_record(doc: dict) -> dirichlet.SingularSeries:
     payload = doc.get("payload", doc)
     table = np.zeros(max(1, payload["Q"] - 1), dtype=np.complex128)
     csv_path = payload.get("c_table_csv")
@@ -502,7 +524,7 @@ def _run_series(cfg, specs, cache, warnings) -> dict:
     )
     csv_path = None
     if cfg.out:
-        csv_path = str(Path(cfg.out).with_suffix(".csv"))
+        csv_path = _side_output(cfg.out, ".csv")
         _write_series_csv(series, csv_path)
     return {
         "spec": spec.spec_id,
@@ -515,6 +537,13 @@ def _run_series(cfg, specs, cache, warnings) -> dict:
         "fit_delta": series.fit_delta,
         "c_table_csv": csv_path,
     }
+
+
+def _side_output(out: str, suffix: str) -> str:
+    """The path of a side output next to --out, its directory created."""
+    path = Path(out).with_suffix(suffix)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return str(path)
 
 
 def _write_series_csv(series: dirichlet.SingularSeries, path: str):
@@ -548,7 +577,7 @@ def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
         eta=cfg.resolved_eta(), k=spec.k_bound, epsilon=float(cfg.epsilon),
     )
     if cfg.out:
-        _write_scan_csv(report, str(Path(cfg.out).with_suffix(".csv")))
+        _write_scan_csv(report, _side_output(cfg.out, ".csv"))
     return {
         "kind": report.kind,
         "sup_abs": report.sup_abs,
@@ -673,7 +702,7 @@ def _run_sieve(cfg, specs, cache, warnings) -> dict:
     window = cache.window(spec, cfg.q0, cfg.lo, cfg.hi)
     path = None
     if cfg.out:
-        path = str(Path(cfg.out).with_suffix(".bin"))
+        path = _side_output(cfg.out, ".bin")
         multfunc.write_window_cache(window, path)
     head = [complex(v) for v in window.values[:8]]
     return {
@@ -769,8 +798,8 @@ def config_from_args(args: argparse.Namespace, experiment: str) -> ExperimentCon
     cfg.h_expr = args.H if not str(args.H).isdigit() else int(args.H)
     q = getattr(args, "Q", "preset:thm13")
     cfg.q_source = q if not str(q).isdigit() else int(q)
-    cfg.epsilon = Fraction(str(args.eps))
-    cfg.eta = Fraction(str(args.eta)) if args.eta else None
+    cfg.epsilon = _cast("eps", Fraction, str(args.eps))
+    cfg.eta = _cast("eta", Fraction, str(args.eta)) if args.eta else None
     cfg.n_terms = args.N
     cfg.out = args.out
     cfg.threads = args.threads
@@ -786,7 +815,10 @@ def config_from_args(args: argparse.Namespace, experiment: str) -> ExperimentCon
     cfg.q0 = getattr(args, "q0", 1)
     cfg.series_path = getattr(args, "series", None)
     if hasattr(args, "x_list") and isinstance(args.x_list, str):
-        cfg.x_list = tuple(int(v) for v in args.x_list.split(",") if v.strip())
+        cfg.x_list = _cast(
+            "X-list", lambda v: tuple(int(u) for u in v.split(",") if u.strip()),
+            args.x_list,
+        )
     _validate(cfg)
     return cfg
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -553,34 +554,44 @@ def _spec_from_tag(tag: int) -> MultSpec:
 
 
 def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:
-    """Serialise a window: MFW1 header, float64 values, int64 exact values."""
+    """Serialise a window: MFW1 header, float64 values, int64 exact values.
+
+    Only built-in families have a kind tag, and their values are real.  The
+    bytes go to a per-thread temporary file that then replaces path in one
+    step, so concurrent writers of one key never leave a torn file behind.
+    """
     if win.spec is None:
         raise DomainError("window has no spec attached; cannot cache")
     tag = _kind_tag(win.spec)
     path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQQQ", tag, win.q0, win.lo, win.hi))
-        if np.iscomplexobj(win.values):
-            pairs = np.empty(2 * len(win), dtype="<f8")
-            pairs[0::2] = win.values.real
-            pairs[1::2] = win.values.imag
-            fh.write(pairs.tobytes())
-        else:
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<QQQQ", tag, win.q0, win.lo, win.hi))
             fh.write(win.values.astype("<f8").tobytes())
-        if win.ivalues is not None:
-            fh.write(win.ivalues.astype("<i8").tobytes())
+            if win.ivalues is not None:
+                fh.write(win.ivalues.astype("<i8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_window_cache(path: str | Path) -> CoefficientWindow:
+    """Load an MFW1 file; DomainError unless its length matches its header."""
     path = Path(path)
     raw = path.read_bytes()
-    if raw[:4] != _MAGIC:
+    off = 4 + 32
+    if len(raw) < off or raw[:4] != _MAGIC:
         raise DomainError(f"{path} is not a coefficient cache file")
     tag, q0, lo, hi = struct.unpack_from("<QQQQ", raw, 4)
     spec = _spec_from_tag(tag)
     size = hi - lo + 1
-    off = 4 + 32
+    expected = off + 8 * size * (2 if spec.is_exact else 1)
+    if size < 1 or len(raw) != expected:
+        raise DomainError(
+            f"{path} holds {len(raw)} bytes; its header [{lo},{hi}] needs {expected}"
+        )
     vals = np.frombuffer(raw, dtype="<f8", count=size, offset=off).astype(np.float64)
     off += 8 * size
     ivals = None
@@ -595,6 +606,21 @@ def read_window_cache(path: str | Path) -> CoefficientWindow:
 
 def cache_file_name(spec: MultSpec, q0: int, lo: int, hi: int) -> str:
     return f"mfw_{_kind_tag(spec):012x}_{q0}_{lo}_{hi}.bin"
+
+
+def _read_checked(path: Path, key: tuple) -> CoefficientWindow | None:
+    """The window cached at path, or None (a miss) unless it is for key.
+
+    key is (spec, q0, lo, hi).  A missing, mislabelled, truncated or
+    unreadable file is a miss; the caller rebuilds and overwrites it.
+    """
+    if not path.exists():
+        return None
+    try:
+        win = read_window_cache(path)
+    except DomainError:
+        return None
+    return win if (win.spec, win.q0, win.lo, win.hi) == key else None
 
 
 class WindowCache:
@@ -616,9 +642,7 @@ class WindowCache:
             return hit
         win = None
         if self._dir is not None and spec.kind is not Kind.USER_EULER:
-            p = self._dir / cache_file_name(spec, q0, lo, hi)
-            if p.exists():
-                win = read_window_cache(p)
+            win = _read_checked(self._dir / cache_file_name(spec, q0, lo, hi), key)
         if win is None:
             win = _build_window(spec, q0, lo, hi)
             if self._dir is not None and spec.kind is not Kind.USER_EULER:

@@ -5,10 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from terncorr.correlate import (
+    _INT64_MAX,
     CorrelationRequest,
     Method,
+    _digits,
+    _exact_dot,
+    _lag_blocks,
     compare_to_main_term,
     correlation_windows,
     count_triples,
@@ -18,7 +24,13 @@ from terncorr.correlate import (
 )
 from terncorr.dirichlet import singular_series_sum
 from terncorr.errors import DomainError
-from terncorr.multfunc import MultSpec, WindowCache, eval_at, sieve_window
+from terncorr.multfunc import (
+    CoefficientWindow,
+    MultSpec,
+    WindowCache,
+    eval_at,
+    sieve_window,
+)
 
 ONE = MultSpec.divisor_k(1)
 CACHE = WindowCache(max_items=128)
@@ -212,3 +224,130 @@ def test_windows_are_shared_between_methods():
     a = ternary_direct(req, windows=wins)
     b = ternary_convolution(req, windows=wins)
     assert a.exact_numerator == b.exact_numerator
+
+
+# ---------------------------------------------------------------------------
+# Exact int64 accumulation
+
+ROOT_INT64 = 3037000499  # floor(sqrt(2^63 - 1)): products of two stay in int64
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def object_reference(windows, x, h):
+    """H * S from the windows' exact values in Python-int (object) arithmetic."""
+    w1, w2, w3 = windows
+    a1, a2, a3 = (w.ivalues.astype(object) for w in windows)
+    base = a1[x - w1.lo : 2 * x - w1.lo + 1]
+    total = 0
+    for hh in range(-h, h + 1):
+        i2, i3 = x + hh - w2.lo, x + 2 * hh - w3.lo
+        total += (h - abs(hh)) * np.dot(base * a2[i2 : i2 + x + 1], a3[i3 : i3 + x + 1])
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-ROOT_INT64, ROOT_INT64),
+                          st.integers(-ROOT_INT64, ROOT_INT64)),
+                min_size=1, max_size=40))
+def test_exact_dot_matches_python_ints(pairs):
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    bound = max(max(abs(a * b) for a, b in pairs), 1)
+    assert _exact_dot(u, v, bound) == sum(a * b for a, b in pairs)
+
+
+def test_exact_dot_splits_where_one_dot_would_overflow():
+    u = np.full(10, ROOT_INT64, dtype=np.int64)
+    v = np.full(10, -ROOT_INT64, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        wrapped = int(np.dot(u, v))
+    exact = -10 * ROOT_INT64**2
+    assert wrapped != exact  # a single int64 dot wraps around
+    assert _exact_dot(u, v, ROOT_INT64**2) == exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(INT64, min_size=1, max_size=30))
+@example([-(2**34) - 1])  # top digit -(2^17 + 1), the largest magnitude
+@example([-(2**63), 2**63 - 1, 0])
+def test_digits_reconstruct_with_bounded_digits(values):
+    a = np.array(values, dtype=np.int64)
+    bound, digits = _digits(a)
+    assert bound**3 < 2**52
+    m = max(abs(v) for v in values)
+    assert len(digits) == 1 if m <= 2**17 else len(digits) > 1
+    total = [0] * len(values)
+    for shift, d in digits:
+        assert d.dtype == np.int64 and int(np.abs(d.astype(object)).max()) <= bound
+        total = [t + (int(v) << shift) for t, v in zip(total, d)]
+    assert total == values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 4000))
+def test_lag_blocks_cover_every_weighted_lag_once(h, cap):
+    seen = {}
+    for lags, scale in _lag_blocks(h, cap):
+        weights = [(h - abs(j)) // scale for j in lags]
+        assert sum(weights) <= cap or weights == [1]
+        for j, w in zip(lags, weights):
+            assert j not in seen
+            seen[j] = scale * w
+    assert seen == {j: h - abs(j) for j in range(1 - h, h)}
+
+
+def synthetic_windows(x, h, mags, rng):
+    """Padded windows of int64 values with max|value| exactly mags[i].
+
+    Values lie within m/8 of m and 97 % are positive, so dot products and
+    lag sums really exceed int64 where the bounds say they may: int64 wraps
+    modulo 2^64, so an unsplit sum whose total fits would hide a fault.
+    """
+    spans = [(x, 2 * x), (x - h, 2 * x + h), (x - 2 * h, 2 * x + 2 * h)]
+    out = []
+    for (lo, hi), m in zip(spans, mags):
+        size = hi - lo + 1
+        iv = rng.integers(m - m // 8, m, size=size, endpoint=True, dtype=np.int64)
+        iv[rng.random(size) < 0.03] *= -1
+        iv[rng.integers(0, size)] = -m
+        out.append(CoefficientWindow(lo, hi, 1, iv.astype(np.float64), iv))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "x, h, mags, split",
+    [
+        (8191, 2, (2**17, 2**17, 2**17), "chunks"),
+        (100, 30, (2**16, 2**16, 2**15), "runs"),
+        (100, 30, (2**40, 5, 2**33), "digits"),
+        (100, 30, (2**63 - 1, 2**62, 1), "digits"),
+    ],
+)
+def test_routes_exact_on_synthetic_windows(x, h, mags, split):
+    d2 = MultSpec.divisor_k(2)
+    req = CorrelationRequest(d2, d2, d2, x, h)
+    wins = synthetic_windows(x, h, mags, np.random.default_rng(sum(mags) % 2**32))
+    digits = [_digits(w.ivalues) for w in wins]
+    bound = digits[0][0] * digits[1][0] * digits[2][0]
+    cap = _INT64_MAX // (bound * (x + 2 * h + 1))
+    if split == "chunks":  # each lag's dot is split; every conv lag is alone
+        assert _INT64_MAX // bound < x + 1 and cap < h
+    if split == "runs":  # several conv blocks of several lags each
+        assert h <= cap < h * h
+    if split == "digits":
+        assert sum(len(d) > 1 for _, d in digits) == 2
+    expect = object_reference(wins, x, h)
+    assert ternary_direct(req, windows=wins).exact_numerator == expect
+    assert ternary_convolution(req, windows=wins).exact_numerator == expect
+
+
+@pytest.mark.parametrize("x", [4000, 8000, 16000])
+def test_divisor3_routes_agree_across_old_int64_guard(x):
+    # The whole-sum guard of earlier versions sent X = 8000 and 16000 (H =
+    # 300) to per-element Python-int loops; X = 4000 stayed on int64.
+    d3 = MultSpec.divisor_k(3)
+    req = CorrelationRequest(d3, d3, d3, x, 300)
+    wins = correlation_windows(req, CACHE)
+    expect = object_reference(wins, x, 300)
+    assert ternary_direct(req, windows=wins).exact_numerator == expect
+    assert ternary_convolution(req, windows=wins).exact_numerator == expect

@@ -1,7 +1,11 @@
 """Config parsing, preset arithmetic, dispatch, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +237,61 @@ def test_thread_budget_env(monkeypatch):
     assert harness.thread_budget(cfg) == 5
     monkeypatch.delenv("TC_THREADS")
     assert harness.thread_budget(cfg) == 2
+
+
+@pytest.mark.parametrize(
+    "line", ["X = abc", "X_list = [1,a]", "epsilon = 1/0x", "X_list = 5"]
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f'experiment = "main-term-trend"\nX = 100\n{line}\n')
+    assert main(["main-term-trend", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_bad_cli_value_exits_2(capsys):
+    assert main(["main-term-trend", "--X-list", "1,a"]) == 2
+    assert main(["correlate", "--X", "100", "--H", "10", "--eps", "abc"]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc", ["{not json", '{"payload": {}}', '{"payload": {"Q": "5"}}', "[1, 2]"]
+)
+def test_bad_series_record_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "series.json"
+    path.write_text(doc)
+    with pytest.raises(ConfigurationError):
+        load_series_record(str(path))
+    code = main(["correlate", "--spec", "divisor1", "--X", "100", "--H", "10",
+                 "--series", str(path)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, side",
+    [
+        (["singular-series", "--spec", "divisor1", "--Q", "4", "--N", "1000"], ".csv"),
+        (["arcs", "scan", "--spec", "divisor1", "--X", "1000", "--H", "40",
+          "--Q", "2", "--kind", "major"], ".csv"),
+        (["sieve", "--spec", "moebius", "--lo", "1", "--hi", "50"], ".bin"),
+    ],
+)
+def test_out_into_missing_directory(tmp_path, capsys, argv, side):
+    out = tmp_path / "new" / "deeper" / "run.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.with_suffix(side).is_file()
+    if side == ".csv":
+        assert out.is_file()
+
+
+def test_python_m_terncorr_help():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "terncorr", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: terncorr" in proc.stdout

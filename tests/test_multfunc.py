@@ -274,3 +274,38 @@ def test_window_cache_directory(tmp_path):
     fresh = WindowCache(tmp_path)
     b = fresh.window(MultSpec.moebius(), 1, 1, 64)
     assert (a.ivalues == b.ivalues).all()
+
+
+def test_window_cache_ignores_mislabelled_file(tmp_path):
+    d2, d3 = MultSpec.divisor_k(2), MultSpec.divisor_k(3)
+    name = multfunc.cache_file_name(d3, 1, 10, 200)
+    write_window_cache(sieve_window(d2, 10, 200), tmp_path / name)
+    win = WindowCache(tmp_path).window(d3, 1, 10, 200)
+    assert win.spec == d3
+    assert (win.ivalues == sieve_window(d3, 10, 200).ivalues).all()
+    back = read_window_cache(tmp_path / name)  # overwritten with the right window
+    assert back.spec == d3 and (back.ivalues == win.ivalues).all()
+
+
+def test_window_cache_rebuilds_truncated_file(tmp_path):
+    spec = MultSpec.one_star_chi4()
+    WindowCache(tmp_path).window(spec, 1, 5, 300)
+    path = tmp_path / multfunc.cache_file_name(spec, 1, 5, 300)
+    full = path.read_bytes()
+    path.write_bytes(full[:-8])
+    with pytest.raises(DomainError):
+        read_window_cache(path)
+    win = WindowCache(tmp_path).window(spec, 1, 5, 300)
+    assert (win.ivalues == sieve_window(spec, 5, 300).ivalues).all()
+    assert path.read_bytes() == full
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp files
+
+
+@pytest.mark.parametrize("size", [0, 3, 36])
+def test_read_window_cache_rejects_short_files(tmp_path, size):
+    ok = tmp_path / "ok.bin"
+    write_window_cache(sieve_window(MultSpec.moebius(), 1, 10), ok)
+    path = tmp_path / "short.bin"
+    path.write_bytes(ok.read_bytes()[:size])
+    with pytest.raises(DomainError):
+        read_window_cache(path)
