@@ -346,11 +346,14 @@ def sup_scan(
 ) -> SupScanReport:
     """Certified-spacing supremum of |S(alpha; x)| over major or minor arcs.
 
-    The uniform grid j/M satisfies M >= 2 pi (x+L) / tol with
-    tol = 1e-2 * trivial_bound, so |S| moves by at most 1% of its trivial
-    bound between neighbouring grid points (|dS/d alpha| <= 2 pi (x+L) sum|f|).
-    Three rounds of tenfold local refinement around the best five grid
-    points and the arc centers/edges follow.
+    |S(alpha; x)| = |sum_{0 <= j <= L} f(x+j) e(j alpha)| does not depend
+    on the phase e(x alpha), so the window is transformed from offset 0 and
+    |dS/d alpha| <= 2 pi L sum|f|.  The uniform grid j/M satisfies
+    M >= 2 pi L / tol with tol = 1e-2 * trivial_bound, so |S| moves by at
+    most 1% of its trivial bound between neighbouring grid points; the grid
+    budget therefore limits L, not x.  Three rounds of tenfold local
+    refinement around the best five grid points and the arc centers/edges
+    follow.
     """
     if kind not in ("major", "minor"):
         raise DomainError("kind must be 'major' or 'minor'")
@@ -359,7 +362,7 @@ def sup_scan(
     if trivial == 0.0:
         raise DomainError("window is identically zero on the scan range")
 
-    m_min = math.ceil(2.0 * math.pi * (x + length) * 100.0)
+    m_min = math.ceil(2.0 * math.pi * max(length, 1) * 100.0)
     m_grid = scipy.fft.next_fast_len(m_min, real=True)
     if m_grid > MAX_GRID_POINTS:
         raise BudgetError(
@@ -368,7 +371,7 @@ def sup_scan(
 
     is_real = not np.iscomplexobj(vals)
     buf = np.zeros(m_grid, dtype=np.float64 if is_real else np.complex128)
-    buf[x : x + length + 1] = vals
+    buf[: length + 1] = vals
     if is_real:
         spec = scipy.fft.rfft(buf)
         half = m_grid // 2

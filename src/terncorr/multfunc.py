@@ -5,7 +5,8 @@ function families are described by their values on prime powers; windows are
 filled by a segmented sieve that stamps exact prime-power exponents, divides
 the smooth part out, and finishes with the (at most one) leftover prime
 above the segment's square root.  Integer-valued families are sieved in
-exact int64 arithmetic and carry both float and integer value arrays.
+exact int64 arithmetic and carry both float and integer value arrays; a
+window in which some value could reach 2^62 is refused with BudgetError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ MAX_WINDOW_LEN = 1 << 26
 MAX_POINT = 1 << 44
 TRIAL_DIVISION_BOUND = 1_000_000
 _SEGMENT = 1 << 20
+# Exact windows refuse values that may reach this; the factor-2 margin below
+# 2^63 absorbs the rounding of the float64 magnitude bound.
+_EXACT_LIMIT = 1 << 62
 
 _MAGIC = b"MFW1"
 
@@ -271,6 +275,11 @@ def _binom(n: int, r: int) -> int:
 def _rule_table(spec: MultSpec, p: int, emax: int) -> np.ndarray:
     """f(p^e) for e = 0..emax; int64 for exact kinds, complex128 for user rules."""
     if spec.kind is Kind.DIVISOR_K:
+        top = _binom(emax + spec.k - 1, spec.k - 1)  # the largest entry
+        if top >= _EXACT_LIMIT:
+            raise BudgetError(
+                f"{spec.spec_id}({p}^{emax}) = {top} is beyond exact int64 values"
+            )
         return np.array(
             [_binom(e + spec.k - 1, spec.k - 1) for e in range(emax + 1)],
             dtype=np.int64,
@@ -356,6 +365,25 @@ def _sieve_segment(spec: MultSpec, q0: int, lo: int, hi: int) -> np.ndarray:
     vals = np.ones(size, dtype=np.int64 if exact else np.complex128)
     rem = np.arange(lo, hi + 1, dtype=np.int64)
 
+    # |mu| <= 1 and 1*chi4 <= d, but d_k(n) <= k^Omega(n) <= k^log2(n) can
+    # outgrow int64.  Then a float64 bound on each |f(q0 n)| is multiplied
+    # up alongside the values and checked before every int64 product.
+    mag = None
+    if spec.kind is Kind.DIVISOR_K and (
+        spec.k ** ((q0 * hi).bit_length() - 1) >= _EXACT_LIMIT
+    ):
+        mag = np.ones(size, dtype=np.float64)
+
+    def stamp(where, factors):
+        if mag is not None:
+            mag[where] *= factors
+            if mag[where].max() >= _EXACT_LIMIT:
+                raise BudgetError(
+                    f"{spec.spec_id}(n) for n in [{q0 * lo}, {q0 * hi}] can "
+                    f"reach 2^62, beyond exact int64 windows"
+                )
+        vals[where] *= factors
+
     q0_fac = dict(factorize(q0)) if q0 > 1 else {}
     sieve_to = math.isqrt(hi)
     plist = [int(p) for p in primes_up_to(sieve_to)]
@@ -386,10 +414,10 @@ def _sieve_segment(spec: MultSpec, q0: int, lo: int, hi: int) -> np.ndarray:
             idx = np.empty(0, np.int64)
         if e0 == 0:
             if idx.size:
-                vals[idx] *= _rule_values(spec, p, expo[idx])
+                stamp(idx, _rule_values(spec, p, expo[idx]))
         else:
             # Every window entry carries the q0 part of this prime.
-            vals *= _rule_values(spec, p, expo + e0)
+            stamp(slice(None), _rule_values(spec, p, expo + e0))
         if idx.size:
             ppow = p ** expo[idx]
             rem[idx] //= ppow
@@ -397,8 +425,7 @@ def _sieve_segment(spec: MultSpec, q0: int, lo: int, hi: int) -> np.ndarray:
 
     leftover = rem > 1
     if leftover.any():
-        vals_left = _rule_at_prime(spec, rem[leftover])
-        vals[leftover] *= vals_left
+        stamp(leftover, _rule_at_prime(spec, rem[leftover]))
     return vals
 
 

@@ -2,11 +2,17 @@
 
 tau(n) is read off from the coefficients of J^8 where J is the cube of the
 pentagonal-number product (Jacobi's identity), so only three truncated
-squarings of an integer power series are needed.  Each squaring is done as
-an exact cyclic convolution: number-theoretic transforms modulo a battery of
-word-sized primes, recombined by the Chinese remainder theorem.  All
-intermediate coefficient bounds are certified at runtime, so the recovered
-integers are exact.
+squarings of an integer power series are needed.  Each squaring is an exact
+cyclic convolution by number-theoretic transforms (terncorr.ntt) modulo the
+fewest primes whose product covers the squaring's certified coefficient
+bound: the J -> J^2 -> J^4 chain is bounded a priori from J, and the final
+squaring from the measured J^4, which is recombined by CRT for that purpose
+and reduced again modulo the final primes.  The recovered integers are
+therefore exact, and tau(1) = 1, tau(2) = -24 are checked on every build.
+
+A request for tau up to n builds the transform of size 2^ceil(log2 2n) and
+keeps all size/2 terms it pays for, with tau(n) / n^(11/2) in float64
+alongside; later requests up to that capacity are slices of the same table.
 """
 
 from __future__ import annotations
@@ -15,112 +21,21 @@ import threading
 
 import numpy as np
 
+from . import ntt
 from .errors import BudgetError
 
-# NTT-friendly primes p = c * 2^k + 1 (k >= 21) with a known primitive root.
-# Their product exceeds 2^176, far above every coefficient reached here.
-_PRIMES = (
-    (998244353, 3),
-    (167772161, 3),
-    (469762049, 3),
-    (754974721, 11),
-    (1004535809, 3),
-    (2013265921, 31),
-)
-
-MAX_TAU_INDEX = 1 << 21  # largest supported n for tau(n)
+MAX_TAU_INDEX = ntt.MAX_SIZE // 2  # largest supported n for tau(n)
 
 _lock = threading.Lock()
-_tau_cache: list[int] = []  # _tau_cache[n-1] = tau(n)
-
-_bitrev_cache: dict[int, np.ndarray] = {}
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    idx = _bitrev_cache.get(n)
-    if idx is None:
-        bits = n.bit_length() - 1
-        j = np.arange(n, dtype=np.int64)
-        idx = np.zeros(n, dtype=np.int64)
-        for b in range(bits):
-            idx = (idx << 1) | ((j >> b) & 1)
-        _bitrev_cache[n] = idx
-    return idx
+# (tau(1..capacity) as a read-only object array, tau(n) / n^(11/2) as float64)
+_table: tuple[np.ndarray, np.ndarray] = (
+    np.empty(0, dtype=object), np.empty(0, dtype=np.float64),
+)
 
 
-def _root_powers(root: int, count: int, p: int) -> np.ndarray:
-    """[root^0, ..., root^(count-1)] mod p, built by doubling."""
-    pows = np.ones(1, dtype=np.uint64)
-    pp = np.uint64(p)
-    while pows.size < count:
-        step = pow(int(root), pows.size, p)
-        pows = np.concatenate([pows, (pows * np.uint64(step)) % pp])
-    return pows[:count]
-
-
-def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
-    """In-place iterative radix-2 NTT on a uint64 array of power-of-two size."""
-    n = a.size
-    pp = np.uint64(p)
-    a = a[_bit_reverse_indices(n)]
-    length = 2
-    while length <= n:
-        root = pow(g, (p - 1) // length, p)
-        if invert:
-            root = pow(root, p - 2, p)
-        w = _root_powers(root, length // 2, p)
-        blocks = a.reshape(-1, length)
-        u = blocks[:, : length // 2]
-        v = (blocks[:, length // 2 :] * w[None, :]) % pp
-        s = (u + v) % pp
-        d = (u + pp - v) % pp
-        blocks[:, : length // 2] = s
-        blocks[:, length // 2 :] = d
-        length *= 2
-    if invert:
-        ninv = np.uint64(pow(n, p - 2, p))
-        a = (a * ninv) % pp
-    return a
-
-
-def _square_mod(res: np.ndarray, p: int, g: int, size: int, keep: int) -> np.ndarray:
-    """Exact square of a nonnegative-residue series, truncated to `keep` terms."""
-    buf = np.zeros(size, dtype=np.uint64)
-    buf[: res.size] = res
-    spec = _ntt(buf, p, g, invert=False)
-    spec = (spec * spec) % np.uint64(p)
-    out = _ntt(spec, p, g, invert=True)
-    return out[:keep]
-
-
-def _crt_combine(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
-    """Garner recombination to signed Python ints (object array).
-
-    The mixed-radix digits are computed with vectorised int64 arithmetic
-    (every intermediate product stays below 2^62); only the final Horner
-    assembly touches big integers.
-    """
-    k = len(primes)
-    digits = [residues[0].astype(np.int64)]
-    for i in range(1, k):
-        pi = primes[i]
-        acc = residues[0].astype(np.int64) % pi
-        pref = primes[0] % pi
-        for j in range(1, i):
-            acc = (acc + pref * (digits[j] % pi)) % pi
-            pref = (pref * primes[j]) % pi
-        inv = pow(pref, pi - 2, pi)
-        d = ((residues[i].astype(np.int64) - acc) * inv) % pi
-        digits.append(d)
-    # Horner over the mixed radix, then recentre into (-M/2, M/2].
-    total = digits[-1].astype(object)
-    for i in range(k - 2, -1, -1):
-        total = total * primes[i] + digits[i].astype(object)
-    modulus = 1
-    for p in primes:
-        modulus *= p
-    total = np.where(total > modulus // 2, total - modulus, total)
-    return total
+def _transform_size(n_max: int) -> int:
+    """Smallest power of two >= 2 n_max: it squares n_max terms unwrapped."""
+    return 1 << (2 * n_max - 1).bit_length()
 
 
 def _eta_cube(n_terms: int) -> np.ndarray:
@@ -133,75 +48,63 @@ def _eta_cube(n_terms: int) -> np.ndarray:
     return c
 
 
-def _compute_tau(n_max: int) -> list[int]:
-    n_terms = n_max  # coefficient of q^(n-1) in J^8 is tau(n)
-    size = 1
-    while size < 2 * n_terms:
-        size *= 2
-    if size > (1 << 21):
-        raise BudgetError(
-            f"tau table up to {n_max} needs transform size {size} > 2^21"
-        )
+def _square_exact(series: np.ndarray, bound: int, size: int, n_terms: int,
+                  times: int) -> np.ndarray:
+    """series^(2^times) truncated to n_terms, as exact Python ints.
 
-    primes = [p for p, _ in _PRIMES]
-    modulus = 1
-    for p in primes:
-        modulus *= p
+    bound bounds every coefficient of the result in absolute value; it
+    selects the CRT primes.
+    """
+    primes = ntt.primes_for(bound)
+    residues = []
+    for p, g in primes:
+        r = (series % p).astype(np.uint64)  # % takes the sign of p
+        for _ in range(times):
+            r = ntt.square(r, p, g, size, n_terms)
+        residues.append(r)
+    return ntt.crt(residues, [p for p, _ in primes])
 
+
+def _compute_tau(n_terms: int) -> np.ndarray:
+    """Exact tau(1..n_terms) (object array); n_terms a power of two."""
+    size = 2 * n_terms
     j3 = _eta_cube(n_terms)
-    # A priori bounds for the first two squarings (number of nonzero terms in
-    # J is ~sqrt(2 n_terms), coefficients of J are below 2^12).
+    # |J^2| <= terms * max|J|^2 over the nonzero terms of J, and a truncated
+    # square of n_terms coefficients bounded by B is bounded by n_terms B^2.
     terms = int(np.count_nonzero(j3))
     max_j = int(np.abs(j3).max())
-    bound_sq1 = terms * max_j * max_j
-    bound_sq2 = n_terms * bound_sq1 * bound_sq1
-    if 2 * bound_sq2 >= modulus:
-        raise BudgetError("CRT modulus too small for requested tau range")
-
-    residues = [((j3 % p) + p) % p for p in primes]
-    residues = [r.astype(np.uint64) for r in residues]
-
-    stage2: list[np.ndarray] = []
-    for (p, g), r in zip(_PRIMES, residues):
-        r = _square_mod(r, p, g, size, n_terms)  # J^2
-        r = _square_mod(r, p, g, size, n_terms)  # J^4
-        stage2.append(r)
-
-    # Certify the final squaring against the measured J^4 coefficients.
-    j4 = _crt_combine(stage2, primes)
+    bound_j2 = terms * max_j * max_j
+    j4 = _square_exact(j3, n_terms * bound_j2 * bound_j2, size, n_terms, 2)
     max_j4 = int(np.abs(j4).max())
-    if 2 * n_terms * max_j4 * max_j4 >= modulus:
-        raise BudgetError("CRT modulus too small for final squaring")
-
-    final: list[np.ndarray] = []
-    for (p, g), r in zip(_PRIMES, stage2):
-        final.append(_square_mod(r, p, g, size, n_terms))  # J^8
-    j8 = _crt_combine(final, primes)
-
-    taus = [int(v) for v in j8]
-    if taus[0] != 1 or (n_max >= 2 and taus[1] != -24):
+    taus = _square_exact(j4, n_terms * max_j4 * max_j4, size, n_terms, 1)
+    if taus[0] != 1 or (n_terms >= 2 and taus[1] != -24):
         raise AssertionError("tau series self-check failed")
     return taus
 
 
-def tau_values(n_max: int) -> list[int]:
-    """Exact tau(1..n_max) as Python ints (cached across calls)."""
+def tau_values(n_max: int) -> np.ndarray:
+    """Exact tau(1..n_max) as a read-only object array of Python ints.
+
+    Builds (and certifies) the table on the first request beyond its
+    capacity; requests within it are slices.
+    """
+    global _table
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_TAU_INDEX:
         raise BudgetError(f"tau table up to {n_max} exceeds budget {MAX_TAU_INDEX}")
     with _lock:
-        if len(_tau_cache) < n_max:
-            # Grow geometrically so repeated slightly-larger requests are cheap.
-            target = max(n_max, 2 * len(_tau_cache), 1024)
-            target = min(target, MAX_TAU_INDEX)
-            _tau_cache[:] = _compute_tau(target)
-        return _tau_cache[:n_max]
+        if _table[0].size < n_max:
+            taus = _compute_tau(_transform_size(n_max) // 2)
+            n = np.arange(1, taus.size + 1, dtype=np.float64)
+            normalized = taus.astype(np.float64) / n ** 5.5
+            taus.setflags(write=False)
+            normalized.setflags(write=False)
+            _table = (taus, normalized)
+        return _table[0][:n_max]
 
 
 def tau_normalized_values(n_max: int) -> np.ndarray:
-    """tau(n) / n^(11/2) for n = 1..n_max as float64."""
-    taus = tau_values(n_max)
-    arr = np.array(taus, dtype=object)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    return arr.astype(np.float64) / n ** 5.5
+    """tau(n) / n^(11/2) for n = 1..n_max as a read-only float64 array."""
+    tau_values(n_max)  # the table only grows, so it now holds n_max terms
+    return _table[1][:n_max]

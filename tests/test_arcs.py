@@ -212,6 +212,39 @@ def test_sup_scan_empty_minor_arcs_rejected():
         sup_scan(win, dec, 100, 4, "minor")
 
 
+@pytest.mark.parametrize("x", [10**6, 10**7])
+def test_sup_scan_far_minor_constant_window_under_envelope(x):
+    h = 300
+    dec = decompose(3, h, 0.05)
+    win = sieve_window(ONE, x, x + 2 * h)
+    rep = sup_scan(win, dec, x, 2 * h, "minor", eta=0.65, k=1, epsilon=0.05)
+    assert rep.sup_abs <= geometric_minor_envelope(dec.beta)
+    near = sup_scan(sieve_window(ONE, 1000, 1000 + 2 * h), dec, 1000, 2 * h,
+                    "minor", eta=0.65, k=1, epsilon=0.05)
+    assert rep.grid_spacing == near.grid_spacing  # the grid depends on L only
+    assert rep.sup_abs == pytest.approx(near.sup_abs, rel=1e-6)
+
+
+def test_sup_scan_within_tolerance_of_dense_grid():
+    """The certified spacing: the scan's sup is at least the max of |S| on a
+    4x denser grid, less 1% of the trivial bound."""
+    tau = MultSpec.ramanujan_tau_norm()
+    x, length = 20_000, 400
+    dec = decompose(4, length // 2, 0.05)
+    win = sieve_window(tau, x, x + length)
+    rep = sup_scan(win, dec, x, length, "minor")
+    m = 4 * math.ceil(2 * math.pi * length * 100)
+    alphas = np.arange(m) / m
+    vals = win.segment(x, x + length)
+    mags = np.abs(np.fft.fft(vals, m))  # |S(j/m; x)| at every j
+    minor = np.zeros(m, dtype=bool)
+    for a, b in dec.minor_intervals():
+        minor |= ((alphas >= a) & (alphas <= b)) | ((alphas + 1 >= a) & (alphas + 1 <= b))
+    dense = mags[minor].max()
+    assert rep.sup_abs >= dense - 0.01 * rep.trivial_bound
+    assert rep.sup_abs <= dense + 0.01 * rep.trivial_bound
+
+
 def test_sup_scan_grid_budget():
     win = sieve_window(ONE, 1, 2 * 10**6)
     dec = decompose(2, 10**5, 0.05)

@@ -295,3 +295,19 @@ def test_python_m_terncorr_help():
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: terncorr" in proc.stdout
+
+
+def test_sieve_beyond_int64_exits_3(capsys):
+    code = main(["sieve", "--spec", "divisor60", "--lo", str(2**40),
+                 "--hi", str(2**40)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_arc_scan_far_from_origin(tmp_path):
+    # The scan grid is sized from the window length, so x = 3*10^5 fits.
+    out = tmp_path / "scan.json"
+    assert main(["arcs", "scan", "--spec", "divisor2", "--X", "300000",
+                 "--H", "3000", "--Q", "5", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert 0 < payload["sup_abs"] <= payload["trivial_bound"]

@@ -1,5 +1,6 @@
 """Window sieving: spec examples, independent oracles, cache format."""
 
+import hashlib
 import math
 import random
 
@@ -230,6 +231,38 @@ def test_budget_errors():
         )
     with pytest.raises(BudgetError):
         tau_normalized(multfunc._tau.MAX_TAU_INDEX + 1)
+
+
+def test_exact_sieve_refuses_int64_overflow():
+    n = 2**10 * 3**10
+    assert eval_at(MultSpec.divisor_k(40), n) == 67532607233189471296  # > 2^63
+    with pytest.raises(BudgetError):
+        sieve_window(MultSpec.divisor_k(40), n, n)
+    with pytest.raises(BudgetError):  # d_60(2^40) does not fit int64 at all
+        sieve_window(MultSpec.divisor_k(60), 2**40, 2**40)
+    with pytest.raises(BudgetError):
+        window_on_progression(MultSpec.divisor_k(40), 2**10, 3**10, 3**10)
+    # Values just below the limit are still sieved: d_40(2^10 3^4) < 2^62.
+    m = 2**10 * 3**4
+    assert sieve_window(MultSpec.divisor_k(40), m, m).ivalues[0] == eval_at(
+        MultSpec.divisor_k(40), m)
+
+
+# sha256 of the int64 values of divisor windows as the sieve produced them
+# before it bounded their size; the last two windows take the bounded path.
+@pytest.mark.parametrize("k, q0, lo, hi, digest", [
+    (3, 1, 1, 200_000,
+     "477fd25a74c7501849dbf47859579204e3de7a8b36b6082d58e3ff2bba731f1f"),
+    (3, 720, 1, 5000,
+     "030982c0f85ed13d67300a58094e508a1df7659d3288a5b56a4e71032b1f024f"),
+    (3, 1, 2**40, 2**40 + 2000,
+     "eb4c8f6034ccfc636fb0e6cf0be6c1f65a449dc86732d6431cdd931af2af4425"),
+    (12, 1, 10**6, 10**6 + 5000,
+     "4477d1fc6eefe62e95415cf63283a824c5fb373125704c40162c96e71c2c420d"),
+])
+def test_divisor_windows_unchanged(k, q0, lo, hi, digest):
+    win = window_on_progression(MultSpec.divisor_k(k), q0, lo, hi)
+    assert hashlib.sha256(win.ivalues.tobytes()).hexdigest() == digest
 
 
 def test_user_euler_rules():
