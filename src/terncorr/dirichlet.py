@@ -371,7 +371,8 @@ def local_density(
         q0 = q // q1
         for chi in _group(q1, groups).characters:
             dens = mean_density(spec, q0, q1, chi, n_terms, cache)
-            w = gauss_sum_conjugate(chi) * chi(a) / (q0 * euler_phi(q1))
+            tau_conj = chi(-1) * gauss_sum(chi).conjugate()  # tau(conj chi)
+            w = tau_conj * chi(a) / (q0 * euler_phi(q1))
             total += w * dens.estimate
             err += abs(w) * dens.error_gap
     return total, err
@@ -510,18 +511,10 @@ def twisted_progression_check(
         inner = np.array(
             [complex(np.dot(wprog.values, chi.values[idx])) for chi in group.characters]
         )
+        # tau(conj chi) = chi(-1) conj(tau(chi))
         taus = np.array(
-            [gauss_sum_conjugate(chi) for chi in group.characters]
+            [chi(-1) * gauss_sum(chi).conjugate() for chi in group.characters]
         )
         chi_a = np.array([chi(a) for chi in group.characters])
         char_side += (taus * chi_a * inner).sum() / euler_phi(q1)
     return abs(additive - char_side)
-
-
-def gauss_sum_conjugate(chi: DirichletCharacter) -> complex:
-    """tau(conj(chi)), evaluated directly from the value table."""
-    q = chi.modulus
-    if q == 1:
-        return 1.0 + 0.0j
-    m = np.arange(q)
-    return complex(np.dot(np.conj(chi.values), np.exp(2j * np.pi * m / q)))

@@ -1,7 +1,8 @@
 """Experiment configuration, dispatch and the command-line interface.
 
-A run is described by an ExperimentConfig (parsed from CLI flags or a
-key=value document), dispatched to the owning subsystem, and serialised as
+A run is described by an ExperimentConfig (its defaults, overridden by a
+key=value document and then by CLI flags, both declared once in OPTIONS),
+dispatched to the owning subsystem, and serialised as
 a RunRecord: config echo, payload, versions, wall time and every warning
 that altered parameters (such as an arc-count clamp).  Power expressions
 like "X^0.8" are evaluated in exact rational arithmetic so pinned examples
@@ -13,10 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,27 +33,6 @@ from .errors import (
     TerncorrError,
 )
 
-EXPERIMENTS = (
-    "correlate",
-    "singular-series",
-    "arc-scan",
-    "main-term-trend",
-    "count-triples",
-    "identity-check",
-    "sieve",
-)
-
-_KNOWN_KEYS = {
-    "experiment", "spec", "spec1", "spec2", "spec3", "X", "H", "Q", "L",
-    "epsilon", "eta", "N", "out", "threads", "seed", "method", "c", "kind",
-    "x", "lo", "hi", "q0", "coeff_cache", "X_list", "alpha", "series",
-}
-
-DEFAULT_SEED = 20260808
-DEFAULT_EPSILON = Fraction(1, 20)
-DEFAULT_N = 10**6
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -60,12 +40,12 @@ class ExperimentConfig:
     x_start: int = 10**5
     h_expr: str | int = "X^0.8"
     q_source: str | int = "preset:thm13"
-    epsilon: Fraction = DEFAULT_EPSILON
+    epsilon: Fraction = Fraction(1, 20)
     eta: Fraction | None = None  # default 1 - 7 epsilon
-    n_terms: int = DEFAULT_N
+    n_terms: int = 10**6
     out: str | None = None
     threads: int = 1
-    seed: int = DEFAULT_SEED
+    seed: int = 20260808
     method: str = "direct"
     c_threshold: float = 1e-3
     kind: str = "minor"
@@ -77,10 +57,11 @@ class ExperimentConfig:
     coeff_cache: str | None = None
     x_list: tuple[int, ...] = (10**4, 3 * 10**4, 10**5)
     series_path: str | None = None
-    alpha: Fraction = Fraction(0)
 
     def resolved_h(self) -> int:
-        return eval_power_expr(self.h_expr, self.x_start, self.alpha)
+        """H at X; the thm14 preset reads the first spec's declared alpha."""
+        alpha = multfunc.spec_from_id(self.spec_ids[0]).alpha
+        return eval_power_expr(self.h_expr, self.x_start, alpha)
 
     def resolved_eta(self) -> float:
         if self.eta is not None:
@@ -224,11 +205,107 @@ def _ceil_div_power(x: int, h: int, expo: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Key=value config documents
+# Options: one table serves the CLI flags and the key = value documents
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a key = value document (quoted strings, ints, floats, lists)."""
+def _int_or_text(v) -> int | str:
+    """An integer when v reads as one, else the text of an expression or preset."""
+    try:
+        return int(v)
+    except ValueError:
+        return str(v)
+
+
+def _fraction(v) -> Fraction:
+    return Fraction(str(v))
+
+
+def _spec_list(v) -> tuple[str, ...]:
+    return tuple(s.strip() for s in str(v).split(",") if s.strip())
+
+
+def _int_list(v) -> tuple[int, ...]:
+    """A document's integer list, or a flag's comma list."""
+    if isinstance(v, str):
+        v = [u for u in v.split(",") if u.strip()]
+    return tuple(int(u) for u in v)
+
+
+def _echo(value):
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+@dataclass(frozen=True)
+class Option:
+    """One setting of an experiment.
+
+    key is the document key and, unless flag says otherwise, the flag
+    --key; attr is the ExperimentConfig field it sets (whose default is the
+    setting's default); cast turns a document value or a flag's text into
+    the field value; commands are the experiments whose subcommand takes
+    the flag (empty: all); echo renders the field in the run record.
+    """
+
+    key: str
+    attr: str
+    cast: Callable = int
+    flag: str | None = None
+    commands: tuple[str, ...] = ()
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    echo: Callable = _echo
+
+
+OPTIONS = (
+    Option("spec", "spec_ids", _spec_list,
+           help="spec id or comma triple (divisor1, divisor2, divisor3, "
+                "moebius, one_star_chi4, tau)"),
+    Option("X", "x_start"),
+    Option("H", "h_expr", _int_or_text, echo=str,
+           help='integer or expression like "X^0.8" / "X^10/13"'),
+    Option("Q", "q_source", _int_or_text, echo=str,
+           help="integer, preset:thm13 or preset:thm14"),
+    Option("epsilon", "epsilon", _fraction, flag="--eps"),
+    Option("eta", "eta", _fraction),
+    Option("N", "n_terms"),
+    Option("out", "out", str),
+    Option("threads", "threads"),
+    Option("seed", "seed"),
+    Option("coeff_cache", "coeff_cache", str, flag="--coeff-cache"),
+    Option("lo", "lo", commands=("sieve",)),
+    Option("hi", "hi", commands=("sieve",)),
+    Option("q0", "q0", commands=("sieve",)),
+    Option("method", "method", str, commands=("correlate",),
+           choices=("direct", "conv")),
+    Option("series", "series_path", str, commands=("correlate",),
+           help="singular-series RunRecord JSON for the main-term gap"),
+    Option("kind", "kind", str, commands=("arc-scan",),
+           choices=("major", "minor")),
+    Option("x", "scan_x", commands=("arc-scan",), help="window start (default X)"),
+    Option("L", "scan_len", commands=("arc-scan",),
+           help="window length (default 2H)"),
+    Option("X_list", "x_list", _int_list, flag="--X-list",
+           commands=("main-term-trend",)),
+    Option("c", "c_threshold", float, commands=("count-triples",)),
+)
+_OPTIONS = {opt.key: opt for opt in OPTIONS}
+# Document-only keys besides `experiment`: single spec ids that together
+# replace `spec`.
+_SPEC_KEYS = ("spec1", "spec2", "spec3")
+
+
+def parse_config(
+    text: str, flags: dict | None = None, experiment: str | None = None
+) -> ExperimentConfig:
+    """Parse a key = value document (quoted strings, ints, floats, lists).
+
+    flags, keyed like the document, override it.  When experiment is given,
+    the document must name that experiment.
+    """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -238,23 +315,23 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigurationError(f"line {lineno}: expected key = value")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _OPTIONS and key not in ("experiment", *_SPEC_KEYS):
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(val.strip(), lineno)
 
     if "experiment" not in values:
         raise ConfigurationError("missing required key 'experiment'")
-    experiment = str(values.pop("experiment"))
-    if experiment not in EXPERIMENTS:
-        raise ConfigurationError(f"unknown experiment {experiment!r}")
-    if experiment in ("correlate", "main-term-trend", "identity-check",
-                      "count-triples", "arc-scan") and "X" not in values:
+    name = str(values.pop("experiment"))
+    if name not in COMMANDS:
+        raise ConfigurationError(f"unknown experiment {name!r}")
+    if experiment is not None and name != experiment:
+        raise ConfigurationError(
+            f"the document is for experiment {name!r}, not {experiment!r}"
+        )
+    flags = flags or {}
+    if COMMANDS[name].uses_xh and "X" not in values and "X" not in flags:
         raise ConfigurationError("missing required key 'X'")
-
-    cfg = ExperimentConfig(experiment=experiment)
-    _apply_values(cfg, values)
-    _validate(cfg)
-    return cfg
+    return _build(name, values, flags)
 
 
 def _parse_value(val: str, lineno: int):
@@ -279,39 +356,23 @@ def _parse_value(val: str, lineno: int):
     raise ConfigurationError(f"line {lineno}: empty value")
 
 
+def _build(experiment: str, *layers: dict) -> ExperimentConfig:
+    """The defaults, then each layer of document-keyed values in turn."""
+    cfg = ExperimentConfig(experiment=experiment)
+    for values in layers:
+        _apply_values(cfg, values)
+    _validate(cfg)
+    return cfg
+
+
 def _apply_values(cfg: ExperimentConfig, values: dict):
-    mapping = {
-        "X": ("x_start", int),
-        "H": ("h_expr", lambda v: v if isinstance(v, str) else int(v)),
-        "Q": ("q_source", lambda v: v if isinstance(v, str) else int(v)),
-        "epsilon": ("epsilon", lambda v: Fraction(str(v))),
-        "eta": ("eta", lambda v: Fraction(str(v))),
-        "N": ("n_terms", int),
-        "out": ("out", str),
-        "threads": ("threads", int),
-        "seed": ("seed", int),
-        "method": ("method", str),
-        "c": ("c_threshold", float),
-        "kind": ("kind", str),
-        "x": ("scan_x", int),
-        "L": ("scan_len", int),
-        "lo": ("lo", int),
-        "hi": ("hi", int),
-        "q0": ("q0", int),
-        "coeff_cache": ("coeff_cache", str),
-        "X_list": ("x_list", lambda v: tuple(int(u) for u in v)),
-        "series": ("series_path", str),
-        "alpha": ("alpha", lambda v: Fraction(str(v))),
-    }
-    if "spec" in values:
-        raw = str(values.pop("spec"))
-        cfg.spec_ids = tuple(s.strip() for s in raw.split(",") if s.strip())
-    single = [values.pop(k) for k in ("spec1", "spec2", "spec3") if k in values]
+    values = dict(values)
+    single = [str(values.pop(k)) for k in _SPEC_KEYS if k in values]
     if single:
-        cfg.spec_ids = tuple(str(s) for s in single)
+        values["spec"] = ",".join(single)
     for key, val in values.items():
-        attr, cast = mapping[key]
-        setattr(cfg, attr, _cast(key, cast, val))
+        opt = _OPTIONS[key]
+        setattr(cfg, opt.attr, _cast(key, opt.cast, val))
 
 
 def _cast(key: str, cast, val):
@@ -323,27 +384,22 @@ def _cast(key: str, cast, val):
 
 
 def _validate(cfg: ExperimentConfig):
+    if not cfg.spec_ids:
+        raise ConfigurationError("no spec id given")
     for sid in cfg.spec_ids:
         multfunc.spec_from_id(sid)  # raises DomainError on unknown ids
-    if cfg.experiment in ("correlate", "main-term-trend", "identity-check",
-                          "count-triples"):
+    if COMMANDS[cfg.experiment].uses_xh:
         h = cfg.resolved_h()
         if h < 2:
             raise ConfigurationError(f"H = {h} must be >= 2")
+    if isinstance(cfg.q_source, int) and cfg.q_source < 2:
+        raise ConfigurationError(f"Q = {cfg.q_source} must be >= 2")
+    if not cfg.x_list:
+        raise ConfigurationError("X_list must name at least one X")
     if not (0 < cfg.epsilon < Fraction(1, 8)):
         raise ConfigurationError("epsilon must lie in (0, 1/8)")
     if cfg.threads < 1:
         raise ConfigurationError("threads must be >= 1")
-
-
-def thread_budget(cfg: ExperimentConfig) -> int:
-    env = os.environ.get("TC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"TC_THREADS={env!r} is not an integer") from None
-    return cfg.threads
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +419,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
                 "in the pole-free class is unproven"
             )
 
-    handler = {
-        "correlate": _run_correlate,
-        "singular-series": _run_series,
-        "arc-scan": _run_arc_scan,
-        "main-term-trend": _run_trend,
-        "count-triples": _run_count,
-        "identity-check": _run_identity,
-        "sieve": _run_sieve,
-    }[cfg.experiment]
-    payload = handler(cfg, specs, cache, warnings)
+    payload = COMMANDS[cfg.experiment].handler(cfg, specs, cache, warnings)
 
     record = RunRecord(
         config=_echo_config(cfg),
@@ -400,19 +447,9 @@ def run(cfg: ExperimentConfig) -> RunRecord:
 
 
 def _echo_config(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "spec": list(cfg.spec_ids),
-        "X": cfg.x_start,
-        "H": str(cfg.h_expr),
-        "Q": str(cfg.q_source),
-        "epsilon": str(cfg.epsilon),
-        "eta": str(cfg.eta) if cfg.eta is not None else None,
-        "N": cfg.n_terms,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-        "method": cfg.method,
-    }
+    echo = {"experiment": cfg.experiment}
+    echo.update((opt.key, opt.echo(getattr(cfg, opt.attr))) for opt in OPTIONS)
+    return echo
 
 
 def _triple(specs):
@@ -500,17 +537,15 @@ def _series_from_record(doc: dict) -> dirichlet.SingularSeries:
     )
 
 
-def _series_for(cfg, spec, cache, warnings) -> dirichlet.SingularSeries:
-    h = cfg.resolved_h()
+def _clamped_q(cfg, spec, h, warnings) -> tuple[int, int]:
+    """Q from its source, and the largest Q' <= Q whose major arcs are disjoint."""
     q_pre = resolve_q(cfg.q_source, cfg.x_start, h, cfg.epsilon, spec.alpha)
     q_use = arcs.largest_disjoint_q(q_pre, h, float(cfg.epsilon))
     if q_use != q_pre:
         warnings.append(
             f"Q clamped from {q_pre} to {q_use} to keep major arcs disjoint"
         )
-    return dirichlet.singular_series_sum(
-        spec, max(2, q_use), cfg.n_terms, cache=cache, threads=thread_budget(cfg)
-    )
+    return q_pre, q_use
 
 
 def _run_series(cfg, specs, cache, warnings) -> dict:
@@ -520,7 +555,7 @@ def _run_series(cfg, specs, cache, warnings) -> dict:
         q_cut = resolve_q(cfg.q_source, cfg.x_start, cfg.resolved_h(), cfg.epsilon,
                           spec.alpha)
     series = dirichlet.singular_series_sum(
-        spec, q_cut, cfg.n_terms, cache=cache, threads=thread_budget(cfg)
+        spec, q_cut, cfg.n_terms, cache=cache, threads=cfg.threads
     )
     csv_path = None
     if cfg.out:
@@ -562,12 +597,7 @@ def _write_series_csv(series: dirichlet.SingularSeries, path: str):
 def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
     spec = specs[0]
     h = cfg.resolved_h()
-    q_pre = resolve_q(cfg.q_source, cfg.x_start, h, cfg.epsilon, spec.alpha)
-    q_use = arcs.largest_disjoint_q(q_pre, h, float(cfg.epsilon))
-    if q_use != q_pre:
-        warnings.append(
-            f"Q clamped from {q_pre} to {q_use} to keep major arcs disjoint"
-        )
+    q_pre, q_use = _clamped_q(cfg, spec, h, warnings)
     dec = arcs.decompose(q_use, h, float(cfg.epsilon))
     x = cfg.scan_x or cfg.x_start
     length = cfg.scan_len or 2 * h
@@ -613,19 +643,12 @@ def _run_trend(cfg, specs, cache, warnings) -> dict:
     spec = specs[0]
     gaps = []
     for x in cfg.x_list:
-        sub = ExperimentConfig(
-            experiment="correlate",
-            spec_ids=(spec.spec_id,),
-            x_start=x,
-            h_expr=cfg.h_expr,
-            q_source=cfg.q_source,
-            epsilon=cfg.epsilon,
-            n_terms=cfg.n_terms,
-            threads=cfg.threads,
-            seed=cfg.seed,
-        )
+        sub = replace(cfg, x_start=x)
         h = sub.resolved_h()
-        series = _series_for(sub, spec, cache, warnings)
+        _, q_use = _clamped_q(sub, spec, h, warnings)
+        series = dirichlet.singular_series_sum(
+            spec, q_use, cfg.n_terms, cache=cache, threads=cfg.threads
+        )
         req = correlate.CorrelationRequest(spec, spec, spec, x, h)
         result = correlate.ternary_direct(req, cache=cache)
         result = correlate.compare_to_main_term(
@@ -666,6 +689,11 @@ def _run_count(cfg, specs, cache, warnings) -> dict:
 def _run_identity(cfg, specs, cache, warnings) -> dict:
     import random
 
+    if cfg.x_start < 50:
+        raise ConfigurationError(
+            f"identity-check draws X from [50, min(2000, X)], so needs X >= 50, "
+            f"got {cfg.x_start}"
+        )
     rng = random.Random(cfg.seed)
     pool = ["divisor1", "divisor2", "divisor3", "moebius", "one_star_chi4"]
     exact = [s for s in cfg.spec_ids if multfunc.spec_from_id(s).is_exact]
@@ -720,23 +748,32 @@ def _run_sieve(cfg, specs, cache, warnings) -> dict:
 # CLI
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--spec", default="divisor1",
-                   help="spec id or comma triple (divisor1, divisor2, divisor3, "
-                        "moebius, one_star_chi4, tau)")
-    p.add_argument("--X", type=int, default=10**5)
-    p.add_argument("--H", default="X^0.8",
-                   help='integer or expression like "X^0.8" / "X^10/13"')
-    p.add_argument("--Q", default="preset:thm13",
-                   help="integer, preset:thm13 or preset:thm14")
-    p.add_argument("--eps", default="0.05")
-    p.add_argument("--eta", default=None)
-    p.add_argument("--N", type=int, default=DEFAULT_N)
-    p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--coeff-cache", dest="coeff_cache", default=None)
-    p.add_argument("--config", default=None, help="key=value config document")
+@dataclass(frozen=True)
+class Command:
+    """One experiment: the handler that runs it, its help, its subcommand
+    words (default: its name), and whether it reads X and H, in which case
+    a document must give X and H must be >= 2."""
+
+    handler: Callable
+    help: str
+    words: tuple[str, ...] = ()
+    uses_xh: bool = False
+
+
+COMMANDS = {
+    "sieve": Command(_run_sieve, "fill and optionally cache a window"),
+    "singular-series": Command(_run_series, "C_q table and main-term factor"),
+    "correlate": Command(_run_correlate, "averaged ternary correlation S(X, H)",
+                         uses_xh=True),
+    "arc-scan": Command(_run_arc_scan, "supremum scan over major/minor arcs",
+                        ("arcs", "scan"), uses_xh=True),
+    "main-term-trend": Command(_run_trend, "relative gap across X values",
+                               uses_xh=True),
+    "count-triples": Command(_run_count, "count |f f f| >= c triples",
+                             uses_xh=True),
+    "identity-check": Command(_run_identity, "direct vs convolution, exact specs",
+                              uses_xh=True),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -745,40 +782,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Averaged ternary correlations of multiplicative functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sieve", help="fill and optionally cache a window")
-    _add_common(p)
-    p.add_argument("--lo", type=int, default=1)
-    p.add_argument("--hi", type=int, default=100)
-    p.add_argument("--q0", type=int, default=1)
-
-    p = sub.add_parser("singular-series", help="C_q table and main-term factor")
-    _add_common(p)
-
-    p = sub.add_parser("correlate", help="averaged ternary correlation S(X, H)")
-    _add_common(p)
-    p.add_argument("--method", choices=("direct", "conv"), default="direct")
-    p.add_argument("--series", default=None,
-                   help="singular-series RunRecord JSON for the main-term gap")
-
-    p = sub.add_parser("arcs", help="arc-decomposition tools")
-    arcs_sub = p.add_subparsers(dest="arcs_command", required=True)
-    ps = arcs_sub.add_parser("scan", help="supremum scan over major/minor arcs")
-    _add_common(ps)
-    ps.add_argument("--kind", choices=("major", "minor"), default="minor")
-    ps.add_argument("--x", type=int, default=None, help="window start (default X)")
-    ps.add_argument("--L", type=int, default=None, help="window length (default 2H)")
-
-    p = sub.add_parser("main-term-trend", help="relative gap across X values")
-    _add_common(p)
-    p.add_argument("--X-list", dest="x_list", default="10000,30000,100000")
-
-    p = sub.add_parser("count-triples", help="count |f f f| >= c triples")
-    _add_common(p)
-    p.add_argument("--c", type=float, default=1e-3)
-
-    p = sub.add_parser("identity-check", help="direct vs convolution, exact specs")
-    _add_common(p)
+    for experiment, command in COMMANDS.items():
+        *group, name = command.words or (experiment,)
+        where = sub
+        if group:  # "arcs scan" is the one grouped subcommand
+            where = sub.add_parser(group[0], help="arc-decomposition tools")
+            where = where.add_subparsers(dest="group_command", required=True)
+        p = where.add_parser(name, help=command.help)
+        p.set_defaults(experiment=experiment)
+        p.add_argument("--config", help="key = value document; flags override it")
+        for opt in OPTIONS:
+            if not opt.commands or experiment in opt.commands:
+                # SUPPRESS keeps flags not given out of the namespace, so
+                # they override neither the document nor the defaults.
+                p.add_argument(opt.flag or f"--{opt.key}", dest=opt.key,
+                               default=argparse.SUPPRESS, choices=opt.choices,
+                               help=opt.help)
 
     p = sub.add_parser("accept", help="run the acceptance suite")
     p.add_argument("--only", default=None, help="comma list of criterion numbers")
@@ -786,66 +805,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
-    if getattr(args, "config", None):
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The defaults, then the --config document, then the flags given."""
+    given = vars(args)
+    flags = {key: given[key] for key in _OPTIONS if key in given}
+    if args.config:
         text = Path(args.config).read_text(encoding="utf-8")
-        cfg = parse_config(text)
-        cfg.experiment = experiment
-        return cfg
-    cfg = ExperimentConfig(experiment=experiment)
-    cfg.spec_ids = tuple(s.strip() for s in args.spec.split(",") if s.strip())
-    cfg.x_start = args.X
-    cfg.h_expr = args.H if not str(args.H).isdigit() else int(args.H)
-    q = getattr(args, "Q", "preset:thm13")
-    cfg.q_source = q if not str(q).isdigit() else int(q)
-    cfg.epsilon = _cast("eps", Fraction, str(args.eps))
-    cfg.eta = _cast("eta", Fraction, str(args.eta)) if args.eta else None
-    cfg.n_terms = args.N
-    cfg.out = args.out
-    cfg.threads = args.threads
-    cfg.seed = args.seed
-    cfg.coeff_cache = args.coeff_cache
-    cfg.method = getattr(args, "method", "direct")
-    cfg.c_threshold = getattr(args, "c", 1e-3)
-    cfg.kind = getattr(args, "kind", "minor")
-    cfg.scan_x = getattr(args, "x", None)
-    cfg.scan_len = getattr(args, "L", None)
-    cfg.lo = getattr(args, "lo", 1)
-    cfg.hi = getattr(args, "hi", 100)
-    cfg.q0 = getattr(args, "q0", 1)
-    cfg.series_path = getattr(args, "series", None)
-    if hasattr(args, "x_list") and isinstance(args.x_list, str):
-        cfg.x_list = _cast(
-            "X-list", lambda v: tuple(int(u) for u in v.split(",") if u.strip()),
-            args.x_list,
-        )
-    _validate(cfg)
-    return cfg
+        return parse_config(text, flags, args.experiment)
+    return _build(args.experiment, flags)
+
+
+def _accept(only: str | None, out: str | None) -> int:
+    from . import acceptance
+
+    numbers = None
+    if only:
+        numbers = {_cast("only", int, v) for v in only.split(",")}
+        unknown = numbers - {number for number, _, _ in acceptance.CRITERIA}
+        if unknown:
+            raise ConfigurationError(f"no acceptance criterion {sorted(unknown)}")
+    results = acceptance.run_acceptance(only=numbers, out=out)
+    return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "accept":
-            from . import acceptance
-
-            only = None
-            if args.only:
-                only = {int(v) for v in args.only.split(",")}
-            results = acceptance.run_acceptance(only=only, out=args.out)
-            return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
-        experiment = {
-            "sieve": "sieve",
-            "singular-series": "singular-series",
-            "correlate": "correlate",
-            "arcs": "arc-scan",
-            "main-term-trend": "main-term-trend",
-            "count-triples": "count-triples",
-            "identity-check": "identity-check",
-        }[args.command]
-        cfg = config_from_args(args, experiment)
-        record = run(cfg)
+            return _accept(args.only, args.out)
+        record = run(config_from_args(args))
         print(record.to_json())
         return EXIT_OK
     except TerncorrError as exc:

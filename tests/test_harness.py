@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from terncorr import harness
 from terncorr.errors import ConfigurationError
 from terncorr.harness import (
     ExperimentConfig,
+    build_parser,
     ceil_rational_power,
+    config_from_args,
     eval_power_expr,
     load_series_record,
     main,
@@ -231,16 +234,10 @@ def test_exit_code_resource_error(capsys):
     assert code == 3
 
 
-def test_thread_budget_env(monkeypatch):
-    cfg = ExperimentConfig(experiment="correlate", threads=2)
-    monkeypatch.setenv("TC_THREADS", "5")
-    assert harness.thread_budget(cfg) == 5
-    monkeypatch.delenv("TC_THREADS")
-    assert harness.thread_budget(cfg) == 2
-
-
 @pytest.mark.parametrize(
-    "line", ["X = abc", "X_list = [1,a]", "epsilon = 1/0x", "X_list = 5"]
+    "line",
+    ["X = abc", "X_list = [1,a]", "epsilon = 1/0x", "X_list = 5", "X_list = []",
+     "Q = 1"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -252,7 +249,15 @@ def test_bad_config_value_exits_2(tmp_path, capsys, line):
 
 def test_bad_cli_value_exits_2(capsys):
     assert main(["main-term-trend", "--X-list", "1,a"]) == 2
+    assert main(["main-term-trend", "--X-list", ""]) == 2
     assert main(["correlate", "--X", "100", "--H", "10", "--eps", "abc"]) == 2
+    assert main(["arcs", "scan", "--X", "1000", "--H", "40", "--Q", "-5"]) == 2
+    assert main(["identity-check", "--X", "10"]) == 2
+    assert main(["accept", "--only", "abc"]) == 2
+    assert main(["accept", "--only", "99"]) == 2
+    assert main(["sieve", "--spec", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 8 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -311,3 +316,116 @@ def test_arc_scan_far_from_origin(tmp_path):
                  "--H", "3000", "--Q", "5", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())["payload"]
     assert 0 < payload["sup_abs"] <= payload["trivial_bound"]
+
+
+# ---------------------------------------------------------------------------
+# The option table: flags, documents and the config echo
+
+
+def _config(argv):
+    return config_from_args(build_parser().parse_args(argv))
+
+
+# One sample per option, as (flag text, document text); neither is a default.
+_SAMPLES = {
+    "spec": ("moebius", '"moebius"'),
+    "X": ("5000", "5000"),
+    "H": ("10", "10"),
+    "Q": ("preset:thm14", '"preset:thm14"'),
+    "epsilon": ("0.04", "0.04"),
+    "eta": ("0.5", "0.5"),
+    "N": ("5000", "5000"),
+    "out": ("r.json", '"r.json"'),
+    "threads": ("2", "2"),
+    "seed": ("9", "9"),
+    "coeff_cache": ("d", '"d"'),
+    "lo": ("4", "4"),
+    "hi": ("9", "9"),
+    "q0": ("3", "3"),
+    "method": ("conv", '"conv"'),
+    "series": ("s.json", '"s.json"'),
+    "kind": ("major", '"major"'),
+    "x": ("300", "300"),
+    "L": ("50", "50"),
+    "X_list": ("100,200", "[100, 200]"),
+    "c": ("0.5", "0.5"),
+}
+
+
+def test_option_samples_cover_the_table():
+    assert set(_SAMPLES) == {opt.key for opt in harness.OPTIONS}
+
+
+@pytest.mark.parametrize("opt", harness.OPTIONS, ids=lambda opt: opt.key)
+def test_flag_and_document_key_agree(tmp_path, opt):
+    flag_text, doc_text = _SAMPLES[opt.key]
+    experiment = opt.commands[0] if opt.commands else "correlate"
+    words = list(harness.COMMANDS[experiment].words or (experiment,))
+    doc = tmp_path / "run.cfg"
+    doc.write_text(f'experiment = "{experiment}"\nX = 1000\n{opt.key} = {doc_text}\n')
+    from_flag = _config(words + ["--X", "1000", opt.flag or f"--{opt.key}", flag_text])
+    from_doc = _config(words + ["--config", str(doc)])
+    assert from_flag == from_doc
+    assert getattr(from_flag, opt.attr) != getattr(ExperimentConfig(experiment), opt.attr)
+
+
+_ECHO = {"spec": ["one_star_chi4"], "X": 100000, "H": "X^0.8", "Q": "preset:thm13",
+         "epsilon": "1/20", "eta": None, "N": 1000000, "seed": 20260808,
+         "threads": 1, "method": "direct"}
+
+
+@pytest.mark.parametrize(
+    "argv, echo",
+    [
+        (["correlate", "--spec", "divisor3", "--X", "4000", "--H", "600",
+          "--method", "conv"],
+         {"experiment": "correlate", "spec": ["divisor3"], "X": 4000, "H": "600",
+          "method": "conv"}),
+        (["arcs", "scan", "--spec", "tau", "--X", "100000", "--H", "3000",
+          "--Q", "preset:thm14", "--kind", "minor"],
+         {"experiment": "arc-scan", "spec": ["tau"], "H": "3000",
+          "Q": "preset:thm14"}),
+        (["singular-series", "--spec", "one_star_chi4", "--Q", "50", "--N",
+          "1000000", "--threads", "2", "--coeff-cache", "d"],
+         {"experiment": "singular-series", "Q": "50", "threads": 2}),
+        (["main-term-trend", "--spec", "one_star_chi4", "--X-list",
+          "10000,30000", "--coeff-cache", "d"],
+         {"experiment": "main-term-trend"}),
+        (["identity-check", "--X", "2000", "--seed", "1"],
+         {"experiment": "identity-check", "spec": ["divisor1"], "X": 2000,
+          "seed": 1}),
+    ],
+)
+def test_benchmark_argv_echo_keeps_its_keys(argv, echo):
+    # The eleven keys the config echo had before it listed every option keep
+    # their values and formats for the benchmark's jobs.
+    want = {**_ECHO, **echo}
+    got = harness._echo_config(_config(argv))
+    assert {key: got[key] for key in want} == want
+    assert set(got) == {"experiment"} | {opt.key for opt in harness.OPTIONS}
+
+
+def test_flags_override_config_document(tmp_path, capsys):
+    doc = tmp_path / "sieve.cfg"
+    doc.write_text('experiment = "sieve"\nspec = "moebius"\nlo = 4\nhi = 6\n')
+    assert main(["sieve", "--lo", "1", "--hi", "3", "--config", str(doc)]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["spec"], payload["lo"], payload["hi"]) == ("moebius", 1, 3)
+    assert payload["head_re"] == [1.0, -1.0, -1.0]
+    # A document for another experiment is refused, not rerouted.
+    assert main(["correlate", "--X", "100", "--H", "10", "--config", str(doc)]) == 2
+    assert "'sieve'" in capsys.readouterr().err
+    # X may come from the flags instead of the document.
+    doc.write_text('experiment = "correlate"\n')
+    assert _config(["correlate", "--X", "100", "--config", str(doc)]).x_start == 100
+    with pytest.raises(ConfigurationError, match="X"):
+        _config(["correlate", "--config", str(doc)])
+
+
+def test_thm14_h_preset_reads_the_spec_alpha(monkeypatch):
+    spec = replace(harness.multfunc.spec_from_id("divisor1"), alpha=0.5)
+    monkeypatch.setattr(harness.multfunc, "spec_from_id", lambda sid: spec)
+    cfg = ExperimentConfig(experiment="correlate", x_start=3**13,
+                           h_expr="preset:thm14")
+    assert cfg.resolved_h() == eval_power_expr("preset:thm14", 3**13, alpha=0.5)
+    assert cfg.resolved_h() != eval_power_expr("preset:thm14", 3**13, alpha=0)
