@@ -208,10 +208,20 @@ def _ceil_div_power(x: int, h: int, expo: Fraction) -> int:
 # Options: one table serves the CLI flags and the key = value documents
 
 
+def _int(v) -> int:
+    """A document integer or a flag's integer text.
+
+    A float or boolean is refused, not truncated (int(1000.9) is 1000).
+    """
+    if isinstance(v, (bool, float)):
+        raise TypeError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def _int_or_text(v) -> int | str:
     """An integer when v reads as one, else the text of an expression or preset."""
     try:
-        return int(v)
+        return _int(v)
     except ValueError:
         return str(v)
 
@@ -228,7 +238,7 @@ def _int_list(v) -> tuple[int, ...]:
     """A document's integer list, or a flag's comma list."""
     if isinstance(v, str):
         v = [u for u in v.split(",") if u.strip()]
-    return tuple(int(u) for u in v)
+    return tuple(_int(u) for u in v)
 
 
 def _echo(value):
@@ -252,7 +262,7 @@ class Option:
 
     key: str
     attr: str
-    cast: Callable = int
+    cast: Callable = _int
     flag: str | None = None
     commands: tuple[str, ...] = ()
     help: str | None = None

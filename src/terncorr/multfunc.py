@@ -1,10 +1,12 @@
 """Windows of divisor-bounded multiplicative functions.
 
-A window holds f(q0*n) for n in a contiguous integer range.  Built-in
-function families are described by their values on prime powers; windows are
-filled by a segmented sieve that stamps exact prime-power exponents, divides
-the smooth part out, and finishes with the (at most one) leftover prime
-above the segment's square root.  Integer-valued families are sieved in
+A window holds f(q0*n) for n in a contiguous integer range.  Every family
+is described by its values on prime powers, given by the one rule
+local_factor(spec, p, e); windows are filled by a segmented sieve that
+stamps exact prime-power exponents, multiplies in local_factor, divides the
+smooth part out, and finishes with the (at most one) leftover prime above
+the segment's square root, and eval_at multiplies local_factor over a
+trial-division factorisation.  Integer-valued families are sieved in
 exact int64 arithmetic and carry both float and integer value arrays; a
 window in which some value could reach 2^62 is refused with BudgetError.
 """
@@ -265,93 +267,74 @@ def factorize(n: int, bound: int = TRIAL_DIVISION_BOUND) -> list[tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# Prime-power rules
+# Prime-power rule
 
 
-def _binom(n: int, r: int) -> int:
-    return math.comb(n, r)
+def local_factor(spec: MultSpec, p, e) -> np.ndarray:
+    """f(p^e) for primes p and exponents e >= 0, arrays or scalars broadcast.
 
-
-def _rule_table(spec: MultSpec, p: int, emax: int) -> np.ndarray:
-    """f(p^e) for e = 0..emax; int64 for exact kinds, complex128 for user rules."""
+    This is the one prime-power rule of every family; sieve windows and
+    eval_at only multiply its values.  The result is int64 for exact kinds,
+    refused with BudgetError when an entry reaches 2^62; float64 for tau,
+    by the normalised Hecke recursion on lambda(p); complex128 for user
+    rules, with SpecificationError naming the smallest missing p^e.  It may
+    be a read-only broadcast view.
+    """
+    p = np.asarray(p, dtype=np.int64)
+    e = np.asarray(e, dtype=np.int64)
+    shape = np.broadcast(p, e).shape
+    emax = int(e.max(initial=0))
+    if spec.kind is Kind.USER_EULER:
+        # Each distinct (p, e) is looked up once, then gathered.
+        pairs, inverse = np.unique(
+            np.stack(np.broadcast_arrays(p, e)).reshape(2, -1),
+            axis=1, return_inverse=True,
+        )
+        pairs = [tuple(pe) for pe in pairs.T.tolist()]
+        missing = [pe for pe in pairs if pe[1] and pe not in spec.rule]
+        if missing:
+            q, j = min(missing, key=lambda pe: pe[0] ** pe[1])
+            raise SpecificationError(
+                f"user Euler rule has no value for prime power {q}^{j}"
+            )
+        table = np.array(
+            [complex(spec.rule[pe]) if pe[1] else 1 for pe in pairs],
+            dtype=np.complex128,
+        )
+        return table[inverse.ravel()].reshape(shape)
+    # One prime with many exponents: tabulate e = 0..max once and gather.
+    # Otherwise e stays as given, so a scalar e is never broadcast over p.
+    gather = p.ndim == 0 and e.ndim > 0
+    ee = np.arange(emax + 1) if gather else e
     if spec.kind is Kind.DIVISOR_K:
-        top = _binom(emax + spec.k - 1, spec.k - 1)  # the largest entry
+        # d_k(p^e) = C(e + k - 1, k - 1), largest at e = emax.
+        top = math.comb(emax + spec.k - 1, spec.k - 1)
         if top >= _EXACT_LIMIT:
             raise BudgetError(
-                f"{spec.spec_id}({p}^{emax}) = {top} is beyond exact int64 values"
+                f"{spec.spec_id}(p^{emax}) = {top} is beyond exact int64 values"
             )
-        return np.array(
-            [_binom(e + spec.k - 1, spec.k - 1) for e in range(emax + 1)],
-            dtype=np.int64,
-        )
-    if spec.kind is Kind.MOEBIUS:
-        t = np.zeros(emax + 1, dtype=np.int64)
-        t[0] = 1
-        if emax >= 1:
-            t[1] = -1
-        return t
-    if spec.kind is Kind.ONE_STAR_CHI4:
-        # f(p^e) = sum_{j<=e} chi4(p^j): p=2 -> 1, p=1 mod 4 -> e+1,
-        # p=3 mod 4 -> 1 for even e, 0 for odd e.
-        if p == 2:
-            return np.ones(emax + 1, dtype=np.int64)
-        if p % 4 == 1:
-            return np.arange(1, emax + 2, dtype=np.int64)
-        t = np.arange(emax + 1, dtype=np.int64)
-        return 1 - (t % 2)
-    if spec.kind is Kind.USER_EULER:
-        vals = np.empty(emax + 1, dtype=np.complex128)
-        vals[0] = 1.0
-        for e in range(1, emax + 1):
-            try:
-                vals[e] = complex(spec.rule[(p, e)])
-            except KeyError:
-                raise SpecificationError(
-                    f"user Euler rule has no value for prime power {p}^{e}"
-                ) from None
-        return vals
-    raise DomainError(f"no sieve rule for kind {spec.kind}")
-
-
-def _rule_values(spec: MultSpec, p: int, expos: np.ndarray) -> np.ndarray:
-    """f(p^e) for an array of exponents, demanding only the powers that occur."""
-    if spec.kind is Kind.USER_EULER:
-        out = np.ones(expos.shape, dtype=np.complex128)
-        for e in np.unique(expos):
-            e = int(e)
-            if e == 0:
-                continue
-            try:
-                out[expos == e] = complex(spec.rule[(p, e)])
-            except KeyError:
-                raise SpecificationError(
-                    f"user Euler rule has no value for prime power {p}^{e}"
-                ) from None
-        return out
-    table = _rule_table(spec, p, int(expos.max()))
-    return table[expos]
-
-
-def _rule_at_prime(spec: MultSpec, ps: np.ndarray) -> np.ndarray:
-    """Vectorised f(p) for an array of primes p."""
-    if spec.kind is Kind.DIVISOR_K:
-        return np.full(ps.shape, spec.k, dtype=np.int64)
-    if spec.kind is Kind.MOEBIUS:
-        return np.full(ps.shape, -1, dtype=np.int64)
-    if spec.kind is Kind.ONE_STAR_CHI4:
-        r = ps % 4
-        return np.where(r == 1, 2, np.where(r == 3, 0, 1)).astype(np.int64)
-    if spec.kind is Kind.USER_EULER:
-        out = np.empty(ps.shape, dtype=np.complex128)
-        for i, p in enumerate(ps):
-            try:
-                out[i] = complex(spec.rule[(int(p), 1)])
-            except KeyError:
-                raise SpecificationError(
-                    f"user Euler rule has no value for prime power {int(p)}^1"
-                ) from None
-        return out
-    raise DomainError(f"no sieve rule for kind {spec.kind}")
+        table = [math.comb(j + spec.k - 1, spec.k - 1) for j in range(emax + 1)]
+        out = np.array(table, dtype=np.int64)[ee]
+    elif spec.kind is Kind.MOEBIUS:
+        out = np.array([1, -1, 0], dtype=np.int64)[np.minimum(ee, 2)]
+    elif spec.kind is Kind.ONE_STAR_CHI4:
+        # sum_{j<=e} chi4(p^j): p = 2 -> 1, p = 1 mod 4 -> e + 1,
+        # p = 3 mod 4 -> 1 for even e, 0 for odd e.
+        r = p % 4
+        out = np.where(r == 1, ee + 1, np.where(r == 3, 1 - ee % 2, 1))
+    elif spec.kind is Kind.RAMANUJAN_TAU_NORM:
+        # lambda(p^(j+1)) = lambda(p) lambda(p^j) - lambda(p^(j-1))
+        lam = _tau.tau_normalized_values(int(p.max(initial=1)))[p - 1]
+        prev, cur = np.ones_like(lam), lam
+        out = np.where(ee == 0, 1.0, lam)
+        for j in range(2, emax + 1):
+            prev, cur = cur, lam * cur - prev
+            out = np.where(ee == j, cur, out)
+    else:
+        raise DomainError(f"no prime-power rule for kind {spec.kind}")
+    if gather:
+        return out[e]
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +397,10 @@ def _sieve_segment(spec: MultSpec, q0: int, lo: int, hi: int) -> np.ndarray:
             idx = np.empty(0, np.int64)
         if e0 == 0:
             if idx.size:
-                stamp(idx, _rule_values(spec, p, expo[idx]))
+                stamp(idx, local_factor(spec, p, expo[idx]))
         else:
             # Every window entry carries the q0 part of this prime.
-            stamp(slice(None), _rule_values(spec, p, expo + e0))
+            stamp(slice(None), local_factor(spec, p, expo + e0))
         if idx.size:
             ppow = p ** expo[idx]
             rem[idx] //= ppow
@@ -425,7 +408,7 @@ def _sieve_segment(spec: MultSpec, q0: int, lo: int, hi: int) -> np.ndarray:
 
     leftover = rem > 1
     if leftover.any():
-        stamp(leftover, _rule_at_prime(spec, rem[leftover]))
+        stamp(leftover, local_factor(spec, rem[leftover], 1))
     return vals
 
 
@@ -492,18 +475,6 @@ def sieve_window(spec: MultSpec, lo: int, hi: int) -> CoefficientWindow:
     return _build_window(spec, 1, lo, hi)
 
 
-def sieve_one_star_chi4(lo: int, hi: int) -> CoefficientWindow:
-    """Window of sum_{d|n} chi4(d), the built-in simple-pole witness."""
-    return _build_window(MultSpec.one_star_chi4(), 1, lo, hi)
-
-
-def tau_normalized(hi: int) -> CoefficientWindow:
-    """Window of tau(n)/n^(11/2) on [1, hi] from the exact eta-power series."""
-    if hi < 1:
-        raise DomainError("hi must be >= 1")
-    return _build_window(MultSpec.ramanujan_tau_norm(), 1, 1, hi)
-
-
 def window_on_progression(
     spec: MultSpec, q0: int, lo: int, hi: int
 ) -> CoefficientWindow:
@@ -515,43 +486,17 @@ def window_on_progression(
 # Point evaluation
 
 
-def _eval_exact(spec: MultSpec, n: int):
-    out = 1
-    for p, e in factorize(n):
-        out *= int(_rule_table(spec, p, e)[e])
-        if out == 0:
-            return 0
-    return out
+def eval_at(spec: MultSpec, n: int) -> int | float | complex:
+    """f(n) as a Python scalar: local_factor at the prime powers of n.
 
-
-def eval_at(spec: MultSpec, n: int) -> complex:
-    """f(n) via trial-division factorisation and the prime-power rule."""
+    The factors are multiplied as Python numbers, so exact values stay
+    exact beyond 2^63.
+    """
     if n < 1:
         raise DomainError("eval_at requires n >= 1")
-    if n == 1:
-        return 1
-    if spec.kind is Kind.RAMANUJAN_TAU_NORM:
-        out = 1.0
-        for p, e in factorize(n):
-            out *= _tau_prime_power(p, e)
-        return out
-    if spec.kind is Kind.USER_EULER:
-        out = complex(1.0)
-        for p, e in factorize(n):
-            out *= complex(_rule_table(spec, p, e)[e])
-        return out
-    return _eval_exact(spec, n)
-
-
-def _tau_prime_power(p: int, e: int) -> float:
-    # Normalised Hecke recursion: lam(p^(e+1)) = lam(p) lam(p^e) - lam(p^(e-1)).
-    lam_p = float(_tau.tau_values(p)[p - 1]) / p ** 5.5
-    if e == 1:
-        return lam_p
-    prev, cur = 1.0, lam_p
-    for _ in range(e - 1):
-        prev, cur = cur, lam_p * cur - prev
-    return cur
+    factors = factorize(n)
+    values = local_factor(spec, [p for p, _ in factors], [e for _, e in factors])
+    return math.prod(values.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -568,16 +513,10 @@ def _kind_tag(spec: MultSpec) -> int:
 
 def _spec_from_tag(tag: int) -> MultSpec:
     code, param = tag >> 32, tag & 0xFFFFFFFF
-    for kind, c in _KIND_TAGS.items():
-        if c == code:
-            if kind is Kind.DIVISOR_K:
-                return MultSpec.divisor_k(param)
-            return {
-                Kind.MOEBIUS: MultSpec.moebius,
-                Kind.ONE_STAR_CHI4: MultSpec.one_star_chi4,
-                Kind.RAMANUJAN_TAU_NORM: MultSpec.ramanujan_tau_norm,
-            }[kind]()
-    raise DomainError(f"unknown kind tag {tag:#x} in cache file")
+    kind = {c: kind for kind, c in _KIND_TAGS.items()}.get(code)
+    if kind is None:
+        raise DomainError(f"unknown kind tag {tag:#x} in cache file")
+    return spec_from_id(f"divisor{param}" if kind is Kind.DIVISOR_K else kind.value)
 
 
 def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:

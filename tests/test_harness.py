@@ -237,7 +237,8 @@ def test_exit_code_resource_error(capsys):
 @pytest.mark.parametrize(
     "line",
     ["X = abc", "X_list = [1,a]", "epsilon = 1/0x", "X_list = 5", "X_list = []",
-     "Q = 1"],
+     "Q = 1", "X = 1000.9", "H = 10.5", "Q = 5.5", "threads = true",
+     "N = 5000.5"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

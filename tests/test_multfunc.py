@@ -1,6 +1,7 @@
 """Window sieving: spec examples, independent oracles, cache format."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -13,10 +14,9 @@ from terncorr.multfunc import (
     MultSpec,
     WindowCache,
     eval_at,
+    local_factor,
     read_window_cache,
-    sieve_one_star_chi4,
     sieve_window,
-    tau_normalized,
     window_on_progression,
     write_window_cache,
 )
@@ -83,6 +83,9 @@ def tau_oracle(n_max):
     return power  # tau(n) = power[n-1]
 
 
+BUILTIN_IDS = ["divisor1", "divisor2", "divisor12", "moebius", "one_star_chi4", "tau"]
+
+
 # ---------------------------------------------------------------------------
 # Spec examples
 
@@ -94,10 +97,11 @@ def test_sieve_window_examples():
 
 
 def test_one_star_chi4_examples():
-    assert list(sieve_one_star_chi4(1, 3).ivalues) == [1, 1, 0]
-    assert list(sieve_one_star_chi4(25, 25).ivalues) == [3]
-    assert list(sieve_one_star_chi4(2, 2).ivalues) == [1]
-    win = sieve_one_star_chi4(1, 2000)
+    spec = MultSpec.one_star_chi4()
+    assert list(sieve_window(spec, 1, 3).ivalues) == [1, 1, 0]
+    assert list(sieve_window(spec, 25, 25).ivalues) == [3]
+    assert list(sieve_window(spec, 2, 2).ivalues) == [1]
+    win = sieve_window(spec, 1, 2000)
     for n in (1, 9, 25, 50, 325, 1989):
         assert win.ivalues[n - 1] == one_star_chi4_oracle(n)
     d2 = sieve_window(MultSpec.divisor_k(2), 1, 2000)
@@ -145,12 +149,99 @@ def test_moebius_against_oracle():
 
 
 # ---------------------------------------------------------------------------
+# The prime-power rule
+
+PRIMES = [2, 3, 5, 7, 11, 13, 97]
+EXPONENTS = range(13)
+
+
+def local_oracle(sid, p, e, taus):
+    """f(p^e) from the definitions, or None where no oracle is cheap."""
+    if sid.startswith("divisor"):
+        k = int(sid[len("divisor"):])
+        if p**e <= 10**6:
+            return dk_oracle(p**e, k)
+        # dk_oracle enumerates divisors up to sqrt(n); beyond 10^6 count the
+        # ordered k-factorisations p^j1 ... p^jk of p^e directly.
+        return sum(
+            1 for js in itertools.product(range(e + 1), repeat=k - 1)
+            if sum(js) <= e
+        )
+    if sid == "moebius":
+        return {0: 1, 1: -1}.get(e, 0)
+    if sid == "one_star_chi4":
+        return sum(chi4(p**j) for j in range(e + 1))
+    if p**e <= len(taus):  # tau
+        return taus[p**e - 1] / p ** (5.5 * e)
+    return None
+
+
+@pytest.mark.parametrize("sid", ["divisor1", "divisor2", "divisor3", "moebius",
+                                 "one_star_chi4", "tau"])
+def test_local_factor_against_oracles(sid):
+    spec = multfunc.spec_from_id(sid)
+    taus = tau_oracle(60)
+    checked = 0
+    for p in PRIMES:
+        for e in EXPONENTS:
+            expect = local_oracle(sid, p, e, taus)
+            if expect is None:
+                continue
+            got = local_factor(spec, p, e)
+            if spec.is_exact:
+                assert got.dtype == np.int64 and got == expect, (p, e)
+            else:
+                assert got.dtype == np.float64, (p, e)
+                assert got == pytest.approx(expect, rel=2**-40), (p, e)
+            checked += 1
+    assert checked >= (12 if sid == "tau" else len(PRIMES) * len(EXPONENTS))
+
+
+@pytest.mark.parametrize("sid", BUILTIN_IDS + ["user"])
+def test_local_factor_broadcasts(sid):
+    if sid == "user":
+        spec = MultSpec.user_euler(
+            {(p, e): complex(p, -e) for p in PRIMES for e in range(1, 13)},
+            k_bound=1,
+        )
+    else:
+        spec = multfunc.spec_from_id(sid)
+    ps = np.array(PRIMES if sid != "tau" else [2, 3, 5, 7, 11, 13])
+    es = np.arange(13)
+    one = np.array([[local_factor(spec, p, e).item() for e in es] for p in ps])
+    for i, p in enumerate(ps):  # one prime, many exponents
+        assert (local_factor(spec, int(p), es) == one[i]).all()
+    for j, e in enumerate(es):  # many primes, one exponent
+        assert (local_factor(spec, ps, int(e)) == one[:, j]).all()
+    both = local_factor(spec, ps[:, None], es[None, :])
+    assert both.shape == one.shape and (both == one).all()
+    dtype = {"user": np.complex128, "tau": np.float64}.get(sid, np.int64)
+    assert both.dtype == dtype
+
+
+def test_local_factor_exact_limit():
+    d40 = MultSpec.divisor_k(40)
+    # C(e + 39, 39) is below 2^62 for e <= 27 and above it from e = 28 on.
+    assert math.comb(27 + 39, 39) < 2**62 <= math.comb(28 + 39, 39)
+    assert local_factor(d40, 2, 27) == math.comb(27 + 39, 39)
+    assert (local_factor(d40, 5, np.arange(28)) == [
+        math.comb(e + 39, 39) for e in range(28)]).all()
+    assert eval_at(d40, 2**27) == math.comb(27 + 39, 39)
+    with pytest.raises(BudgetError):
+        local_factor(d40, 2, 28)
+    with pytest.raises(BudgetError):
+        local_factor(d40, [2, 3], [1, 28])
+    with pytest.raises(BudgetError):
+        eval_at(d40, 2**28)
+
+
+# ---------------------------------------------------------------------------
 # Ramanujan tau
 
 
 def test_tau_normalized_against_naive_eta_power():
     taus = tau_oracle(60)
-    win = tau_normalized(60)
+    win = sieve_window(MultSpec.ramanujan_tau_norm(), 1, 60)
     assert taus[0] == 1 and taus[1] == -24
     for n in range(1, 61):
         expect = taus[n - 1] / n**5.5
@@ -158,7 +249,7 @@ def test_tau_normalized_against_naive_eta_power():
 
 
 def test_tau_window_basics():
-    win = tau_normalized(6)
+    win = sieve_window(MultSpec.ramanujan_tau_norm(), 1, 6)
     assert win.values[0] == 1.0
     assert win.values[1] == pytest.approx(-24 / 2**5.5, rel=1e-12)
     assert win.values[5] == pytest.approx(win.values[1] * win.values[2], rel=1e-12)
@@ -166,7 +257,7 @@ def test_tau_window_basics():
 
 def test_tau_eval_consistent_with_window():
     spec = MultSpec.ramanujan_tau_norm()
-    win = tau_normalized(3000)
+    win = sieve_window(spec, 1, 3000)
     rng = random.Random(11)
     for n in rng.sample(range(1, 3001), 60):
         assert eval_at(spec, n) == pytest.approx(
@@ -230,7 +321,9 @@ def test_budget_errors():
             MultSpec.divisor_k(2), multfunc.MAX_POINT, 1, 2
         )
     with pytest.raises(BudgetError):
-        tau_normalized(multfunc._tau.MAX_TAU_INDEX + 1)
+        sieve_window(
+            MultSpec.ramanujan_tau_norm(), 1, multfunc._tau.MAX_TAU_INDEX + 1
+        )
 
 
 def test_exact_sieve_refuses_int64_overflow():
@@ -269,8 +362,18 @@ def test_user_euler_rules():
     spec = MultSpec.user_euler({(2, 1): 1j, (3, 1): -1.0, (5, 1): 2.0}, k_bound=1)
     win = sieve_window(spec, 5, 6)
     assert win.values[1] == 1j * -1.0
+    assert [eval_at(spec, n) for n in (1, 5, 6, 30)] == [1, 2.0, -1j, -2j]
     with pytest.raises(SpecificationError, match=r"2\^2"):
         sieve_window(spec, 1, 8)
+    with pytest.raises(SpecificationError, match=r"2\^2"):
+        eval_at(spec, 4)
+    with pytest.raises(SpecificationError, match=r"2\^2"):  # 4 < 7
+        local_factor(spec, [7, 2], [1, 2])
+    # 7 is above sqrt(hi), so the sieve meets it as a leftover prime (e = 1).
+    with pytest.raises(SpecificationError, match=r"7\^1"):
+        sieve_window(spec, 5, 7)
+    with pytest.raises(SpecificationError, match=r"7\^1"):
+        eval_at(spec, 7)
     zero = MultSpec.user_euler(
         {(p, e): 0.0 for p in (2, 3, 5, 7, 11, 13) for e in range(1, 8)}, k_bound=1
     )
@@ -282,12 +385,9 @@ def test_user_euler_rules():
 
 
 def test_window_cache_roundtrip(tmp_path):
-    for spec in (MultSpec.one_star_chi4(), MultSpec.ramanujan_tau_norm()):
-        win = (
-            sieve_window(spec, 3, 200)
-            if spec.is_exact
-            else tau_normalized(200)
-        )
+    for sid in BUILTIN_IDS:
+        spec = multfunc.spec_from_id(sid)
+        win = window_on_progression(spec, 3, 2, 200)
         path = tmp_path / f"{spec.spec_id}.bin"
         write_window_cache(win, path)
         back = read_window_cache(path)
