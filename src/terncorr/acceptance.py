@@ -292,9 +292,9 @@ def prop_multiplicativity():
 def prop_divisor_bound():
     top = 10**5
     d_bounds = {
-        1: multfunc.sieve_window(_spec("divisor1"), 1, top).ivalues,
-        2: multfunc.sieve_window(_spec("divisor2"), 1, top).ivalues,
-        3: multfunc.sieve_window(_spec("divisor3"), 1, top).ivalues,
+        1: multfunc.sieve_window(_spec("divisor1"), 1, top).values,
+        2: multfunc.sieve_window(_spec("divisor2"), 1, top).values,
+        3: multfunc.sieve_window(_spec("divisor3"), 1, top).values,
     }
     for sid in ("divisor1", "divisor2", "divisor3", "moebius", "one_star_chi4", "tau"):
         spec = _spec(sid)
@@ -310,7 +310,7 @@ def prop_sieve_eval_agreement():
         for n in range(1, 10**4 + 1):
             direct = multfunc.eval_at(spec, n)
             if spec.is_exact:
-                assert win.ivalues[n - 1] == direct, f"{sid}: n={n}"
+                assert win.values[n - 1] == direct, f"{sid}: n={n}"
             else:
                 stored = win.values[n - 1]
                 assert abs(stored - direct) <= 2**-40 * max(1.0, abs(direct)), (
@@ -321,7 +321,7 @@ def prop_sieve_eval_agreement():
 def prop_hyperbola():
     for top in (10**3, 10**5):
         win = _CACHE.window(_spec("divisor2"), 1, 1, top)
-        lhs = int(win.ivalues.sum())
+        lhs = int(win.values.sum())
         rhs = sum(top // a for a in range(1, top + 1))
         assert lhs == rhs, f"N={top}: {lhs} != {rhs}"
 

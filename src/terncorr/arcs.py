@@ -25,7 +25,7 @@ import scipy.fft
 import scipy.special
 
 from .errors import BudgetError, ConfigurationError, DomainError
-from .multfunc import CoefficientWindow, Kind, MultSpec, sieve_window
+from .multfunc import CoefficientWindow, Kind, MultSpec, as_float, sieve_window
 
 _RESYNC_BLOCK = 1 << 14
 _PHASE_SPLIT = 1 << 26
@@ -188,7 +188,7 @@ def short_exp_sum(
     """S(alpha; x) = sum_{x <= n <= x+length} f(n) e(n alpha)."""
     if window.q0 != 1:
         raise DomainError("exponential sums need a plain (q0 = 1) window")
-    vals = window.segment(x, x + length)
+    vals = as_float(window.segment(x, x + length))  # int64 sums can wrap
     phases = unit_phases(x, length + 1, alpha)
     value = complex(np.dot(vals, phases))
     trivial = float(np.abs(vals).sum())
@@ -238,7 +238,7 @@ def edge_divisor_sum(x: int, length: int, eta: float, k: int) -> float:
     span = max(1, math.ceil(length**eta))
     left = sieve_window(MultSpec.divisor_k(k), max(1, x - span), x)
     right = sieve_window(MultSpec.divisor_k(k), x + length, x + length + span)
-    return float(left.ivalues.sum() + right.ivalues.sum())
+    return float(left.values.sum() + right.values.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def sup_scan(
     """
     if kind not in ("major", "minor"):
         raise DomainError("kind must be 'major' or 'minor'")
-    vals = window.segment(x, x + length)
+    vals = as_float(window.segment(x, x + length))  # int64 sums can wrap
     trivial = float(np.abs(vals).sum())
     if trivial == 0.0:
         raise DomainError("window is identically zero on the scan range")

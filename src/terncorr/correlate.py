@@ -25,7 +25,7 @@ import numpy as np
 
 from .dirichlet import SingularSeries
 from .errors import DomainError
-from .multfunc import CoefficientWindow, MultSpec, WindowCache
+from .multfunc import CoefficientWindow, MultSpec, WindowCache, as_float
 
 _INT64_MAX = (1 << 63) - 1
 _DIGIT_BITS = 17  # (2^17 + 1)^3 < 2^52: dot chunks of at least 4095 elements
@@ -157,9 +157,9 @@ def ternary_direct(
     if _use_exact(req):
         # Each digit triple multiplies below bound < 2^52; T_h is exact per
         # lag and the weighted sum over lags is a Python int.
-        b1, d1 = _digits(w1.segment(x, 2 * x, exact=True))
-        b2, d2 = _digits(w2.segment(x - h, 2 * x + h, exact=True))
-        b3, d3 = _digits(w3.segment(x - 2 * h, 2 * x + 2 * h, exact=True))
+        b1, d1 = _digits(w1.segment(x, 2 * x))
+        b2, d2 = _digits(w2.segment(x - h, 2 * x + h))
+        b3, d3 = _digits(w3.segment(x - 2 * h, 2 * x + 2 * h))
         bound = b1 * b2 * b3
         combos = [
             (s1 + s2 + s3, u1, u2, u3)
@@ -175,7 +175,9 @@ def ternary_direct(
             numerator += (h - abs(hh)) * t_h
         value = numerator / h
     else:
-        a1 = w1.segment(x, 2 * x)
+        # A float a1 makes every product float: int64 products of a mixed
+        # request can wrap (divisor40 values pass 2^44 at X = 8192).
+        a1 = as_float(w1.segment(x, 2 * x))
         total = 0.0 + 0.0j
         comp = 0.0 + 0.0j  # Kahan carry over the mixed-sign h-accumulation
         for hh in hs:
@@ -219,9 +221,9 @@ def ternary_convolution(
     dtype = np.int64 if exact else np.complex128 if complex_case else np.float64
     f1 = np.zeros(nr + 2 * h, dtype=dtype)  # indexed by r - j over padding
     off = x - (r_lo - h)
-    f1[off : off + x + 1] = w1.segment(x, 2 * x, exact=exact)
-    f2 = w2.segment(r_lo, r_hi, exact=exact).astype(dtype, copy=False)
-    f3 = w3.segment(r_lo - h, r_hi + h, exact=exact).astype(dtype, copy=False)
+    f1[off : off + x + 1] = w1.segment(x, 2 * x)
+    f2 = w2.segment(r_lo, r_hi).astype(dtype, copy=False)
+    f3 = w3.segment(r_lo - h, r_hi + h).astype(dtype, copy=False)
 
     numerator = None
     if exact:
@@ -309,7 +311,7 @@ def count_triples(
             f"window [{window.lo},{window.hi}] does not cover "
             f"[{x - 2 * h},{2 * x + 2 * h}]"
         )
-    absvals = np.abs(window.values)
+    absvals = np.abs(as_float(window.values))  # int64 triple products can wrap
     base = absvals[x - window.lo : 2 * x - window.lo + 1]
     count = 0
     for hh in range(-h, h + 1):

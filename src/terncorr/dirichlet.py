@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .multfunc import MultSpec, WindowCache, factorize, window_on_progression
+from .multfunc import MultSpec, WindowCache, as_float, factorize, window_on_progression
 
 MAX_CHARACTER_MODULUS = 1_000_000
 MAX_TABLE_ENTRIES = 1 << 25  # phi(q) * q guard for full group tables
@@ -268,7 +268,7 @@ def mean_density(
         else window_on_progression(spec, q0, 1, n_terms)
     )
     if q1 == 1:
-        prods = win.values
+        prods = as_float(win.values)  # an int64 sum of divisor40 wraps at N = 2*10^6
     else:
         chivals = _tiled_character(chi, n_terms)
         prods = win.values * chivals

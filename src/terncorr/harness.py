@@ -410,6 +410,9 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigurationError("epsilon must lie in (0, 1/8)")
     if cfg.threads < 1:
         raise ConfigurationError("threads must be >= 1")
+    for key, val in (("x", cfg.scan_x), ("L", cfg.scan_len)):
+        if val is not None and val < 1:
+            raise ConfigurationError(f"{key} = {val} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +612,8 @@ def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
     h = cfg.resolved_h()
     q_pre, q_use = _clamped_q(cfg, spec, h, warnings)
     dec = arcs.decompose(q_use, h, float(cfg.epsilon))
-    x = cfg.scan_x or cfg.x_start
-    length = cfg.scan_len or 2 * h
+    x = cfg.x_start if cfg.scan_x is None else cfg.scan_x
+    length = 2 * h if cfg.scan_len is None else cfg.scan_len
     window = cache.window(spec, 1, x, x + length)
     report = arcs.sup_scan(
         window, dec, x, length, cfg.kind,

@@ -7,7 +7,7 @@ stamps exact prime-power exponents, multiplies in local_factor, divides the
 smooth part out, and finishes with the (at most one) leftover prime above
 the segment's square root, and eval_at multiplies local_factor over a
 trial-division factorisation.  Integer-valued families are sieved in
-exact int64 arithmetic and carry both float and integer value arrays; a
+exact int64 arithmetic and their windows hold only those int64 values; a
 window in which some value could reach 2^62 is refused with BudgetError.
 """
 
@@ -35,7 +35,7 @@ _SEGMENT = 1 << 20
 # 2^63 absorbs the rounding of the float64 magnitude bound.
 _EXACT_LIMIT = 1 << 62
 
-_MAGIC = b"MFW1"
+_MAGIC = b"MFW2"
 
 
 class Kind(enum.Enum):
@@ -172,15 +172,15 @@ def spec_from_id(spec_id: str) -> MultSpec:
 class CoefficientWindow:
     """f(q0*n) for n in [lo, hi], immutable after construction.
 
-    values is float64 for real families and complex128 otherwise; ivalues
-    additionally holds the exact int64 values for integer-valued families.
+    values is the one value array: int64 for integer-valued (exact)
+    families, float64 for tau and real user rules, complex128 for complex
+    user rules.  A consumer whose int64 products could wrap uses as_float.
     """
 
     lo: int
     hi: int
     q0: int
     values: np.ndarray
-    ivalues: np.ndarray | None = None
     spec: MultSpec | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -191,8 +191,6 @@ class CoefficientWindow:
         if len(self.values) != self.hi - self.lo + 1:
             raise DomainError("values length must equal hi - lo + 1")
         self.values.setflags(write=False)
-        if self.ivalues is not None:
-            self.ivalues.setflags(write=False)
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -200,17 +198,21 @@ class CoefficientWindow:
     def covers(self, a: int, b: int) -> bool:
         return self.lo <= a and b <= self.hi
 
-    def segment(self, a: int, b: int, exact: bool = False) -> np.ndarray:
+    def segment(self, a: int, b: int) -> np.ndarray:
         """Values for n in [a, b] (indices, not multiplied by q0)."""
         if not self.covers(a, b):
             raise DomainError(
                 f"window [{self.lo},{self.hi}] does not cover [{a},{b}]"
             )
-        src = self.ivalues if (exact and self.ivalues is not None) else self.values
-        return src[a - self.lo : b - self.lo + 1]
+        return self.values[a - self.lo : b - self.lo + 1]
 
-    def at(self, n: int) -> complex:
-        return self.values[n - self.lo]
+
+def as_float(values: np.ndarray) -> np.ndarray:
+    """int64 values cast to float64; float and complex values unchanged.
+
+    For consumers whose sums or products of int64 window values could wrap.
+    """
+    return values.astype(np.result_type(values, np.float64), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -435,31 +437,19 @@ def _build_window(spec: MultSpec, q0: int, lo: int, hi: int) -> CoefficientWindo
         _assert_deligne(win)
         return win
 
-    if spec.kind is Kind.DIVISOR_K and spec.k == 1:
-        size = hi - lo + 1
-        ones = np.ones(size, dtype=np.int64)
-        return CoefficientWindow(
-            lo=lo, hi=hi, q0=q0, values=ones.astype(np.float64),
-            ivalues=ones, spec=spec,
-        )
-
     size = hi - lo + 1
-    exact = spec.is_exact
-    out = np.empty(size, dtype=np.int64 if exact else np.complex128)
+    if spec.kind is Kind.DIVISOR_K and spec.k == 1:
+        ones = np.ones(size, dtype=np.int64)
+        return CoefficientWindow(lo=lo, hi=hi, q0=q0, values=ones, spec=spec)
+
+    out = np.empty(size, dtype=np.int64 if spec.is_exact else np.complex128)
     a = lo
     while a <= hi:
         b = min(a + _SEGMENT - 1, hi)
         out[a - lo : b - lo + 1] = _sieve_segment(spec, q0, a, b)
         a = b + 1
-
-    if exact:
-        return CoefficientWindow(
-            lo=lo, hi=hi, q0=q0, values=out.astype(np.float64),
-            ivalues=out, spec=spec,
-        )
-    if spec.is_real:
-        real = out.real.copy()  # imaginary parts exactly zero for real rules
-        return CoefficientWindow(lo=lo, hi=hi, q0=q0, values=real, spec=spec)
+    if not spec.is_exact and spec.is_real:
+        out = out.real.copy()  # imaginary parts exactly zero for real rules
     return CoefficientWindow(lo=lo, hi=hi, q0=q0, values=out, spec=spec)
 
 
@@ -500,7 +490,7 @@ def eval_at(spec: MultSpec, n: int) -> int | float | complex:
 
 
 # ---------------------------------------------------------------------------
-# Window cache files (binary layout MFW1)
+# Window cache files (binary layout MFW2)
 
 
 def _kind_tag(spec: MultSpec) -> int:
@@ -519,12 +509,17 @@ def _spec_from_tag(tag: int) -> MultSpec:
     return spec_from_id(f"divisor{param}" if kind is Kind.DIVISOR_K else kind.value)
 
 
-def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:
-    """Serialise a window: MFW1 header, float64 values, int64 exact values.
+def _block_dtype(spec: MultSpec) -> str:
+    return "<i8" if spec.is_exact else "<f8"
 
-    Only built-in families have a kind tag, and their values are real.  The
-    bytes go to a per-thread temporary file that then replaces path in one
-    step, so concurrent writers of one key never leave a torn file behind.
+
+def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:
+    """Serialise a window: MFW2 header, then one block of its values.
+
+    Only built-in families have a kind tag, and their values are real: the
+    block is <i8 for exact families and <f8 for tau.  The bytes go to a
+    per-thread temporary file that then replaces path in one step, so
+    concurrent writers of one key never leave a torn file behind.
     """
     if win.spec is None:
         raise DomainError("window has no spec attached; cannot cache")
@@ -535,16 +530,14 @@ def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:
         with tmp.open("wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<QQQQ", tag, win.q0, win.lo, win.hi))
-            fh.write(win.values.astype("<f8").tobytes())
-            if win.ivalues is not None:
-                fh.write(win.ivalues.astype("<i8").tobytes())
+            fh.write(win.values.astype(_block_dtype(win.spec), copy=False).tobytes())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def read_window_cache(path: str | Path) -> CoefficientWindow:
-    """Load an MFW1 file; DomainError unless its length matches its header."""
+    """Load an MFW2 file; DomainError unless its length matches its header."""
     path = Path(path)
     raw = path.read_bytes()
     off = 4 + 32
@@ -553,21 +546,15 @@ def read_window_cache(path: str | Path) -> CoefficientWindow:
     tag, q0, lo, hi = struct.unpack_from("<QQQQ", raw, 4)
     spec = _spec_from_tag(tag)
     size = hi - lo + 1
-    expected = off + 8 * size * (2 if spec.is_exact else 1)
+    expected = off + 8 * size
     if size < 1 or len(raw) != expected:
         raise DomainError(
             f"{path} holds {len(raw)} bytes; its header [{lo},{hi}] needs {expected}"
         )
-    vals = np.frombuffer(raw, dtype="<f8", count=size, offset=off).astype(np.float64)
-    off += 8 * size
-    ivals = None
-    if spec.is_exact:
-        ivals = np.frombuffer(raw, dtype="<i8", count=size, offset=off).astype(
-            np.int64
-        )
-    return CoefficientWindow(
-        lo=int(lo), hi=int(hi), q0=int(q0), values=vals, ivalues=ivals, spec=spec
-    )
+    # A read-only view of raw on little-endian hosts; the window never writes.
+    vals = np.frombuffer(raw, dtype=_block_dtype(spec), count=size, offset=off)
+    vals = vals.astype(np.int64 if spec.is_exact else np.float64, copy=False)
+    return CoefficientWindow(lo=int(lo), hi=int(hi), q0=int(q0), values=vals, spec=spec)
 
 
 def cache_file_name(spec: MultSpec, q0: int, lo: int, hi: int) -> str:

@@ -103,7 +103,7 @@ def test_exp_sum_examples():
     mu = sieve_window(MultSpec.moebius(), 1, 10)
     s = short_exp_sum(mu, 1, 9, 1 / 3)
     direct = sum(
-        int(mu.ivalues[n - 1]) * complex(np.exp(2j * np.pi * n / 3))
+        int(mu.values[n - 1]) * complex(np.exp(2j * np.pi * n / 3))
         for n in range(1, 11)
     )
     assert s.value == pytest.approx(direct, abs=1e-10)
@@ -137,6 +137,16 @@ def test_unit_phases_match_direct():
     direct = np.exp(2j * np.pi * ((n * 0.123456789) % 1.0))
     assert np.abs(ph - direct).max() < 1e-7  # direct path itself is the cruder one
     assert np.abs(np.abs(ph) - 1.0).max() < 1e-12
+
+
+def test_exp_sum_trivial_bound_does_not_wrap():
+    # Every d_40 value here is below 2^62, but their sum passes 2^63.
+    x, length = 8 * 10**6, 10**5
+    win = sieve_window(MultSpec.divisor_k(40), x, x + length)
+    exact = sum(int(v) for v in win.values)
+    assert exact >= 2**63
+    s = short_exp_sum(win, x, length, 0.25)
+    assert s.trivial_bound == pytest.approx(exact, rel=1e-12)
 
 
 def test_exp_sum_coverage_guard():

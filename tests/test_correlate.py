@@ -1,5 +1,6 @@
 """Ternary correlations: exact identities, brute-force oracle, counting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -77,7 +78,7 @@ def test_degenerate_h_is_diagonal_sum():
     req = CorrelationRequest(d2, d2, d2, 50, 1)
     res = ternary_direct(req, cache=CACHE)
     win = sieve_window(d2, 50, 100)
-    assert res.exact_value == int((win.ivalues.astype(object) ** 3).sum())
+    assert res.exact_value == int((win.values.astype(object) ** 3).sum())
 
 
 def test_toy_case_against_brute_force():
@@ -118,6 +119,36 @@ def test_float_path_direct_conv_close():
     scale = max(abs(complex(a.value)), 1e-12)
     assert abs(complex(a.value) - complex(b.value)) <= 1e-8 * scale
     assert complex(a.value).imag == 0.0  # real spec stays real
+
+
+def test_mixed_request_int64_products_do_not_wrap():
+    # divisor40 values pass 2^44 on these windows, so a1 * a2 can pass 2^88
+    # and a triple product 2^132: the float routes must not wrap in int64.
+    d40, tau = MultSpec.divisor_k(40), MultSpec.ramanujan_tau_norm()
+    x, h = 8192, 8
+    req = CorrelationRequest(d40, d40, tau, x, h)
+    wins = correlation_windows(req, CACHE)
+    a1, a2, a3 = (w.values.astype(np.float64) for w in wins)
+    terms = [
+        (h - abs(hh)) * a1[x - wins[0].lo : 2 * x - wins[0].lo + 1]
+        * a2[x + hh - wins[1].lo : 2 * x + hh - wins[1].lo + 1]
+        * a3[x + 2 * hh - wins[2].lo : 2 * x + 2 * hh - wins[2].lo + 1]
+        for hh in range(-h, h + 1)
+    ]
+    ref = math.fsum(np.concatenate(terms)) / h
+    assert ref == pytest.approx(2.3321077e26, rel=1e-7)
+    for route in (ternary_direct, ternary_convolution):
+        assert route(req, windows=wins).value == pytest.approx(ref, rel=1e-12)
+
+    win = sieve_window(d40, x - 2 * h, 2 * x + 2 * h)
+    assert int(win.values.max()).bit_length() == 45  # max >= 2^44
+    vals = win.values.astype(object)
+    expect = sum(
+        int(vals[n - win.lo] * vals[n + hh - win.lo] * vals[n + 2 * hh - win.lo]
+            >= 2**80)
+        for hh in range(-h, h + 1) for n in range(x, 2 * x + 1)
+    )
+    assert count_triples(win, x, h, 2.0**80).count == expect == 4038
 
 
 def test_reversed_iteration_stability():
@@ -236,7 +267,7 @@ INT64 = st.integers(-(2**63), 2**63 - 1)
 def object_reference(windows, x, h):
     """H * S from the windows' exact values in Python-int (object) arithmetic."""
     w1, w2, w3 = windows
-    a1, a2, a3 = (w.ivalues.astype(object) for w in windows)
+    a1, a2, a3 = (w.values.astype(object) for w in windows)
     base = a1[x - w1.lo : 2 * x - w1.lo + 1]
     total = 0
     for hh in range(-h, h + 1):
@@ -310,7 +341,7 @@ def synthetic_windows(x, h, mags, rng):
         iv = rng.integers(m - m // 8, m, size=size, endpoint=True, dtype=np.int64)
         iv[rng.random(size) < 0.03] *= -1
         iv[rng.integers(0, size)] = -m
-        out.append(CoefficientWindow(lo, hi, 1, iv.astype(np.float64), iv))
+        out.append(CoefficientWindow(lo, hi, 1, iv))
     return tuple(out)
 
 
@@ -327,7 +358,7 @@ def test_routes_exact_on_synthetic_windows(x, h, mags, split):
     d2 = MultSpec.divisor_k(2)
     req = CorrelationRequest(d2, d2, d2, x, h)
     wins = synthetic_windows(x, h, mags, np.random.default_rng(sum(mags) % 2**32))
-    digits = [_digits(w.ivalues) for w in wins]
+    digits = [_digits(w.values) for w in wins]
     bound = digits[0][0] * digits[1][0] * digits[2][0]
     cap = _INT64_MAX // (bound * (x + 2 * h + 1))
     if split == "chunks":  # each lag's dot is split; every conv lag is alone

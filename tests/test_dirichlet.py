@@ -180,6 +180,18 @@ def test_witness_coefficients_match_closed_forms(q):
     assert abs(got.imag) < 1e-12
 
 
+def test_mean_density_int64_sum_does_not_wrap():
+    # sum_{n <= 2*10^6} d_40(n) exceeds 2^64, so an int64 sum would wrap.
+    spec, n_terms, cache = MultSpec.divisor_k(40), 2 * 10**6, WindowCache()
+    got = mean_density(spec, 1, 1, characters_mod(1).principal, n_terms, cache)
+    vals = cache.window(spec, 1, 1, n_terms).values.astype(object)
+    half = n_terms // 2
+    s_half, s_full = vals[:half].sum(), vals.sum()
+    assert s_full >= 2**64
+    expect = 2 * s_full / n_terms - s_half / half
+    assert got.estimate.real == pytest.approx(float(expect), rel=1e-12)
+
+
 def test_witness_coefficients_match_progression_densities():
     # direct cross-check of C_3 against raw progression densities at two
     # scales, with no character machinery: C_3 = (1/3) mean f(3n) - (1/2)

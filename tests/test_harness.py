@@ -257,8 +257,11 @@ def test_bad_cli_value_exits_2(capsys):
     assert main(["accept", "--only", "abc"]) == 2
     assert main(["accept", "--only", "99"]) == 2
     assert main(["sieve", "--spec", ""]) == 2
+    scan = ["arcs", "scan", "--spec", "divisor2", "--X", "1000", "--H", "50", "--Q", "3"]
+    assert main(scan + ["--x", "0"]) == 2
+    assert main(scan + ["--L", "0"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 8 and "Traceback" not in err
+    assert err.count("error:") == 10 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

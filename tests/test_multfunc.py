@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -91,33 +92,33 @@ BUILTIN_IDS = ["divisor1", "divisor2", "divisor12", "moebius", "one_star_chi4", 
 
 
 def test_sieve_window_examples():
-    assert list(sieve_window(MultSpec.divisor_k(2), 12, 12).ivalues) == [6]
-    assert list(sieve_window(MultSpec.divisor_k(3), 1, 1).ivalues) == [1]
-    assert list(sieve_window(MultSpec.moebius(), 4, 6).ivalues) == [0, -1, 1]
+    assert list(sieve_window(MultSpec.divisor_k(2), 12, 12).values) == [6]
+    assert list(sieve_window(MultSpec.divisor_k(3), 1, 1).values) == [1]
+    assert list(sieve_window(MultSpec.moebius(), 4, 6).values) == [0, -1, 1]
 
 
 def test_one_star_chi4_examples():
     spec = MultSpec.one_star_chi4()
-    assert list(sieve_window(spec, 1, 3).ivalues) == [1, 1, 0]
-    assert list(sieve_window(spec, 25, 25).ivalues) == [3]
-    assert list(sieve_window(spec, 2, 2).ivalues) == [1]
+    assert list(sieve_window(spec, 1, 3).values) == [1, 1, 0]
+    assert list(sieve_window(spec, 25, 25).values) == [3]
+    assert list(sieve_window(spec, 2, 2).values) == [1]
     win = sieve_window(spec, 1, 2000)
     for n in (1, 9, 25, 50, 325, 1989):
-        assert win.ivalues[n - 1] == one_star_chi4_oracle(n)
+        assert win.values[n - 1] == one_star_chi4_oracle(n)
     d2 = sieve_window(MultSpec.divisor_k(2), 1, 2000)
-    assert (win.ivalues >= 0).all()
-    assert (win.ivalues <= d2.ivalues).all()
+    assert (win.values >= 0).all()
+    assert (win.values <= d2.values).all()
 
 
 def test_progression_examples():
     w = window_on_progression(MultSpec.divisor_k(2), 2, 1, 5)
-    assert list(w.ivalues) == [2, 3, 4, 4, 4]
+    assert list(w.values) == [2, 3, 4, 4, 4]
     w = window_on_progression(MultSpec.moebius(), 4, 1, 3)
-    assert list(w.ivalues) == [0, 0, 0]
+    assert list(w.values) == [0, 0, 0]
     # q0 = 1 reduces to the plain window
     a = window_on_progression(MultSpec.one_star_chi4(), 1, 7, 30)
     b = sieve_window(MultSpec.one_star_chi4(), 7, 30)
-    assert (a.ivalues == b.ivalues).all()
+    assert (a.values == b.values).all()
 
 
 def test_progression_matches_pointwise():
@@ -126,7 +127,7 @@ def test_progression_matches_pointwise():
     w = window_on_progression(spec, 6, 3, 400)
     for _ in range(40):
         n = rng.randint(3, 400)
-        assert w.ivalues[n - 3] == eval_at(spec, 6 * n)
+        assert w.values[n - 3] == eval_at(spec, 6 * n)
 
 
 def test_eval_at_examples():
@@ -145,7 +146,7 @@ def test_divisor_rule_against_enumeration(n, k):
 def test_moebius_against_oracle():
     win = sieve_window(MultSpec.moebius(), 1, 500)
     for n in range(1, 501):
-        assert win.ivalues[n - 1] == moebius_oracle(n)
+        assert win.values[n - 1] == moebius_oracle(n)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def test_multiplicativity_exact(sid):
 def test_hyperbola_identity():
     for top in (10**3, 10**5):
         win = sieve_window(MultSpec.divisor_k(2), 1, top)
-        assert int(win.ivalues.sum()) == sum(top // a for a in range(1, top + 1))
+        assert int(win.values.sum()) == sum(top // a for a in range(1, top + 1))
 
 
 def test_sieve_eval_agreement_full_range():
@@ -296,7 +297,7 @@ def test_sieve_eval_agreement_full_range():
         spec = multfunc.spec_from_id(sid)
         win = sieve_window(spec, 1, 10**4)
         direct = np.array([eval_at(spec, n) for n in range(1, 10**4 + 1)])
-        assert (win.ivalues == direct).all(), sid
+        assert (win.values == direct).all(), sid
 
 
 def test_window_invariants():
@@ -337,7 +338,7 @@ def test_exact_sieve_refuses_int64_overflow():
         window_on_progression(MultSpec.divisor_k(40), 2**10, 3**10, 3**10)
     # Values just below the limit are still sieved: d_40(2^10 3^4) < 2^62.
     m = 2**10 * 3**4
-    assert sieve_window(MultSpec.divisor_k(40), m, m).ivalues[0] == eval_at(
+    assert sieve_window(MultSpec.divisor_k(40), m, m).values[0] == eval_at(
         MultSpec.divisor_k(40), m)
 
 
@@ -355,13 +356,14 @@ def test_exact_sieve_refuses_int64_overflow():
 ])
 def test_divisor_windows_unchanged(k, q0, lo, hi, digest):
     win = window_on_progression(MultSpec.divisor_k(k), q0, lo, hi)
-    assert hashlib.sha256(win.ivalues.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(win.values.tobytes()).hexdigest() == digest
 
 
 def test_user_euler_rules():
     spec = MultSpec.user_euler({(2, 1): 1j, (3, 1): -1.0, (5, 1): 2.0}, k_bound=1)
     win = sieve_window(spec, 5, 6)
     assert win.values[1] == 1j * -1.0
+    assert win.values.dtype == np.complex128
     assert [eval_at(spec, n) for n in (1, 5, 6, 30)] == [1, 2.0, -1j, -2j]
     with pytest.raises(SpecificationError, match=r"2\^2"):
         sieve_window(spec, 1, 8)
@@ -377,7 +379,8 @@ def test_user_euler_rules():
     zero = MultSpec.user_euler(
         {(p, e): 0.0 for p in (2, 3, 5, 7, 11, 13) for e in range(1, 8)}, k_bound=1
     )
-    assert (sieve_window(zero, 2, 13).values == 0).all()
+    real = sieve_window(zero, 2, 13).values
+    assert real.dtype == np.float64 and (real == 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +397,28 @@ def test_window_cache_roundtrip(tmp_path):
         assert back.lo == win.lo and back.hi == win.hi and back.q0 == win.q0
         assert back.spec == win.spec
         assert (back.values == win.values).all()
-        if win.ivalues is not None:
-            assert (back.ivalues == win.ivalues).all()
+        for w in (win, back):  # one value array, typed by the family
+            assert w.values.dtype == (np.int64 if spec.is_exact else np.float64)
+            if spec.is_exact:
+                assert w.values.nbytes == 8 * len(w)
     raw = (tmp_path / "one_star_chi4.bin").read_bytes()
-    assert raw[:4] == b"MFW1"
+    assert raw[:4] == b"MFW2"
+
+
+def test_window_cache_rewrites_mfw1_file(tmp_path):
+    # The MFW1 layout: the same header, then a <f8 block and an <i8 block.
+    spec = MultSpec.one_star_chi4()
+    fresh = sieve_window(spec, 5, 300)
+    path = tmp_path / multfunc.cache_file_name(spec, 1, 5, 300)
+    header = struct.pack("<QQQQ", multfunc._kind_tag(spec), 1, 5, 300)
+    iv = fresh.values.astype("<i8")
+    path.write_bytes(b"MFW1" + header + iv.astype("<f8").tobytes() + iv.tobytes())
+    with pytest.raises(DomainError):
+        read_window_cache(path)
+    win = WindowCache(tmp_path).window(spec, 1, 5, 300)
+    assert win.values.dtype == np.int64 and (win.values == fresh.values).all()
+    raw = path.read_bytes()
+    assert raw[:4] == b"MFW2" and raw[4:36] == header and raw[36:] == iv.tobytes()
 
 
 def test_window_cache_directory(tmp_path):
@@ -406,7 +427,7 @@ def test_window_cache_directory(tmp_path):
     assert any(p.suffix == ".bin" for p in tmp_path.iterdir())
     fresh = WindowCache(tmp_path)
     b = fresh.window(MultSpec.moebius(), 1, 1, 64)
-    assert (a.ivalues == b.ivalues).all()
+    assert (a.values == b.values).all()
 
 
 def test_window_cache_ignores_mislabelled_file(tmp_path):
@@ -415,9 +436,9 @@ def test_window_cache_ignores_mislabelled_file(tmp_path):
     write_window_cache(sieve_window(d2, 10, 200), tmp_path / name)
     win = WindowCache(tmp_path).window(d3, 1, 10, 200)
     assert win.spec == d3
-    assert (win.ivalues == sieve_window(d3, 10, 200).ivalues).all()
+    assert (win.values == sieve_window(d3, 10, 200).values).all()
     back = read_window_cache(tmp_path / name)  # overwritten with the right window
-    assert back.spec == d3 and (back.ivalues == win.ivalues).all()
+    assert back.spec == d3 and (back.values == win.values).all()
 
 
 def test_window_cache_rebuilds_truncated_file(tmp_path):
@@ -429,7 +450,7 @@ def test_window_cache_rebuilds_truncated_file(tmp_path):
     with pytest.raises(DomainError):
         read_window_cache(path)
     win = WindowCache(tmp_path).window(spec, 1, 5, 300)
-    assert (win.ivalues == sieve_window(spec, 5, 300).ivalues).all()
+    assert (win.values == sieve_window(spec, 5, 300).values).all()
     assert path.read_bytes() == full
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp files
 
