@@ -141,7 +141,7 @@ def criterion_6() -> tuple[bool, str, list[str]]:
             osc, q_use, 10**6, cache=_CACHE, threads=8
         )
         req = correlate.CorrelationRequest(osc, osc, osc, x, h)
-        res = correlate.ternary_direct(req, cache=_CACHE)
+        res = correlate.ternary_convolution(req, cache=_CACHE)
         res = correlate.compare_to_main_term(res, series, x, h)
         gaps[x] = res.relative_gap
     ok = gaps[10**5] <= 0.15 and gaps[10**5] < gaps[10**4]

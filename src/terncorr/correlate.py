@@ -6,29 +6,49 @@ The central quantity is
 
 with the triangular weight realised exactly: H * S is accumulated as
 sum_h (H - |h|) T_h, which is an integer for integer-valued families, so the
-direct and convolution evaluations can be compared bit for bit.  Shifted
-arguments run outside [X, 2X]; windows are padded by 2H on both sides.
+two routes can be compared bit for bit.  Shifted arguments run outside
+[X, 2X]; windows are padded by 2H on both sides.
 
-Exact families take one int64 path on both routes (`_digits`, `_exact_dot`,
-`_lag_blocks`), whose stated bounds keep every int64 sum below 2^63.
+`ternary_direct` is the reference: one vector triple product per lag,
+O(X H).  `ternary_convolution` is a different algorithm.  It writes H * S
+as sum_r f2(r) K(r), where K is a convolution of f1 and f3 restricted to the
+band |k - n| < 2H with the Fejer weight H - |k - n|/2.  Split by the parity
+of n and cut into blocks of H terms, the band leaves a diagonal and strict
+triangles of neighbouring blocks, on which the weight is linear.  Each
+triangle is evaluated by recursive halving (van der Hoeven, "Relax, but
+don't be too lazy", J. Symb. Comput. 34, 2002): each level is a batch of
+full squares, four forward and one inverse real FFT of length 2m, so the
+whole route costs O(X log^2 H).
+
+Exact families take int64 paths on both routes.  Direct splits values
+into 17-bit digits (`_digits`) and sums with `_exact_dot`.  The banded route
+rounds each transform level to int64 under an a priori rounding bound
+(`_square_error`, after Brent and Zimmermann, Modern Computer Arithmetic,
+2010, Thm 3.3.2) kept below 1/2, with digits narrow enough for it
+(`_band_digit_bits`); K(r) is accumulated in int64, since it can pass 2^53.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import scipy.fft as sfft
 
 from .dirichlet import SingularSeries
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .multfunc import CoefficientWindow, MultSpec, WindowCache, as_float
 
 _INT64_MAX = (1 << 63) - 1
 _DIGIT_BITS = 17  # (2^17 + 1)^3 < 2^52: dot chunks of at least 4095 elements
+_ULP = 2.0**-53
+_LEAF = 16  # triangles of at most this many terms are summed directly
+_GROUP_TERMS = 1 << 14  # block terms per batch of triangles: caps FFT buffers
 
 
 class Method(enum.Enum):
@@ -47,8 +67,6 @@ class CorrelationRequest:
     def __post_init__(self):
         if self.h_span < 1:
             raise DomainError("H must be >= 1")
-        if self.h_span > self.x_start:
-            raise DomainError("H must not exceed X")
         if self.x_start - 2 * self.h_span < 1:
             raise DomainError(
                 "shifted window X - 2H must stay positive; "
@@ -71,6 +89,10 @@ class CorrelationResult:
     relative_gap: float | None = None
     timing: float = 0.0
     exact_numerator: int | None = None  # H * S as an exact integer
+    # Conv: exact families, the largest per-level rounding bound (< 1/2);
+    # float families, a bound on |S - value|.  Direct: None.
+    error_bound: float | None = None
+    digits: tuple[int, int, int] | None = None  # exact families: per window
 
     @property
     def exact_value(self) -> Fraction | None:
@@ -95,20 +117,28 @@ def _use_exact(req: CorrelationRequest) -> bool:
     return req.spec1.is_exact and req.spec2.is_exact and req.spec3.is_exact
 
 
-def _digits(a: np.ndarray) -> tuple[int, list[tuple[int, np.ndarray]]]:
+def _max_abs(a: np.ndarray) -> int:
+    """max |a| of an int64 array as a Python int (1 for an empty array)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)), 1)
+
+
+def _digits(
+    a: np.ndarray, bits: int = _DIGIT_BITS
+) -> tuple[int, list[tuple[int, np.ndarray]]]:
     """(D, [(s_k, d_k)]) with a = sum_k d_k << s_k and every |d_k| <= D.
 
-    D = max|a| if that is at most 2^17 (one digit); else the low digits are
-    the 17-bit fields of a, in [0, 2^17), and the top digit a >> s has
-    magnitude at most (max|a| >> s) + 1, so D = 2^17 + 1.  Three digits
-    always multiply to less than 2^52, for any int64 input.
+    D = max|a| if that is at most 2^bits (one digit); else the low digits
+    are the bits-wide fields of a, in [0, 2^bits), and the top digit a >> s
+    has magnitude at most (max|a| >> s) + 1, so D = 2^bits + 1.  With the
+    default 17 bits, three digits always multiply to less than 2^52, for
+    any int64 input.
     """
-    m = max(int(a.max(initial=0)), -int(a.min(initial=0)), 1)
+    m = _max_abs(a)
     out, s = [], 0
-    while m >> s > 1 << _DIGIT_BITS:
-        out.append((s, (a >> s) & ((1 << _DIGIT_BITS) - 1)))
-        s += _DIGIT_BITS
-    return min(m, (1 << _DIGIT_BITS) + 1), out + [(s, a >> s if s else a)]
+    while m >> s > 1 << bits:
+        out.append((s, (a >> s) & ((1 << bits) - 1)))
+        s += bits
+    return min(m, (1 << bits) + 1), out + [(s, a >> s if s else a)]
 
 
 def _exact_dot(u: np.ndarray, v: np.ndarray, bound: int) -> int:
@@ -121,20 +151,6 @@ def _exact_dot(u: np.ndarray, v: np.ndarray, bound: int) -> int:
     step = _INT64_MAX // bound
     chunks = range(0, len(u), step)
     return sum(int(np.dot(u[i : i + step], v[i : i + step])) for i in chunks)
-
-
-def _lag_blocks(h: int, cap: int) -> list[tuple[range, int]]:
-    """The lags |j| < H grouped as (lags, scale) blocks for int64 sums.
-
-    Lag j has int64 weight (H - |j|) // scale; a block's total is multiplied
-    by scale.  Runs of cap // H lags have scale 1 and weights summing to at
-    most cap; if cap < H each lag is alone, with scale H - |j| and weight 1.
-    """
-    lags = range(1 - h, h)
-    k = cap // h
-    if k:
-        return [(lags[i : i + k], 1) for i in range(0, len(lags), k)]
-    return [(lags[i : i + 1], h - abs(j)) for i, j in enumerate(lags)]
 
 
 def ternary_direct(
@@ -153,7 +169,7 @@ def ternary_direct(
     x, h = req.x_start, req.h_span
     hs = range(-h, h + 1) if h_order == "forward" else range(h, -h - 1, -1)
 
-    numerator = None
+    numerator = digits = None
     if _use_exact(req):
         # Each digit triple multiplies below bound < 2^52; T_h is exact per
         # lag and the weighted sum over lags is a Python int.
@@ -161,6 +177,7 @@ def ternary_direct(
         b2, d2 = _digits(w2.segment(x - h, 2 * x + h))
         b3, d3 = _digits(w3.segment(x - 2 * h, 2 * x + 2 * h))
         bound = b1 * b2 * b3
+        digits = (len(d1), len(d2), len(d3))
         combos = [
             (s1 + s2 + s3, u1, u2, u3)
             for (s1, u1), (s2, u2), (s3, u3) in product(d1, d2, d3)
@@ -193,7 +210,8 @@ def ternary_direct(
             value = value.real
     elapsed = time.perf_counter() - t0
     return CorrelationResult(
-        value, Method.DIRECT, x, h, req, timing=elapsed, exact_numerator=numerator
+        value, Method.DIRECT, x, h, req, timing=elapsed, exact_numerator=numerator,
+        digits=digits,
     )
 
 
@@ -202,60 +220,256 @@ def ternary_convolution(
     windows: tuple[CoefficientWindow, ...] | None = None,
     cache: WindowCache | None = None,
 ) -> CorrelationResult:
-    """S(X, H) via the diagonal-pair contraction.
+    """S(X, H) by a banded Fejer contraction in O(X log^2 H) operations.
 
-    With r = n + h the sum becomes sum_r f2(r) K(r) where
-    K(r) = sum_{|j| <= H} (H - |j|) f1(r - j) f3(r + j) and f1 is cut to
-    [X, 2X]: a banded convolution along the antidiagonals n + m = 2r,
-    accumulated lag by lag with full-window vector operations, then
-    contracted against the middle window.  Odd n + m never appears since
-    n and m = n + 2h share parity.
+    With r = n + h the sum becomes sum_r f2(r) K(r), where K(r) sums
+    (H - |k - n|/2) f1(n) f3(k) over n + k = 2r, |k - n| < 2H: a convolution
+    of f1 and f3 restricted to a band, computed by `_fejer_band` from
+    blocks of H terms (see the module docstring), then contracted against
+    the middle window.
+
+    Exact families round every transform level to int64 under the a priori
+    bound `_square_error` (below 1/2, splitting f1 and f3 into digits when
+    needed), so the numerator is exact; `error_bound` is that bound.  Float
+    and complex families keep the transform output; `error_bound` then
+    bounds |S - computed S|.
     """
     t0 = time.perf_counter()
     w1, w2, w3 = windows or correlation_windows(req, cache)
     x, h = req.x_start, req.h_span
-    r_lo, r_hi = x - h, 2 * x + h
-    nr = r_hi - r_lo + 1
-    exact = _use_exact(req)
-    complex_case = not all(s.is_real for s in (req.spec1, req.spec2, req.spec3))
-    dtype = np.int64 if exact else np.complex128 if complex_case else np.float64
-    f1 = np.zeros(nr + 2 * h, dtype=dtype)  # indexed by r - j over padding
-    off = x - (r_lo - h)
-    f1[off : off + x + 1] = w1.segment(x, 2 * x)
-    f2 = w2.segment(r_lo, r_hi).astype(dtype, copy=False)
-    f3 = w3.segment(r_lo - h, r_hi + h).astype(dtype, copy=False)
+    f1 = w1.segment(x, 2 * x)
+    f2 = w2.segment(x - h, 2 * x + h)
+    f3 = w3.segment(x - 2 * h, 2 * x + 2 * h)
+    levels = _band_levels(h)
 
-    numerator = None
-    if exact:
-        (b1, d1), (b2, d2), (b3, d3) = _digits(f1), _digits(f2), _digits(f3)
-        bound = b1 * b2 * b3
-        # A block of weight sum W has W * bound * nr <= 2^63 - 1: its K(r)
-        # stays within int64 and one np.dot contracts it against f2.
-        blocks = _lag_blocks(h, _INT64_MAX // (bound * nr))
+    numerator = digits = None
+    if _use_exact(req):
+        fmax = max((_square_error(m, c) for m, c in levels), default=0.0)
+        b2, d2 = _digits(f2)
+        bits = _band_digit_bits(_max_abs(f1), _max_abs(f3), b2, h, fmax)
+        (b1, d1), (b3, d3) = _digits(f1, bits), _digits(f3, bits)
+        digits = (len(d1), len(d2), len(d3))
         numerator = 0
         for (s1, u1), (s3, u3) in product(d1, d3):
-            for lags, scale in blocks:
-                acc = np.zeros(nr, dtype=np.int64)
-                for j in lags:
-                    w = (h - abs(j)) // scale
-                    # r - j and r + j as slices of the padded arrays
-                    acc += w * (u1[h - j : h - j + nr] * u3[h + j : h + j + nr])
-                weight = sum((h - abs(j)) // scale for j in lags)
-                for s2, u2 in d2:
-                    dot = _exact_dot(u2, acc, weight * bound)
-                    numerator += (scale * dot) << (s1 + s2 + s3)
+            band = _fejer_band(u1, u3, h, np.int64)
+            bound = b2 * max(_max_abs(band), 1)  # |K| <= H^2 b1 b3: int64-safe
+            for s2, u2 in d2:
+                numerator += _exact_dot(u2, band, bound) << (s1 + s2 + s3)
         value = numerator / h
+        error_bound = b1 * b3 * fmax
     else:
-        acc = np.zeros(nr, dtype=dtype)
-        for j in range(-h, h + 1):
-            acc += (h - abs(j)) * (f1[h - j : h - j + nr] * f3[h + j : h + j + nr])
-        value = complex(np.dot(f2, acc)) / h
+        complex_case = not all(s.is_real for s in (req.spec1, req.spec2, req.spec3))
+        band = _fejer_band(f1, f3, h, np.complex128 if complex_case else np.float64)
+        value = complex(np.dot(f2, band)) / h
         if not complex_case:
             value = value.real
+        error_bound = _float_error(f1, f2, f3, band, h, levels)
     elapsed = time.perf_counter() - t0
     return CorrelationResult(
-        value, Method.CONVOLUTION, x, h, req, timing=elapsed, exact_numerator=numerator
+        value, Method.CONVOLUTION, x, h, req, timing=elapsed,
+        exact_numerator=numerator, error_bound=error_bound, digits=digits,
     )
+
+
+def _band_levels(h: int) -> list[tuple[int, int]]:
+    """(m, max |c'|) for each transform level of a block of H terms.
+
+    Blocks are padded to P = 2^ceil(log2 H) terms; a level multiplies
+    squares of m = P/2, P/4, ... terms while 2m > _LEAF, with weight
+    offsets c' = H - m or m (see `_triangles`).
+    """
+    out, span = [], 1 << (h - 1).bit_length()
+    while span > _LEAF:
+        span //= 2
+        out.append((span, max(h - span, span)))
+    return out
+
+
+def _square_error(m: int, c: int) -> float:
+    """A priori rounding bound of one weighted square, per unit of D1 * D3.
+
+    The square z(r) = sum_{p+q=r} (c + sign (p - q)) u(p) v(q), p, q < m,
+    |u| <= D1, |v| <= D3, is c u*v + sign ((p u)*v - u*(q v)) through
+    transforms of length 2m.  For one product x*y by radix-2 transforms of
+    length 2^k, |error| <= |x| |y| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
+    (Percival; Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+    Thm 3.3.2), with e = 2^-53 and twiddle error b, taken as 2e.  Here k is
+    log2(2m) plus two stages, one for the real-input transform and one for
+    the combination of the three products, and the Euclidean norms are
+    |u| |v| <= m D1 D3 and |p u| |v| <= sqrt(m S2) D1 D3, S2 = sum_{p<m} p^2.
+    """
+    k = (2 * m).bit_length() + 1
+    logs = 3 * k * (math.log1p(_ULP) + math.log1p(2 * _ULP))
+    logs += (3 * k + 1) * math.log1p(_ULP * math.sqrt(5))
+    s2 = (m - 1) * m * (2 * m - 1) / 6
+    return (abs(c) * m + 2 * math.sqrt(m * s2)) * math.expm1(logs)
+
+
+def _band_digit_bits(m1: int, m3: int, b2: int, h: int, fmax: float) -> int:
+    """Digit width for f1 and f3 (max |f1| = m1, max |f3| = m3).
+
+    The widest one with D1 D3 fmax < 1/2, so every rounded level is exact,
+    and D1 D3 b2 H^2 <= 2^63 - 1, so K(r) (at most H^2 D1 D3) and its
+    products with the digits of f2 (at most b2) stay within int64.
+    """
+    for bits in range(62, 0, -1):
+        d = min(m1, (1 << bits) + 1) * min(m3, (1 << bits) + 1)
+        if d * fmax < 0.5 and d * b2 * h * h <= _INT64_MAX:
+            return bits
+    raise BudgetError(f"H = {h} is too large for an exact banded contraction")
+
+
+def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype) -> np.ndarray:
+    """K(r) for r in [X - H, 2X + H], from f1 on [X, 2X] and f3 on [X - 2H, 2X + 2H].
+
+    n and k = n + 2j share parity; with n = X + 2a + e and k = X + 2b + e
+    (e = 0, 1), K(X + e + s) gains sum_{a+b=s, |b-a|<H} (H - |b-a|) g(a) y(b)
+    for g = f1[e::2] and y(b) = f3[e::2][b + H].  With blocks of H terms,
+    a pair (a, b) lies in one block or in neighbouring ones: the diagonal
+    b = a is one vector product, and b > a and b < a are strict triangles,
+    `_triangles` rows of four kinds, for blocks j = -1 .. ceil(len(g)/H)-1:
+      0, 1: (g_j, y_j) and (y_j, g_j): same block, weight H - (q - p);
+      2, 3: (y_(j+1), g_j) and (g_(j+1), y_j): next block, weight q - p.
+    Each `_triangles` call gets about _GROUP_TERMS terms of rows (at
+    least one row), which bounds its transform buffers.
+    """
+    size = 1 << (h - 1).bit_length()
+    n2 = len(f1) + 2 * h
+    acc = np.zeros(n2 + 3 * h, dtype=dtype)  # index r - (X - 2H)
+    per_call = max(1, _GROUP_TERMS // size)  # rows per `_triangles` call
+    step = -(-per_call // 4)  # blocks per batch
+    for e in (0, 1):
+        g, y = f1[e::2], f3[e::2]
+        base = e + 2 * h  # acc index of s = 0
+        acc[base : base + 2 * len(g) : 2] += h * np.multiply(
+            g, y[h : h + len(g)], dtype=dtype
+        )
+        nblocks = -(-len(g) // h)
+        for j0 in range(-1, nblocks, step):
+            nb = min(step, nblocks - j0)
+            blocks = np.zeros((2 * nb + 2, size), dtype=dtype)
+            _blocks(g, j0, h, blocks[: nb + 1])
+            _blocks(y, j0 + 1, h, blocks[nb + 1 :])
+            # rows of kind 0..3 for blocks j0 + i, i < nb (see above)
+            gi, yi = np.arange(nb), np.arange(nb + 1, 2 * nb + 1)
+            ix = np.concatenate((gi, yi, yi + 1, gi + 1))
+            iy = np.concatenate((yi, gi, gi, yi))
+            c = np.repeat([h, h, 0, 0], nb)[:, None, None]
+            sign = np.repeat([1, 1, -1, -1], nb)[:, None, None]
+            for i0 in range(0, 4 * nb, per_call):
+                i1 = min(i0 + per_call, 4 * nb)
+                rows = _triangles(
+                    blocks[ix[i0:i1]], blocks[iy[i0:i1]], c[i0:i1], sign[i0:i1]
+                )
+                # Row i of a kind lands at acc[start + 2Hi : start + 2H(i+1)]
+                # (p + q <= 2H - 2, so the rest of the row is zero).
+                for kind in range(4):
+                    lo, hi = max(i0, kind * nb), min(i1, (kind + 1) * nb)
+                    if lo < hi:
+                        j = j0 + lo - kind * nb
+                        start = base + (2 * j + kind // 2) * h
+                        dst = acc[start : start + 2 * h * (hi - lo)]
+                        dst.reshape(hi - lo, 2 * h)[:] += rows[lo - i0 : hi - i0, : 2 * h]
+    return acc[h : h + n2]
+
+
+def _blocks(view, first: int, h: int, out: np.ndarray) -> None:
+    """Row i of out (zeroed) gets view[(first+i)H : (first+i+1)H], zeros
+    outside view."""
+    count = len(out)
+    lo = first * h
+    a, b = max(lo, 0), min(lo + count * h, len(view))
+    if b > a:
+        flat = np.zeros(count * h, dtype=out.dtype)
+        flat[a - lo : b - lo] = view[a:b]
+        out[:, :h] = flat.reshape(count, h)
+
+
+def _triangles(x: np.ndarray, y: np.ndarray, c, sign) -> np.ndarray:
+    """out[i, p + q] = sum_{p<q} (c_i + sign_i (p - q)) x[i, p] y[i, q].
+
+    c and sign hold one value per row, shaped (rows, 1, 1).
+
+    Recursive halving: a triangle of 2m terms is the full square p < m <= q
+    plus two triangles of m terms.  The squares of one level are batched
+    into one set of transforms (`_weighted_squares`); triangles of at most
+    _LEAF terms are summed directly.  Exact (int64) rows round each level to
+    int64, which the caller's digit bound makes exact.
+    """
+    rows, size = x.shape
+    exact = x.dtype == np.int64
+    out = np.zeros((rows, 2 * size), dtype=x.dtype)
+    span = size
+    while span > _LEAF:
+        m = span // 2
+        nodes = size // span
+        u = x.reshape(rows, nodes, 2, m)[:, :, 0]
+        v = y.reshape(rows, nodes, 2, m)[:, :, 1]
+        # p - q = (p' - q') - m for p = p', q = m + q' inside a node
+        z = _weighted_squares(u, v, c - sign * m, sign)
+        dst = out.reshape(rows, nodes, 2 * span)[:, :, m : 3 * m]
+        dst += np.rint(z, out=z).astype(np.int64) if exact else z
+        span = m
+    leaves = rows * (size // span)
+    xv, yv = x.reshape(leaves, span), y.reshape(leaves, span)
+    ov = out.reshape(leaves, 2 * span)
+    weights = (c - sign * np.arange(span)).reshape(rows, span)
+    weights = np.repeat(weights, size // span, axis=0)
+    for d in range(1, span):  # q = p + d
+        prod = xv[:, : span - d] * yv[:, d:]
+        prod *= weights[:, d : d + 1]
+        ov[:, d : 2 * span - d : 2] += prod
+    return out
+
+
+def _weighted_squares(u, v, c, sign) -> np.ndarray:
+    """z[..., r] = sum_{p+q=r} (c + sign (p - q)) u[..., p] v[..., q], p, q < m.
+
+    Four forward transforms (of u, p u, v, q v) and one inverse of
+    c U V + sign (PU V - U QV), with length 2m along the last axis; real
+    inputs use real transforms.
+    """
+    m = u.shape[-1]
+    n = 2 * m
+    real = not (np.iscomplexobj(u) or np.iscomplexobj(v))
+    fwd, inv = (sfft.rfft, sfft.irfft) if real else (sfft.fft, sfft.ifft)
+    ramp = np.arange(m, dtype=np.float64)
+    # c U V + sign (PU V - U QV) = U (c V - sign QV) + sign PU V, with three
+    # spectra alive at a time
+    fv = fwd(v, n)
+    z = fwd(v * ramp, n)
+    z *= -sign
+    z += c * fv
+    z *= fwd(u, n)
+    fpu = fwd(u * ramp, n)
+    fpu *= fv
+    del fv
+    fpu *= sign
+    z += fpu
+    return inv(z, n)
+
+
+def _float_error(f1, f2, f3, band, h: int, levels) -> float:
+    """Bound on |S - computed S| for float and complex families.
+
+    Per parity, each r lies in one row of each of the four kinds of
+    `_fejer_band`, so in 8 rows, each with one square per level within
+    D1 D3 _square_error.  Leaf sums and the additions of levels, rows and
+    the diagonal add at most gamma(_LEAF + levels + 24) times
+    sum |terms| <= H^2 D1 D3, and the final dot gamma(2 len(f2)) sum |f2 K|.
+    """
+    d13 = float(np.abs(f1).max(initial=0)) * float(np.abs(f3).max(initial=0))
+    per_r = d13 * (
+        8 * sum(_square_error(m, c) for m, c in levels)
+        + _gamma(_LEAF + len(levels) + 24) * h * h
+    )
+    a2 = np.abs(as_float(f2))
+    dot = float(np.dot(a2, np.abs(band)))
+    return (float(a2.sum()) * per_r + _gamma(2 * len(f2)) * dot) / h
+
+
+def _gamma(n: int) -> float:
+    return n * _ULP / (1 - n * _ULP)
 
 
 def fejer_overlap_weight(h: int, h_span: int) -> int:

@@ -1,5 +1,6 @@
 """Ternary correlations: exact identities, brute-force oracle, counting."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -13,9 +14,13 @@ from terncorr.correlate import (
     _INT64_MAX,
     CorrelationRequest,
     Method,
+    _band_digit_bits,
+    _band_levels,
     _digits,
     _exact_dot,
-    _lag_blocks,
+    _max_abs,
+    _square_error,
+    _weighted_squares,
     compare_to_main_term,
     correlation_windows,
     count_triples,
@@ -314,19 +319,6 @@ def test_digits_reconstruct_with_bounded_digits(values):
     assert total == values
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 60), st.integers(0, 4000))
-def test_lag_blocks_cover_every_weighted_lag_once(h, cap):
-    seen = {}
-    for lags, scale in _lag_blocks(h, cap):
-        weights = [(h - abs(j)) // scale for j in lags]
-        assert sum(weights) <= cap or weights == [1]
-        for j, w in zip(lags, weights):
-            assert j not in seen
-            seen[j] = scale * w
-    assert seen == {j: h - abs(j) for j in range(1 - h, h)}
-
-
 def synthetic_windows(x, h, mags, rng):
     """Padded windows of int64 values with max|value| exactly mags[i].
 
@@ -345,11 +337,19 @@ def synthetic_windows(x, h, mags, rng):
     return tuple(out)
 
 
+def band_bits(wins, h):
+    """The banded route's digit width for f1 and f3 on these windows."""
+    fmax = max((_square_error(m, c) for m, c in _band_levels(h)), default=0.0)
+    b2, _ = _digits(wins[1].values)
+    return _band_digit_bits(_max_abs(wins[0].values), _max_abs(wins[2].values),
+                            b2, h, fmax)
+
+
 @pytest.mark.parametrize(
     "x, h, mags, split",
     [
         (8191, 2, (2**17, 2**17, 2**17), "chunks"),
-        (100, 30, (2**16, 2**16, 2**15), "runs"),
+        (100, 30, (2**16, 2**16, 2**15), "int64"),
         (100, 30, (2**40, 5, 2**33), "digits"),
         (100, 30, (2**63 - 1, 2**62, 1), "digits"),
     ],
@@ -360,16 +360,93 @@ def test_routes_exact_on_synthetic_windows(x, h, mags, split):
     wins = synthetic_windows(x, h, mags, np.random.default_rng(sum(mags) % 2**32))
     digits = [_digits(w.values) for w in wins]
     bound = digits[0][0] * digits[1][0] * digits[2][0]
-    cap = _INT64_MAX // (bound * (x + 2 * h + 1))
-    if split == "chunks":  # each lag's dot is split; every conv lag is alone
-        assert _INT64_MAX // bound < x + 1 and cap < h
-    if split == "runs":  # several conv blocks of several lags each
-        assert h <= cap < h * h
+    k_bound = h * h * mags[0] * mags[2]  # |K(r)| <= H^2 max|f1| max|f3|
+    conv = ternary_convolution(req, windows=wins)
+    if split == "chunks":  # each direct lag's dot is split; conv keeps one digit
+        assert _INT64_MAX // bound < x + 1
+        assert band_bits(wins, h) >= 17 and conv.digits == (1, 1, 1)
+    if split == "int64":  # K(r) passes 2^53 but stays one int64 digit
+        assert k_bound * mags[1] > 2**53 and conv.digits == (1, 1, 1)
     if split == "digits":
         assert sum(len(d) > 1 for _, d in digits) == 2
+        # K(r) <= 2^63 / (b2 H^2) splits f1 and f3 except a window of +-1
+        assert conv.digits[0] > 1 and (conv.digits[2] > 1) == (mags[2] > 1)
     expect = object_reference(wins, x, h)
     assert ternary_direct(req, windows=wins).exact_numerator == expect
-    assert ternary_convolution(req, windows=wins).exact_numerator == expect
+    assert conv.exact_numerator == expect
+
+
+@pytest.mark.parametrize("h", [1, 2, 16, 17, 31, 32, 33, 64, 65, 300])
+@pytest.mark.parametrize("wide", [False, True])
+def test_banded_route_block_shapes(h, wide):
+    # Blocks of up to 16 terms are one leaf; 17, 33 and 65 pad blocks to 32,
+    # 64 and 128 terms; X = 2H + 1 leaves the shortest windows allowed.
+    x = 7 * h + 13 if wide else 2 * h + 1
+    specs = (MultSpec.moebius(), MultSpec.divisor_k(3), MultSpec.one_star_chi4())
+    for s1, s2, s3 in (specs, specs[::-1]):
+        req = CorrelationRequest(s1, s2, s3, x, h)
+        wins = correlation_windows(req, CACHE)
+        res = ternary_convolution(req, windows=wins)
+        assert res.exact_numerator == object_reference(wins, x, h)
+        assert res.digits == (1, 1, 1) and 0 <= res.error_bound < 0.5
+
+
+def test_square_error_bounds_max_magnitude_products():
+    # Inputs of magnitude D, the largest with D^2 * bound < 1/2: constant
+    # (exact square D^2 c cnt(r), cnt(r) = min(r + 1, 2m - 1 - r)) at every
+    # transform length 2m <= 2^17, random signs (np.convolve) up to 2^13.
+    rng = np.random.default_rng(17)
+    for k in range(1, 18):
+        m = 1 << (k - 1)
+        for c, sign in ((m, -1), (3 * m, 1)):
+            bound1 = _square_error(m, c)
+            d = max(1, math.isqrt(int(0.5 / bound1)))
+            u = np.full(m, d, dtype=np.int64)
+            r = np.arange(2 * m)
+            cases = [(u, -u, -(d * d) * c * np.minimum(r + 1, 2 * m - 1 - r))]
+            if k <= 13:
+                us, vs = (rng.choice([-d, d], size=m) for _ in range(2))
+                p = np.arange(m)
+                ref = c * np.convolve(us, vs) + sign * (
+                    np.convolve(p * us, vs) - np.convolve(us, p * vs))
+                cases.append((us, vs, np.append(ref, 0)))
+            for a, b, exact in cases:
+                z = _weighted_squares(a[None, None], b[None, None], c, sign)[0, 0]
+                assert float(np.abs(z - exact).max()) <= d * d * bound1 < 0.5
+                assert (np.rint(z) == exact).all()
+
+
+def test_banded_route_splits_when_one_digit_bound_fails():
+    x, h = 700, 300
+    mags = (2**17, 2**10, 2**17)
+    d2 = MultSpec.divisor_k(2)
+    wins = synthetic_windows(x, h, mags, np.random.default_rng(9))
+    fmax = max(_square_error(m, c) for m, c in _band_levels(h))
+    assert mags[0] * mags[2] * fmax >= 0.5  # one digit each would not round
+    bits = band_bits(wins, h)
+    assert (2**bits + 1) ** 2 * fmax < 0.5 <= (2 ** (bits + 1) + 1) ** 2 * fmax
+    req = CorrelationRequest(d2, d2, d2, x, h)
+    res = ternary_convolution(req, windows=wins)
+    assert res.digits[0] > 1 and res.digits[2] > 1 and res.error_bound < 0.5
+    assert res.exact_numerator == object_reference(wins, x, h)
+
+
+def test_float_routes_agree_within_recorded_bound():
+    primes = [p for p in range(2, 1400) if all(p % q for q in range(2, p))]
+    unit = MultSpec.user_euler(
+        {(p, e): cmath.exp(1j * p * e) for p in primes for e in range(1, 12)},
+        k_bound=1,
+    )
+    tau = MultSpec.ramanujan_tau_norm()
+    for specs, x, h in (((tau, tau, tau), 4000, 80), ((unit, tau, unit), 600, 40),
+                        ((unit, unit, unit), 600, 33)):
+        req = CorrelationRequest(*specs, x, h)
+        a = ternary_direct(req, cache=CACHE)
+        b = ternary_convolution(req, cache=CACHE)
+        assert a.error_bound is None and b.digits is None
+        assert abs(complex(a.value) - complex(b.value)) <= b.error_bound
+        assert b.error_bound <= 1e-6 * abs(complex(a.value))
+        assert isinstance(b.value, complex) == (unit in specs)
 
 
 @pytest.mark.parametrize("x", [4000, 8000, 16000])

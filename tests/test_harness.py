@@ -131,6 +131,10 @@ def test_run_correlate_constant():
     assert record.payload["value_re"] == pytest.approx(1010.0)
     assert record.payload["H"] == 10
     assert record.experiment == "correlate"
+    assert record.payload["digits"] == [1, 1, 1]
+    assert record.payload["error_bound"] is None  # the direct route
+    conv = run(replace(cfg, method="conv")).payload
+    assert conv["digits"] == [1, 1, 1] and 0 <= conv["error_bound"] < 0.5
 
 
 def test_run_identity_check():
