@@ -240,11 +240,11 @@ def ternary_convolution(
     f1 = w1.segment(x, 2 * x)
     f2 = w2.segment(x - h, 2 * x + h)
     f3 = w3.segment(x - 2 * h, 2 * x + 2 * h)
-    levels = _band_levels(h)
+    levels = _level_errors(h)
 
     numerator = digits = None
     if _use_exact(req):
-        fmax = max((_square_error(m, c) for m, c in levels), default=0.0)
+        fmax = max(levels, default=0.0)
         b2, d2 = _digits(f2)
         bits = _band_digit_bits(_max_abs(f1), _max_abs(f3), b2, h, fmax)
         (b1, d1), (b3, d3) = _digits(f1, bits), _digits(f3, bits)
@@ -258,10 +258,9 @@ def ternary_convolution(
         value = numerator / h
         error_bound = b1 * b3 * fmax
     else:
-        complex_case = not all(s.is_real for s in (req.spec1, req.spec2, req.spec3))
-        band = _fejer_band(f1, f3, h, np.complex128 if complex_case else np.float64)
+        band = _fejer_band(f1, f3, h, np.result_type(f1, f3, np.float64))
         value = complex(np.dot(f2, band)) / h
-        if not complex_case:
+        if all(s.is_real for s in (req.spec1, req.spec2, req.spec3)):
             value = value.real
         error_bound = _float_error(f1, f2, f3, band, h, levels)
     elapsed = time.perf_counter() - t0
@@ -271,8 +270,8 @@ def ternary_convolution(
     )
 
 
-def _band_levels(h: int) -> list[tuple[int, int]]:
-    """(m, max |c'|) for each transform level of a block of H terms.
+def _level_errors(h: int) -> list[float]:
+    """`_square_error` of each transform level of a block of H terms.
 
     Blocks are padded to P = 2^ceil(log2 H) terms; a level multiplies
     squares of m = P/2, P/4, ... terms while 2m > _LEAF, with weight
@@ -281,7 +280,7 @@ def _band_levels(h: int) -> list[tuple[int, int]]:
     out, span = [], 1 << (h - 1).bit_length()
     while span > _LEAF:
         span //= 2
-        out.append((span, max(h - span, span)))
+        out.append(_square_error(span, max(h - span, span)))
     return out
 
 
@@ -449,7 +448,7 @@ def _weighted_squares(u, v, c, sign) -> np.ndarray:
     return inv(z, n)
 
 
-def _float_error(f1, f2, f3, band, h: int, levels) -> float:
+def _float_error(f1, f2, f3, band, h: int, levels: list[float]) -> float:
     """Bound on |S - computed S| for float and complex families.
 
     Per parity, each r lies in one row of each of the four kinds of
@@ -460,7 +459,7 @@ def _float_error(f1, f2, f3, band, h: int, levels) -> float:
     """
     d13 = float(np.abs(f1).max(initial=0)) * float(np.abs(f3).max(initial=0))
     per_r = d13 * (
-        8 * sum(_square_error(m, c) for m, c in levels)
+        8 * sum(levels)
         + _gamma(_LEAF + len(levels) + 24) * h * h
     )
     a2 = np.abs(as_float(f2))

@@ -15,9 +15,9 @@ from terncorr.correlate import (
     CorrelationRequest,
     Method,
     _band_digit_bits,
-    _band_levels,
     _digits,
     _exact_dot,
+    _level_errors,
     _max_abs,
     _square_error,
     _weighted_squares,
@@ -339,7 +339,7 @@ def synthetic_windows(x, h, mags, rng):
 
 def band_bits(wins, h):
     """The banded route's digit width for f1 and f3 on these windows."""
-    fmax = max((_square_error(m, c) for m, c in _band_levels(h)), default=0.0)
+    fmax = max(_level_errors(h), default=0.0)
     b2, _ = _digits(wins[1].values)
     return _band_digit_bits(_max_abs(wins[0].values), _max_abs(wins[2].values),
                             b2, h, fmax)
@@ -421,7 +421,7 @@ def test_banded_route_splits_when_one_digit_bound_fails():
     mags = (2**17, 2**10, 2**17)
     d2 = MultSpec.divisor_k(2)
     wins = synthetic_windows(x, h, mags, np.random.default_rng(9))
-    fmax = max(_square_error(m, c) for m, c in _band_levels(h))
+    fmax = max(_level_errors(h))
     assert mags[0] * mags[2] * fmax >= 0.5  # one digit each would not round
     bits = band_bits(wins, h)
     assert (2**bits + 1) ** 2 * fmax < 0.5 <= (2 ** (bits + 1) + 1) ** 2 * fmax
@@ -439,7 +439,7 @@ def test_float_routes_agree_within_recorded_bound():
     )
     tau = MultSpec.ramanujan_tau_norm()
     for specs, x, h in (((tau, tau, tau), 4000, 80), ((unit, tau, unit), 600, 40),
-                        ((unit, unit, unit), 600, 33)):
+                        ((tau, unit, tau), 600, 40), ((unit, unit, unit), 600, 33)):
         req = CorrelationRequest(*specs, x, h)
         a = ternary_direct(req, cache=CACHE)
         b = ternary_convolution(req, cache=CACHE)
