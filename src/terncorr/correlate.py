@@ -329,14 +329,16 @@ def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype) -> np.ndarray:
     `_triangles` rows of four kinds, for blocks j = -1 .. ceil(len(g)/H)-1:
       0, 1: (g_j, y_j) and (y_j, g_j): same block, weight H - (q - p);
       2, 3: (y_(j+1), g_j) and (g_(j+1), y_j): next block, weight q - p.
-    Each `_triangles` call gets about _GROUP_TERMS terms of rows (at
-    least one row), which bounds its transform buffers.
+    Each `_triangles` call takes the rows of 1, 2 or 4 whole kinds, about
+    _GROUP_TERMS terms of rows (at least one row), which bounds its
+    transform buffers.
     """
     size = 1 << (h - 1).bit_length()
     n2 = len(f1) + 2 * h
     acc = np.zeros(n2 + 3 * h, dtype=dtype)  # index r - (X - 2H)
     per_call = max(1, _GROUP_TERMS // size)  # rows per `_triangles` call
-    step = -(-per_call // 4)  # blocks per batch
+    step = max(1, per_call // 4)  # blocks per batch
+    kinds = min(4, per_call)  # kinds per `_triangles` call
     for e in (0, 1):
         g, y = f1[e::2], f3[e::2]
         base = e + 2 * h  # acc index of s = 0
@@ -355,20 +357,16 @@ def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype) -> np.ndarray:
             iy = np.concatenate((yi, gi, gi, yi))
             c = np.repeat([h, h, 0, 0], nb)[:, None, None]
             sign = np.repeat([1, 1, -1, -1], nb)[:, None, None]
-            for i0 in range(0, 4 * nb, per_call):
-                i1 = min(i0 + per_call, 4 * nb)
-                rows = _triangles(
-                    blocks[ix[i0:i1]], blocks[iy[i0:i1]], c[i0:i1], sign[i0:i1]
-                )
+            for k0 in range(0, 4, kinds):
+                r = slice(k0 * nb, (k0 + kinds) * nb)
+                rows = _triangles(blocks[ix[r]], blocks[iy[r]], c[r], sign[r])
                 # Row i of a kind lands at acc[start + 2Hi : start + 2H(i+1)]
                 # (p + q <= 2H - 2, so the rest of the row is zero).
-                for kind in range(4):
-                    lo, hi = max(i0, kind * nb), min(i1, (kind + 1) * nb)
-                    if lo < hi:
-                        j = j0 + lo - kind * nb
-                        start = base + (2 * j + kind // 2) * h
-                        dst = acc[start : start + 2 * h * (hi - lo)]
-                        dst.reshape(hi - lo, 2 * h)[:] += rows[lo - i0 : hi - i0, : 2 * h]
+                rows = rows[:, : 2 * h].reshape(kinds, nb, 2 * h)
+                for k in range(kinds):
+                    start = base + (2 * j0 + (k0 + k) // 2) * h
+                    dst = acc[start : start + 2 * h * nb]
+                    dst.reshape(nb, 2 * h)[:] += rows[k]
     return acc[h : h + n2]
 
 

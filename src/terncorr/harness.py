@@ -665,7 +665,7 @@ def _run_trend(cfg, specs, cache, warnings) -> dict:
             spec, q_use, cfg.n_terms, cache=cache, threads=cfg.threads
         )
         req = correlate.CorrelationRequest(spec, spec, spec, x, h)
-        result = correlate.ternary_convolution(req, cache=cache)
+        result = correlate.ternary_direct(req, cache=cache)
         result = correlate.compare_to_main_term(
             result, series, x, h, float(cfg.epsilon)
         )
