@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from terncorr import correlate
 from terncorr.correlate import (
     _INT64_MAX,
     CorrelationRequest,
@@ -389,6 +390,20 @@ def test_banded_route_block_shapes(h, wide):
         res = ternary_convolution(req, windows=wins)
         assert res.exact_numerator == object_reference(wins, x, h)
         assert res.digits == (1, 1, 1) and 0 <= res.error_bound < 0.5
+
+
+@pytest.mark.parametrize("group", [64, 128, 256, 1024])
+def test_banded_route_rows_split_across_calls(group, monkeypatch):
+    # Blocks of 64 terms with 64 to 1024 row terms per `_triangles` call: 1
+    # or 2 kinds per call (as blocks above 4096 terms get by default), then
+    # 4 kinds of 1 and of up to 4 blocks, the last batch partly filled.
+    monkeypatch.setattr(correlate, "_GROUP_TERMS", group)
+    h, x = 40, 333
+    specs = (MultSpec.moebius(), MultSpec.divisor_k(3), MultSpec.one_star_chi4())
+    req = CorrelationRequest(*specs, x, h)
+    wins = correlation_windows(req, CACHE)
+    res = ternary_convolution(req, windows=wins)
+    assert res.exact_numerator == object_reference(wins, x, h)
 
 
 def test_square_error_bounds_max_magnitude_products():
