@@ -10,7 +10,6 @@ downstream singular-series assembly needs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -408,25 +407,32 @@ def singular_series_sum(
     cache: WindowCache | None = None,
     threads: int = 1,
 ) -> SingularSeries:
-    """Assemble C_q for q < q_cut and the main-term factor sum phi(q) C_q^e."""
+    """Assemble C_q for q < q_cut and the main-term factor sum phi(q) C_q^e.
+
+    Each C_q is a sum of means of f(q0 n), n <= n_terms, over the divisors
+    q0 of q.  All those progression windows come from one
+    WindowCache.windows call, which sieves the missing ones together on
+    threads workers; the q-loop then reduces over exactly the windows it
+    returned, however few of them the cache can keep.
+    """
     if q_cut < 2:
         raise DomainError("q_cut must be >= 2")
     cache = cache or WindowCache()
     groups: dict[int, CharacterGroup] = {}
 
-    # Pre-build the progression windows (the only expensive part) so the
-    # q-loop is a cheap deterministic reduction.
+    # The windows are the expensive part; the q-loop is a cheap
+    # deterministic reduction over them.
     q0_set = sorted(
         {q // q1 for q in range(1, q_cut) for q1 in range(1, q + 1)
          if q % q1 == 0 and moebius(q1) != 0}
     )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda q0: cache.window(spec, q0, 1, n_terms), q0_set))
+    held = WindowCache.holding(
+        cache.windows(spec, q0_set, 1, n_terms, threads=threads)
+    )
     c_table = np.zeros(q_cut - 1, dtype=np.complex128)
     c_err = np.zeros(q_cut - 1, dtype=np.float64)
     for q in range(1, q_cut):
-        c, e = _singular_coefficient_with_error(spec, q, n_terms, cache, groups)
+        c, e = _singular_coefficient_with_error(spec, q, n_terms, held, groups)
         c_table[q - 1] = c
         c_err[q - 1] = e
 

@@ -586,6 +586,7 @@ def _run_series(cfg, specs, cache, warnings) -> dict:
         "fit_c": series.fit_c,
         "fit_delta": series.fit_delta,
         "c_table_csv": csv_path,
+        "window_cache": cache.counts(),
     }
 
 
@@ -681,6 +682,7 @@ def _run_trend(cfg, specs, cache, warnings) -> dict:
     return {
         "points": gaps,
         "strictly_decreasing": all(b < a for a, b in zip(rgaps, rgaps[1:])),
+        "window_cache": cache.counts(),
     }
 
 

@@ -2,13 +2,23 @@
 
 A window holds f(q0*n) for n in a contiguous integer range.  Every family
 is described by its values on prime powers, given by the one rule
-local_factor(spec, p, e); windows are filled by a segmented sieve that
-stamps exact prime-power exponents, multiplies in local_factor, divides the
-smooth part out, and finishes with the (at most one) leftover prime above
-the segment's square root, and eval_at multiplies local_factor over a
-trial-division factorisation.  Integer-valued families are sieved in
-exact int64 arithmetic and their windows hold only those int64 values; a
-window in which some value could reach 2^62 is refused with BudgetError.
+local_factor(spec, p, e), and eval_at multiplies local_factor over a
+trial-division factorisation.
+
+Windows are filled by a segmented sieve that serves every q0 of a request
+at once.  Let S be the primes dividing some q0.  Per segment, the sieve
+finds the exact exponent of each prime up to the square root and of each
+prime in S, multiplies local_factor into a base array for the primes
+outside S, and keeps v_p(n) for p in S as a small int8 table; what the
+smooth part leaves is one leftover prime above the square root.  The base
+is B(n), f at n with its S-part removed, and each window is
+B(n) * prod_{p in S} local_factor(p, v_p(n) + v_p(q0)).  A single window
+is the one-q0 case.  Integer-valued families are sieved in exact int64
+arithmetic and their windows hold only those int64 values; a window in
+which some value could reach 2^62 is refused with BudgetError.
+
+WindowCache keeps windows in memory and, optionally, in MFW2 files, and
+builds all the windows one request misses with one sieve.
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ import math
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -343,75 +355,111 @@ def local_factor(spec: MultSpec, p, e) -> np.ndarray:
 # Segmented sieve
 
 
-def _sieve_segment(spec: MultSpec, q0: int, lo: int, hi: int) -> np.ndarray:
-    """Exact f(q0*n) for n in [lo, hi]; int64 for exact kinds else complex128."""
+def _valuations(p: int, start: int, hi: int) -> np.ndarray:
+    """v_p(n) for the multiples n = start, start + p, ... <= hi of p, as int8.
+
+    n <= MAX_POINT = 2^44, so every exponent, even plus that of a q0, fits.
+    """
+    v = np.ones((hi - start) // p + 1, dtype=np.int8)
+    pe = p * p
+    while pe <= hi:
+        j0 = (-start % pe) // p  # first multiple of pe, as an index into v
+        if j0 >= v.size:
+            break
+        v[j0 :: pe // p] += 1
+        pe *= p
+    return v
+
+
+def _sieve_segment(
+    spec: MultSpec, q0s: tuple[int, ...], lo: int, hi: int, outs, mapper=map
+) -> None:
+    """Fill outs[i] with f(q0s[i]*n) for n in [lo, hi], from one sieve.
+
+    Let S be the primes dividing some q0.  The sieve multiplies in every
+    prime outside S and only records v_p(n) for p in S (an int8 table on
+    the multiples of p), so it gives B(n), f at n with its S-part removed.
+    Then f(q0*n) = B(n) * prod_{p in S} local_factor(p, v_p(n) + v_p(q0)):
+    for p not dividing q0 the factor touches only the multiples of p.
+    Exact kinds are int64, the others complex128; mapper runs the per-q0
+    assembly.
+    """
     size = hi - lo + 1
-    exact = spec.is_exact
-    vals = np.ones(size, dtype=np.int64 if exact else np.complex128)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    facs = [dict(factorize(q0)) if q0 > 1 else {} for q0 in q0s]
+    shared = set().union(*facs)
 
     # |mu| <= 1 and 1*chi4 <= d, but d_k(n) <= k^Omega(n) <= k^log2(n) can
     # outgrow int64.  Then a float64 bound on each |f(q0 n)| is multiplied
     # up alongside the values and checked before every int64 product.
-    mag = None
-    if spec.kind is Kind.DIVISOR_K and (
-        spec.k ** ((q0 * hi).bit_length() - 1) >= _EXACT_LIMIT
-    ):
-        mag = np.ones(size, dtype=np.float64)
+    def guarded(q0):
+        return spec.kind is Kind.DIVISOR_K and (
+            spec.k ** ((q0 * hi).bit_length() - 1) >= _EXACT_LIMIT
+        )
 
-    def stamp(where, factors):
-        if mag is not None:
-            mag[where] *= factors
-            if mag[where].max() >= _EXACT_LIMIT:
+    def stamp(vals, mag, where, factors, q0, others=1):
+        """vals[where] *= factors, and every other entry *= the scalar others."""
+        for arr in (mag, vals):  # the bound first, so that no int64 product wraps
+            if arr is None:
+                continue
+            if others == 1:
+                arr[where] *= factors
+            else:
+                on = arr[where] * factors
+                arr *= others
+                arr[where] = on
+            if arr is mag and (
+                (mag if others != 1 else mag[where]).max(initial=0) >= _EXACT_LIMIT
+            ):
                 raise BudgetError(
                     f"{spec.spec_id}(n) for n in [{q0 * lo}, {q0 * hi}] can "
                     f"reach 2^62, beyond exact int64 windows"
                 )
-        vals[where] *= factors
 
-    q0_fac = dict(factorize(q0)) if q0 > 1 else {}
-    sieve_to = math.isqrt(hi)
-    plist = [int(p) for p in primes_up_to(sieve_to)]
-    for p in q0_fac:
-        if p not in plist:
-            plist.append(p)
-
-    expo = np.zeros(size, dtype=np.int64)
+    # B <= f(q0 n) for divisor_k, so B reaching the limit refuses every q0.
+    top = max(q0s)
+    base = np.ones(size, dtype=outs[0].dtype)
+    base_mag = np.ones(size, dtype=np.float64) if guarded(top) else None
+    smooth = np.ones(size, dtype=np.int64)
+    expos: dict[int, np.ndarray] = {}
+    plist = {int(p) for p in primes_up_to(math.isqrt(hi))} | shared
     for p in sorted(plist):
-        e0 = q0_fac.get(p, 0)
-        start = ((lo + p - 1) // p) * p
-        if start > hi and e0 == 0:
+        first = -lo % p
+        if first >= size:
+            expos[p] = np.empty(0, dtype=np.int8)
             continue
-        first = start - lo
-        # Stamp exact exponents: multiples of p^e overwrite with e.
-        if start <= hi:
-            expo[first::p] = 1
-            pe = p * p
-            e = 2
-            while pe <= hi:
-                s = ((lo + pe - 1) // pe) * pe - lo
-                if s < size:
-                    expo[s::pe] = e
-                pe *= p
-                e += 1
-            idx = np.arange(first, size, p)
+        v = _valuations(p, lo + first, hi)
+        if p in shared:
+            expos[p] = v
         else:
-            idx = np.empty(0, np.int64)
-        if e0 == 0:
-            if idx.size:
-                stamp(idx, local_factor(spec, p, expo[idx]))
-        else:
-            # Every window entry carries the q0 part of this prime.
-            stamp(slice(None), local_factor(spec, p, expo + e0))
-        if idx.size:
-            ppow = p ** expo[idx]
-            rem[idx] //= ppow
-            expo[idx] = 0
-
-    leftover = rem > 1
+            stamp(base, base_mag, slice(first, None, p), local_factor(spec, p, v), top)
+        smooth[first::p] *= p ** np.arange(int(v.max()) + 1, dtype=np.int64)[v]
+    # What the primes up to sqrt(hi) and S leave is one prime outside S, or 1.
+    rest = np.arange(lo, hi + 1, dtype=np.int64) // smooth
+    leftover = rest > 1
     if leftover.any():
-        stamp(leftover, local_factor(spec, rem[leftover], 1))
-    return vals
+        stamp(base, base_mag, leftover, local_factor(spec, rest[leftover], 1), top)
+
+    # The factors at the multiples of p, shared by every q0 that p misses.
+    plain = {p: local_factor(spec, p, v) for p, v in expos.items()
+             if v.size and not all(p in fac for fac in facs)}
+
+    def assemble(i):
+        q0, fac, out = q0s[i], facs[i], outs[i]
+        np.copyto(out, base)
+        mag = base_mag.copy() if guarded(q0) else None
+        for p in sorted(shared):
+            where = slice(-lo % p, None, p)
+            e0 = fac.get(p, 0)
+            if e0 == 0:
+                if p in plain:
+                    stamp(out, mag, where, plain[p], q0)
+                continue
+            # Every entry carries the q0 part of p: f(p^(v_p(n) + e0)) on
+            # the multiples of p, f(p^e0) off them.
+            stamp(out, mag, where, local_factor(spec, p, expos[p] + e0), q0,
+                  others=local_factor(spec, p, e0))
+
+    list(mapper(assemble, range(len(q0s))))
 
 
 def _check_budget(q0: int, lo: int, hi: int):
@@ -423,53 +471,81 @@ def _check_budget(q0: int, lo: int, hi: int):
         raise BudgetError(f"window endpoint {q0 * hi} exceeds budget {MAX_POINT}")
 
 
-def _build_window(spec: MultSpec, q0: int, lo: int, hi: int) -> CoefficientWindow:
+def _build_windows(
+    spec: MultSpec, q0s, lo: int, hi: int, mapper=map
+) -> list[CoefficientWindow]:
+    """The windows f(q0*n), n in [lo, hi], of every q0 in q0s, in order.
+
+    Exact kinds share one sieve per segment among all q0s.  Float kinds
+    (user rules) sieve each q0 on its own: their products round, and a
+    value must not depend on which other q0 shared its call.  Any refusal
+    refuses the whole call.
+    """
+    q0s = tuple(q0s)
     if not (1 <= lo <= hi):
         raise DomainError("window requires 1 <= lo <= hi")
-    if q0 < 1:
+    if any(q0 < 1 for q0 in q0s):
         raise DomainError("q0 must be >= 1")
-    _check_budget(q0, lo, hi)
+    for q0 in q0s:
+        _check_budget(q0, lo, hi)
+    if not q0s:
+        return []
 
     if spec.kind is Kind.RAMANUJAN_TAU_NORM:
-        lam = _tau.tau_normalized_values(q0 * hi)
-        vals = lam[q0 * lo - 1 : q0 * hi : q0].copy()
-        win = CoefficientWindow(lo=lo, hi=hi, q0=q0, values=vals, spec=spec)
-        _assert_deligne(win)
-        return win
+        lam = _tau.tau_normalized_values(max(q0s) * hi)
+        d2 = _build_windows(MultSpec.divisor_k(2), q0s, lo, hi, mapper)
+        wins = []
+        for q0, bound in zip(q0s, d2):
+            vals = lam[q0 * lo - 1 : q0 * hi : q0].copy()
+            _assert_deligne(vals, bound.values)
+            wins.append(CoefficientWindow(lo=lo, hi=hi, q0=q0, values=vals, spec=spec))
+        return wins
 
     size = hi - lo + 1
     if spec.kind is Kind.DIVISOR_K and spec.k == 1:
-        ones = np.ones(size, dtype=np.int64)
-        return CoefficientWindow(lo=lo, hi=hi, q0=q0, values=ones, spec=spec)
+        return [
+            CoefficientWindow(lo=lo, hi=hi, q0=q0, values=np.ones(size, np.int64),
+                              spec=spec)
+            for q0 in q0s
+        ]
 
-    out = np.empty(size, dtype=np.int64 if spec.is_exact else np.complex128)
-    a = lo
-    while a <= hi:
-        b = min(a + _SEGMENT - 1, hi)
-        out[a - lo : b - lo + 1] = _sieve_segment(spec, q0, a, b)
-        a = b + 1
+    dtype = np.int64 if spec.is_exact else np.complex128
+    outs = [np.empty(size, dtype=dtype) for _ in q0s]
+    groups = [range(len(q0s))] if spec.is_exact else [[i] for i in range(len(q0s))]
+    for group in groups:
+        a = lo
+        while a <= hi:
+            b = min(a + _SEGMENT - 1, hi)
+            _sieve_segment(
+                spec, tuple(q0s[i] for i in group), a, b,
+                [outs[i][a - lo : b - lo + 1] for i in group], mapper,
+            )
+            a = b + 1
     if not spec.is_exact and spec.is_real:
-        out = out.real.copy()  # imaginary parts exactly zero for real rules
-    return CoefficientWindow(lo=lo, hi=hi, q0=q0, values=out, spec=spec)
+        # imaginary parts exactly zero for real rules
+        outs = [out.real.copy() for out in outs]
+    return [
+        CoefficientWindow(lo=lo, hi=hi, q0=q0, values=out, spec=spec)
+        for q0, out in zip(q0s, outs)
+    ]
 
 
-def _assert_deligne(win: CoefficientWindow):
+def _assert_deligne(values: np.ndarray, d2: np.ndarray):
     """Runtime check |lambda(n)| <= d_2(n), full range, on every tau window."""
-    d2 = _build_window(MultSpec.divisor_k(2), win.q0, win.lo, win.hi)
-    if not (np.abs(win.values) <= d2.values + 1e-9).all():
+    if not (np.abs(values) <= d2 + 1e-9).all():
         raise AssertionError("Deligne bound violated in tau window")
 
 
 def sieve_window(spec: MultSpec, lo: int, hi: int) -> CoefficientWindow:
     """Window of f(n) for n in [lo, hi], exact for integer-valued kinds."""
-    return _build_window(spec, 1, lo, hi)
+    return window_on_progression(spec, 1, lo, hi)
 
 
 def window_on_progression(
     spec: MultSpec, q0: int, lo: int, hi: int
 ) -> CoefficientWindow:
     """Window of f(q0*n) for n in [lo, hi]."""
-    return _build_window(spec, q0, lo, hi)
+    return _build_windows(spec, (q0,), lo, hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -577,32 +653,107 @@ def _read_checked(path: Path, key: tuple) -> CoefficientWindow | None:
 
 
 class WindowCache:
-    """In-memory window cache with an optional on-disk directory."""
+    """In-memory window cache with an optional on-disk directory.
+
+    Memory holds up to max_items windows and drops the oldest first.
+    counts() reports the memory hits, disk reads, builds and disk writes.
+    """
 
     def __init__(self, directory: str | Path | None = None, max_items: int = 64):
         self._dir = Path(directory) if directory else None
         self._max = max_items
         self._mem: dict[tuple, CoefficientWindow] = {}
         self._lock = threading.Lock()
+        self._counts = dict.fromkeys(
+            ("memory_hits", "disk_reads", "builds", "disk_writes"), 0
+        )
 
-    def window(self, spec: MultSpec, q0: int, lo: int, hi: int) -> CoefficientWindow:
-        if spec.kind is Kind.DIVISOR_K and spec.k == 1:
-            return _build_window(spec, q0, lo, hi)  # cheaper to rebuild than hold
-        key = (spec, q0, lo, hi)
+    @classmethod
+    def holding(cls, wins) -> "WindowCache":
+        """A memory-only cache of exactly wins: reading them back builds nothing."""
+        wins = list(wins)
+        held = cls(max_items=max(1, len(wins)))
+        for win in wins:
+            held._store(win)
+        return held
+
+    def counts(self) -> dict[str, int]:
         with self._lock:
-            hit = self._mem.get(key)
-        if hit is not None:
-            return hit
-        win = None
-        if self._dir is not None and spec.kind is not Kind.USER_EULER:
-            win = _read_checked(self._dir / cache_file_name(spec, q0, lo, hi), key)
-        if win is None:
-            win = _build_window(spec, q0, lo, hi)
-            if self._dir is not None and spec.kind is not Kind.USER_EULER:
-                self._dir.mkdir(parents=True, exist_ok=True)
-                write_window_cache(win, self._dir / cache_file_name(spec, q0, lo, hi))
+            return dict(self._counts)
+
+    def _count(self, name: str, n: int = 1):
+        with self._lock:
+            self._counts[name] += n
+
+    def _path(self, spec: MultSpec, q0: int, lo: int, hi: int) -> Path | None:
+        if self._dir is None or spec.kind is Kind.USER_EULER:
+            return None
+        return self._dir / cache_file_name(spec, q0, lo, hi)
+
+    def _store(self, win: CoefficientWindow):
         with self._lock:
             if len(self._mem) >= self._max:
                 self._mem.pop(next(iter(self._mem)))
-            self._mem[key] = win
+            self._mem[(win.spec, win.q0, win.lo, win.hi)] = win
+
+    def _write(self, win: CoefficientWindow):
+        path = self._path(win.spec, win.q0, win.lo, win.hi)
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_window_cache(win, path)
+            self._count("disk_writes")
+
+    def window(self, spec: MultSpec, q0: int, lo: int, hi: int) -> CoefficientWindow:
+        if spec.kind is Kind.DIVISOR_K and spec.k == 1:
+            self._count("builds")
+            return window_on_progression(spec, q0, lo, hi)  # cheaper to rebuild than hold
+        key = (spec, q0, lo, hi)
+        with self._lock:
+            hit = self._mem.get(key)
+            if hit is not None:
+                self._counts["memory_hits"] += 1
+                return hit
+        path = self._path(spec, q0, lo, hi)
+        win = _read_checked(path, key) if path is not None else None
+        if win is not None:
+            self._count("disk_reads")
+        else:
+            win = window_on_progression(spec, q0, lo, hi)
+            self._count("builds")
+            self._write(win)
+        self._store(win)
         return win
+
+    def windows(
+        self, spec: MultSpec, q0s, lo: int, hi: int, threads: int = 1
+    ) -> list[CoefficientWindow]:
+        """The windows f(q0*n), n in [lo, hi], of every q0 in q0s, in order.
+
+        A window held in memory or on disk comes back through window(),
+        which rebuilds it alone if its file fails the key check; the others
+        are built together, from one sieve per segment, and written through.  The list returned holds every window, whatever memory
+        could keep.  threads workers read the files, assemble the built
+        windows and write them.
+        """
+        q0s = list(q0s)
+        if spec.kind is Kind.DIVISOR_K and spec.k == 1:
+            return [self.window(spec, q0, lo, hi) for q0 in q0s]
+        distinct = list(dict.fromkeys(q0s))
+        with self._lock:
+            held = {q0 for q0 in distinct if (spec, q0, lo, hi) in self._mem}
+        for q0 in distinct:
+            path = self._path(spec, q0, lo, hi)
+            if path is not None and path.exists():
+                held.add(q0)
+        found = [q0 for q0 in distinct if q0 in held]
+        missing = [q0 for q0 in distinct if q0 not in held]
+        with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+            mapper = map if pool is None else pool.map
+            got = dict(zip(found, mapper(lambda q0: self.window(spec, q0, lo, hi), found)))
+            built = _build_windows(spec, missing, lo, hi, mapper)
+            self._count("builds", len(built))
+            list(mapper(self._write, built))
+        for win in built:
+            self._store(win)
+            got[win.q0] = win
+        return [got[q0] for q0 in q0s]

@@ -17,6 +17,7 @@ from terncorr.dirichlet import (
     singular_series_sum,
     twisted_progression_check,
 )
+from terncorr import multfunc
 from terncorr.errors import BudgetError, DomainError
 from terncorr.multfunc import MultSpec, WindowCache, spec_from_id
 
@@ -263,6 +264,27 @@ def test_series_witness_golden_value():
     # fitted envelope should sit near |C_q| ~ (pi/4) / q
     assert series.fit_c == pytest.approx(math.pi / 4, rel=0.2)
     assert abs(series.fit_delta) < 0.2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_series_builds_each_window_once(monkeypatch, threads):
+    # Memory holds fewer windows than the 29 q0 < 30; the q-loop must still
+    # reduce over the windows already built instead of sieving them again.
+    reference = singular_series_sum(OSC, 30, 5000, cache=WindowCache(max_items=64))
+    sieved = []
+    segment = multfunc._sieve_segment
+
+    def counting(spec, q0s, *args):
+        sieved.extend(q0s)
+        return segment(spec, q0s, *args)
+
+    monkeypatch.setattr(multfunc, "_sieve_segment", counting)
+    cache = WindowCache(max_items=8)
+    series = singular_series_sum(OSC, 30, 5000, cache=cache, threads=threads)
+    assert sorted(sieved) == list(range(1, 30))
+    assert cache.counts()["builds"] == 29
+    assert np.array_equal(series.c_table, reference.c_table)
+    assert series.series_value == reference.series_value
 
 
 def test_series_tail_handles_all_zero():

@@ -215,6 +215,26 @@ def test_series_roundtrip_via_record(tmp_path):
     assert series.c_table[0] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_series_reports_window_cache_counts(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    series = ["singular-series", "--spec", "one_star_chi4", "--Q", "50", "--N",
+              "20000", "--threads", "2", "--coeff-cache", cache]
+    counts = []
+    for _ in range(2):
+        assert main(series) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        counts.append(payload["window_cache"])
+    cold, warm = counts
+    assert cold == {"memory_hits": 0, "disk_reads": 0, "builds": 49, "disk_writes": 49}
+    assert warm == {"memory_hits": 0, "disk_reads": 49, "builds": 0, "disk_writes": 0}
+    assert len(list(Path(cache).iterdir())) == 49
+    trend = ["main-term-trend", "--spec", "one_star_chi4", "--X-list", "1000",
+             "--N", "20000", "--coeff-cache", cache]
+    assert main(trend) == 0
+    got = json.loads(capsys.readouterr().out)["payload"]["window_cache"]
+    assert got["disk_reads"] > 0 and got["builds"] == got["disk_writes"] > 0
+
+
 # ---------------------------------------------------------------------------
 # CLI exit codes (three golden configs)
 

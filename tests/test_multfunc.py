@@ -130,6 +130,72 @@ def test_progression_matches_pointwise():
         assert w.values[n - 3] == eval_at(spec, 6 * n)
 
 
+def _joint_spec(sid):
+    if sid != "complex":
+        return multfunc.spec_from_id(sid)
+    # Generic unit-modulus values, so that products of three or more factors
+    # round differently in different orders.
+    bound = 49 * 4200
+    return MultSpec.user_euler(
+        {(p, e): complex(math.cos(0.37 * p + 1.1 * e), math.sin(0.37 * p + 1.1 * e))
+         for p in map(int, multfunc.primes_up_to(bound))
+         for e in range(1, int(math.log(bound, p)) + 1)},
+        k_bound=1,
+    )
+
+
+@pytest.mark.parametrize("lo, hi, segment", [
+    (1, 3000, None), (1500, 4200, None), (1500, 4200, 1000),
+])
+@pytest.mark.parametrize("sid", ["divisor2", "divisor3", "moebius", "one_star_chi4",
+                                 "complex"])
+def test_joint_build_matches_single_windows(monkeypatch, sid, lo, hi, segment):
+    spec = _joint_spec(sid)
+    alone = [window_on_progression(spec, q0, lo, hi) for q0 in range(1, 50)]
+    if segment is not None:  # segment boundaries inside the window
+        monkeypatch.setattr(multfunc, "_SEGMENT", segment)
+    joint = multfunc._build_windows(spec, range(1, 50), lo, hi)
+    assert [w.q0 for w in joint] == list(range(1, 50))
+    for a, b in zip(alone, joint):
+        assert (b.lo, b.hi, b.values.dtype) == (a.lo, a.hi, a.values.dtype)
+        assert np.array_equal(a.values, b.values), (sid, a.q0)
+
+
+@pytest.mark.parametrize("sid", ["divisor3", "moebius", "one_star_chi4"])
+def test_joint_build_with_a_shared_prime_above_sqrt_hi(sid):
+    # 47 > sqrt(100): its multiples must not be taken for leftover primes.
+    spec = multfunc.spec_from_id(sid)
+    for lo in (1, 40):
+        for win in multfunc._build_windows(spec, (1, 2, 47, 94), lo, 100):
+            assert win.values.tolist() == [
+                eval_at(spec, win.q0 * n) for n in range(lo, 101)
+            ], (win.q0, lo)
+
+
+@pytest.mark.parametrize("q0s, lo, hi, refused", [
+    ((1, 2, 3, 2**27), 1, 8, {2**27}),              # local_factor: d_40(2^30)
+    ((1, 7, 2**10), 3**10, 3**10, {2**10}),         # the float64 magnitude bound
+    ((1, 6, 2**5), 3**10, 3**10 + 4, set()),
+])
+def test_joint_build_refuses_where_single_windows_do(q0s, lo, hi, refused):
+    d40 = MultSpec.divisor_k(40)
+    alone, got = {}, set()
+    for q0 in q0s:
+        try:
+            alone[q0] = window_on_progression(d40, q0, lo, hi)
+        except BudgetError:
+            got.add(q0)
+    assert got == refused
+    if refused:
+        with pytest.raises(BudgetError):
+            multfunc._build_windows(d40, q0s, lo, hi)
+        with pytest.raises(BudgetError):
+            WindowCache().windows(d40, q0s, lo, hi, threads=2)
+    else:
+        for win in multfunc._build_windows(d40, q0s, lo, hi):
+            assert np.array_equal(win.values, alone[win.q0].values)
+
+
 def test_eval_at_examples():
     assert eval_at(MultSpec.divisor_k(3), 4) == 6
     assert eval_at(MultSpec.moebius(), 1) == 1
@@ -453,6 +519,28 @@ def test_window_cache_rebuilds_truncated_file(tmp_path):
     assert (win.values == sieve_window(spec, 5, 300).values).all()
     assert path.read_bytes() == full
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp files
+
+
+def test_window_cache_windows_reads_what_it_holds_and_builds_the_rest(tmp_path):
+    spec = MultSpec.one_star_chi4()
+    WindowCache(tmp_path).window(spec, 3, 1, 500)
+    cache = WindowCache(tmp_path, max_items=2)
+    cache.window(spec, 5, 1, 500)
+    assert cache.counts() == {"memory_hits": 0, "disk_reads": 0, "builds": 1,
+                              "disk_writes": 1}
+    # 5 is in memory, 3 on disk; 1 and 7 are built by one sieve, although
+    # memory keeps only two windows.
+    wins = cache.windows(spec, [1, 3, 5, 7, 3], 1, 500, threads=2)
+    assert [w.q0 for w in wins] == [1, 3, 5, 7, 3]
+    for win in wins:
+        assert np.array_equal(win.values, window_on_progression(spec, win.q0, 1, 500).values)
+    assert cache.counts() == {"memory_hits": 1, "disk_reads": 1, "builds": 3,
+                              "disk_writes": 3}
+    for q0 in (1, 3, 5, 7):
+        assert (tmp_path / multfunc.cache_file_name(spec, q0, 1, 500)).exists()
+    held = WindowCache.holding(wins)
+    assert held.window(spec, 7, 1, 500) is wins[3]
+    assert held.counts()["builds"] == 0
 
 
 @pytest.mark.parametrize("size", [0, 3, 36])
