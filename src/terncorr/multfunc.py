@@ -372,7 +372,8 @@ def _valuations(p: int, start: int, hi: int) -> np.ndarray:
 
 
 def _sieve_segment(
-    spec: MultSpec, q0s: tuple[int, ...], lo: int, hi: int, outs, mapper=map
+    spec: MultSpec, q0s: tuple[int, ...], lo: int, hi: int,
+    outs: list[np.ndarray], mapper=map,
 ) -> None:
     """Fill outs[i] with f(q0s[i]*n) for n in [lo, hi], from one sieve.
 
@@ -385,7 +386,7 @@ def _sieve_segment(
     assembly.
     """
     size = hi - lo + 1
-    facs = [dict(factorize(q0)) if q0 > 1 else {} for q0 in q0s]
+    facs = [dict(factorize(q0)) for q0 in q0s]
     shared = set().union(*facs)
 
     # |mu| <= 1 and 1*chi4 <= d, but d_k(n) <= k^Omega(n) <= k^log2(n) can
@@ -420,7 +421,7 @@ def _sieve_segment(
     base = np.ones(size, dtype=outs[0].dtype)
     base_mag = np.ones(size, dtype=np.float64) if guarded(top) else None
     smooth = np.ones(size, dtype=np.int64)
-    expos: dict[int, np.ndarray] = {}
+    expos: dict[int, np.ndarray] = {}  # v_p on the multiples of p, p in S
     plist = {int(p) for p in primes_up_to(math.isqrt(hi))} | shared
     for p in sorted(plist):
         first = -lo % p
@@ -447,7 +448,7 @@ def _sieve_segment(
         q0, fac, out = q0s[i], facs[i], outs[i]
         np.copyto(out, base)
         mag = base_mag.copy() if guarded(q0) else None
-        for p in sorted(shared):
+        for p, v in expos.items():
             where = slice(-lo % p, None, p)
             e0 = fac.get(p, 0)
             if e0 == 0:
@@ -456,7 +457,7 @@ def _sieve_segment(
                 continue
             # Every entry carries the q0 part of p: f(p^(v_p(n) + e0)) on
             # the multiples of p, f(p^e0) off them.
-            stamp(out, mag, where, local_factor(spec, p, expos[p] + e0), q0,
+            stamp(out, mag, where, local_factor(spec, p, v + e0), q0,
                   others=local_factor(spec, p, e0))
 
     list(mapper(assemble, range(len(q0s))))
@@ -731,7 +732,8 @@ class WindowCache:
 
         A window held in memory or on disk comes back through window(),
         which rebuilds it alone if its file fails the key check; the others
-        are built together, from one sieve per segment, and written through.  The list returned holds every window, whatever memory
+        are built together, from one sieve per segment, and written
+        through.  The list returned holds every window, whatever memory
         could keep.  threads workers read the files, assemble the built
         windows and write them.
         """
