@@ -421,12 +421,12 @@ def _sieve_segment(
     base = np.ones(size, dtype=outs[0].dtype)
     base_mag = np.ones(size, dtype=np.float64) if guarded(top) else None
     smooth = np.ones(size, dtype=np.int64)
-    expos: dict[int, np.ndarray] = {}  # v_p on the multiples of p, p in S
+    # v_p on the multiples of p in the segment, for p in S
+    expos = {p: np.empty(0, dtype=np.int8) for p in sorted(shared)}
     plist = {int(p) for p in primes_up_to(math.isqrt(hi))} | shared
     for p in sorted(plist):
         first = -lo % p
         if first >= size:
-            expos[p] = np.empty(0, dtype=np.int8)
             continue
         v = _valuations(p, lo + first, hi)
         if p in shared:
