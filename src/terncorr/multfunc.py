@@ -435,7 +435,8 @@ def _sieve_segment(
             stamp(base, base_mag, slice(first, None, p), local_factor(spec, p, v), top)
         smooth[first::p] *= p ** np.arange(int(v.max()) + 1, dtype=np.int64)[v]
     # What the primes up to sqrt(hi) and S leave is one prime outside S, or 1.
-    rest = np.arange(lo, hi + 1, dtype=np.int64) // smooth
+    rest = np.arange(lo, hi + 1, dtype=np.int64)
+    rest //= smooth  # in place: one window-size temporary fewer
     leftover = rest > 1
     if leftover.any():
         stamp(base, base_mag, leftover, local_factor(spec, rest[leftover], 1), top)
