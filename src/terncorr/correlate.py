@@ -21,11 +21,11 @@ full squares, four forward and one inverse real FFT of length 2m, so the
 whole route costs O(X log^2 H).
 
 Exact families take int64 paths on both routes.  Direct splits values
-into 17-bit digits (`_digits`) and sums with `_exact_dot`.  The banded route
-rounds each transform level to int64 under an a priori rounding bound
-(`_square_error`, after Brent and Zimmermann, Modern Computer Arithmetic,
-2010, Thm 3.3.2) kept below 1/2, with digits narrow enough for it
-(`_band_digit_bits`); K(r) is accumulated in int64, since it can pass 2^53.
+into 17-bit digits (`rounding.split_digits`) and sums with `_exact_dot`.
+The banded route rounds each transform level to int64 under an a priori
+rounding bound (`_square_error`, built on `rounding.fft_error`) kept below
+1/2, with digits narrow enough for it (`_band_digit_bits`); K(r) is
+accumulated in int64, since it can pass 2^53.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ import scipy.fft as sfft
 from .dirichlet import SingularSeries
 from .errors import BudgetError, DomainError
 from .multfunc import CoefficientWindow, MultSpec, WindowCache, as_float
+from .rounding import ULP, fft_error, max_abs, split_digits
 
 _INT64_MAX = (1 << 63) - 1
 _DIGIT_BITS = 17  # (2^17 + 1)^3 < 2^52: dot chunks of at least 4095 elements
-_ULP = 2.0**-53
 _LEAF = 16  # triangles of at most this many terms are summed directly
 _GROUP_TERMS = 1 << 14  # block terms per batch of triangles: caps FFT buffers
 
@@ -117,30 +117,6 @@ def _use_exact(req: CorrelationRequest) -> bool:
     return req.spec1.is_exact and req.spec2.is_exact and req.spec3.is_exact
 
 
-def _max_abs(a: np.ndarray) -> int:
-    """max |a| of an int64 array as a Python int (1 for an empty array)."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)), 1)
-
-
-def _digits(
-    a: np.ndarray, bits: int = _DIGIT_BITS
-) -> tuple[int, list[tuple[int, np.ndarray]]]:
-    """(D, [(s_k, d_k)]) with a = sum_k d_k << s_k and every |d_k| <= D.
-
-    D = max|a| if that is at most 2^bits (one digit); else the low digits
-    are the bits-wide fields of a, in [0, 2^bits), and the top digit a >> s
-    has magnitude at most (max|a| >> s) + 1, so D = 2^bits + 1.  With the
-    default 17 bits, three digits always multiply to less than 2^52, for
-    any int64 input.
-    """
-    m = _max_abs(a)
-    out, s = [], 0
-    while m >> s > 1 << bits:
-        out.append((s, (a >> s) & ((1 << bits) - 1)))
-        s += bits
-    return min(m, (1 << bits) + 1), out + [(s, a >> s if s else a)]
-
-
 def _exact_dot(u: np.ndarray, v: np.ndarray, bound: int) -> int:
     """sum(u * v) of int64 arrays with every |u_i v_i| <= bound < 2^63, exactly.
 
@@ -173,9 +149,9 @@ def ternary_direct(
     if _use_exact(req):
         # Each digit triple multiplies below bound < 2^52; T_h is exact per
         # lag and the weighted sum over lags is a Python int.
-        b1, d1 = _digits(w1.segment(x, 2 * x))
-        b2, d2 = _digits(w2.segment(x - h, 2 * x + h))
-        b3, d3 = _digits(w3.segment(x - 2 * h, 2 * x + 2 * h))
+        b1, d1 = split_digits(w1.segment(x, 2 * x), _DIGIT_BITS)
+        b2, d2 = split_digits(w2.segment(x - h, 2 * x + h), _DIGIT_BITS)
+        b3, d3 = split_digits(w3.segment(x - 2 * h, 2 * x + 2 * h), _DIGIT_BITS)
         bound = b1 * b2 * b3
         digits = (len(d1), len(d2), len(d3))
         combos = [
@@ -245,14 +221,14 @@ def ternary_convolution(
     numerator = digits = None
     if _use_exact(req):
         fmax = max(levels, default=0.0)
-        b2, d2 = _digits(f2)
-        bits = _band_digit_bits(_max_abs(f1), _max_abs(f3), b2, h, fmax)
-        (b1, d1), (b3, d3) = _digits(f1, bits), _digits(f3, bits)
+        b2, d2 = split_digits(f2, _DIGIT_BITS)
+        bits = _band_digit_bits(max_abs(f1), max_abs(f3), b2, h, fmax)
+        (b1, d1), (b3, d3) = split_digits(f1, bits), split_digits(f3, bits)
         digits = (len(d1), len(d2), len(d3))
         numerator = 0
         for (s1, u1), (s3, u3) in product(d1, d3):
             band = _fejer_band(u1, u3, h, np.int64)
-            bound = b2 * max(_max_abs(band), 1)  # |K| <= H^2 b1 b3: int64-safe
+            bound = b2 * max(max_abs(band), 1)  # |K| <= H^2 b1 b3: int64-safe
             for s2, u2 in d2:
                 numerator += _exact_dot(u2, band, bound) << (s1 + s2 + s3)
         value = numerator / h
@@ -289,19 +265,12 @@ def _square_error(m: int, c: int) -> float:
 
     The square z(r) = sum_{p+q=r} (c + sign (p - q)) u(p) v(q), p, q < m,
     |u| <= D1, |v| <= D3, is c u*v + sign ((p u)*v - u*(q v)) through
-    transforms of length 2m.  For one product x*y by radix-2 transforms of
-    length 2^k, |error| <= |x| |y| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
-    (Percival; Brent and Zimmermann, Modern Computer Arithmetic, 2010,
-    Thm 3.3.2), with e = 2^-53 and twiddle error b, taken as 2e.  Here k is
-    log2(2m) plus two stages, one for the real-input transform and one for
-    the combination of the three products, and the Euclidean norms are
-    |u| |v| <= m D1 D3 and |p u| |v| <= sqrt(m S2) D1 D3, S2 = sum_{p<m} p^2.
+    transforms of length 2m, each product bounded by `fft_error` times the
+    Euclidean norms |u| |v| <= m D1 D3 and |p u| |v| <= sqrt(m S2) D1 D3,
+    S2 = sum_{p<m} p^2.
     """
-    k = (2 * m).bit_length() + 1
-    logs = 3 * k * (math.log1p(_ULP) + math.log1p(2 * _ULP))
-    logs += (3 * k + 1) * math.log1p(_ULP * math.sqrt(5))
     s2 = (m - 1) * m * (2 * m - 1) / 6
-    return (abs(c) * m + 2 * math.sqrt(m * s2)) * math.expm1(logs)
+    return (abs(c) * m + 2 * math.sqrt(m * s2)) * fft_error(2 * m)
 
 
 def _band_digit_bits(m1: int, m3: int, b2: int, h: int, fmax: float) -> int:
@@ -466,7 +435,7 @@ def _float_error(f1, f2, f3, band, h: int, levels: list[float]) -> float:
 
 
 def _gamma(n: int) -> float:
-    return n * _ULP / (1 - n * _ULP)
+    return n * ULP / (1 - n * ULP)
 
 
 def fejer_overlap_weight(h: int, h_span: int) -> int:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, arcs, correlate, dirichlet, multfunc
+from . import __version__, arcs, correlate, dirichlet, multfunc, tau
 from .errors import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -511,7 +511,15 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
         ),
         "error_bound": result.error_bound,
         "digits": list(result.digits) if result.digits is not None else None,
+        **_tau_table((s1, s2, s3)),
     }
+
+
+def _tau_table(specs) -> dict:
+    """{"tau_table": tau.table_info()} when a spec reads the tau table."""
+    if any(s.kind is multfunc.Kind.RAMANUJAN_TAU_NORM for s in specs):
+        return {"tau_table": tau.table_info()}
+    return {}
 
 
 def load_series_record(path: str) -> dirichlet.SingularSeries:
@@ -641,6 +649,7 @@ def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
         "Q_preset": q_pre,
         "Q_used": q_use,
         "beta": dec.beta,
+        **_tau_table((spec,)),
     }
 
 

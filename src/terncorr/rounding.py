@@ -1,0 +1,68 @@
+"""Exact integer products from float64 FFTs: the rounding bound and digits.
+
+A cyclic product x*y of integer sequences computed by radix-2 float64
+transforms of length 2^n has every entry within
+
+    |x| |y| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
+
+of the exact one (Percival; Brent and Zimmermann, Modern Computer
+Arithmetic, 2010, Thm 3.3.2), with Euclidean norms |x|, |y|, e = 2^-53 and
+twiddle error b, taken as 2e.  `fft_error(length)` is that factor with
+k = n + 2: one stage more for the real-input transform and one for the
+sum of the products that share an inverse transform in the frequency
+domain (up to 16 of them: their 15 additions err less than one stage).
+When the bound is below 1/2, rounding each entry to the nearest integer
+gives the exact product.
+
+Values too large for one such product are cut into digits by
+`split_digits`, and each digit product is bounded on its own.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+ULP = 2.0**-53
+
+
+def fft_error(length: int) -> float:
+    """Percival's factor for a product by real transforms of this length."""
+    k = length.bit_length() + 1
+    logs = 3 * k * (math.log1p(ULP) + math.log1p(2 * ULP))
+    logs += (3 * k + 1) * math.log1p(ULP * math.sqrt(5))
+    return math.expm1(logs)
+
+
+def max_abs(a: np.ndarray) -> int:
+    """max |a| of an int64 array as a Python int (1 for an empty array)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)), 1)
+
+
+def split_digits(
+    a: np.ndarray, bits: int, balanced: bool = False
+) -> tuple[int, list[tuple[int, np.ndarray]]]:
+    """(D, [(s_k, d_k)]) with a = sum_k d_k << s_k and every |d_k| <= D.
+
+    The low digits are bits-wide fields of a: in [0, 2^bits), or with
+    balanced=True in [-2^(bits-1), 2^(bits-1)), which halves their typical
+    size.  The top digit carries the rest and the sign.  With R = 2^bits
+    for unsigned digits and 2^(bits-1) for balanced ones, a is one digit
+    (a itself, D = max|a|) when max|a| <= R; otherwise the top digit has
+    magnitude at most R + 1, so D = R + 1.  Balanced digits need
+    max|a| < 2^63 - 2^(bits-1).
+    """
+    m = max_abs(a)
+    half = 1 << (bits - 1) if balanced else 0
+    mask = (1 << bits) - 1
+    out, s = [], 0
+    while m >> s > (1 << bits) - half:
+        if half:
+            a = a + half
+            out.append((s, (a & mask) - half))
+        else:
+            out.append((s, a & mask))
+        a = a >> bits
+        s += bits
+    return min(m, (1 << bits) - half + 1), out + [(s, a)]

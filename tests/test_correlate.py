@@ -15,11 +15,10 @@ from terncorr.correlate import (
     _INT64_MAX,
     CorrelationRequest,
     Method,
+    _DIGIT_BITS,
     _band_digit_bits,
-    _digits,
     _exact_dot,
     _level_errors,
-    _max_abs,
     _square_error,
     _weighted_squares,
     compare_to_main_term,
@@ -31,6 +30,7 @@ from terncorr.correlate import (
 )
 from terncorr.dirichlet import singular_series_sum
 from terncorr.errors import DomainError
+from terncorr.rounding import max_abs, split_digits
 from terncorr.multfunc import (
     CoefficientWindow,
     MultSpec,
@@ -309,7 +309,7 @@ def test_exact_dot_splits_where_one_dot_would_overflow():
 @example([-(2**63), 2**63 - 1, 0])
 def test_digits_reconstruct_with_bounded_digits(values):
     a = np.array(values, dtype=np.int64)
-    bound, digits = _digits(a)
+    bound, digits = split_digits(a, _DIGIT_BITS)
     assert bound**3 < 2**52
     m = max(abs(v) for v in values)
     assert len(digits) == 1 if m <= 2**17 else len(digits) > 1
@@ -341,8 +341,8 @@ def synthetic_windows(x, h, mags, rng):
 def band_bits(wins, h):
     """The banded route's digit width for f1 and f3 on these windows."""
     fmax = max(_level_errors(h), default=0.0)
-    b2, _ = _digits(wins[1].values)
-    return _band_digit_bits(_max_abs(wins[0].values), _max_abs(wins[2].values),
+    b2, _ = split_digits(wins[1].values, _DIGIT_BITS)
+    return _band_digit_bits(max_abs(wins[0].values), max_abs(wins[2].values),
                             b2, h, fmax)
 
 
@@ -359,7 +359,7 @@ def test_routes_exact_on_synthetic_windows(x, h, mags, split):
     d2 = MultSpec.divisor_k(2)
     req = CorrelationRequest(d2, d2, d2, x, h)
     wins = synthetic_windows(x, h, mags, np.random.default_rng(sum(mags) % 2**32))
-    digits = [_digits(w.values) for w in wins]
+    digits = [split_digits(w.values, _DIGIT_BITS) for w in wins]
     bound = digits[0][0] * digits[1][0] * digits[2][0]
     k_bound = h * h * mags[0] * mags[2]  # |K(r)| <= H^2 max|f1| max|f3|
     conv = ternary_convolution(req, windows=wins)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from terncorr import harness
+from terncorr import harness, tau
 from terncorr.errors import ConfigurationError
 from terncorr.harness import (
     ExperimentConfig,
@@ -344,6 +344,34 @@ def test_arc_scan_far_from_origin(tmp_path):
                  "--H", "3000", "--Q", "5", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())["payload"]
     assert 0 < payload["sup_abs"] <= payload["trivial_bound"]
+
+
+def test_tau_correlation_at_a_million(monkeypatch, capsys):
+    # X = 10^6 reads tau up to 2X + 2H = 2002000, inside the 2^21 budget.
+    # The monkeypatch drops the 2^21 table when the test ends.
+    monkeypatch.setattr(tau, "_table", tau._EMPTY)
+    assert main(["correlate", "--spec", "tau", "--X", "1000000", "--H", "1000",
+                 "--method", "conv"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    info = payload["tau_table"]
+    assert (info["capacity"], info["builds"]) == (tau.MAX_TAU_INDEX, 1)
+    assert len(info["digit_bits"]) == 3 and info["rounding_bound"] < 0.5
+    assert payload["value_im"] == 0.0
+    assert 0 < payload["error_bound"] <= 1e-6 * abs(payload["value_re"])
+
+
+def test_tau_table_reported_when_a_spec_is_tau(monkeypatch, capsys):
+    monkeypatch.setattr(tau, "_table", tau._EMPTY)
+    assert main(["correlate", "--spec", "divisor2", "--X", "1000", "--H", "10"]) == 0
+    assert "tau_table" not in json.loads(capsys.readouterr().out)["payload"]
+    assert main(["arcs", "scan", "--spec", "tau", "--X", "20000", "--H", "400",
+                 "--Q", "5"]) == 0
+    info = json.loads(capsys.readouterr().out)["payload"]["tau_table"]
+    assert info == tau.table_info() and info["capacity"] == 1 << 15
+    assert main(["correlate", "--spec", "divisor2,tau,divisor2", "--X", "1000",
+                 "--H", "10"]) == 0
+    info = json.loads(capsys.readouterr().out)["payload"]["tau_table"]
+    assert (info["capacity"], info["builds"]) == (1 << 15, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,159 +1,92 @@
-"""Exact transforms (terncorr.ntt) and the certified tau table built on them."""
+"""The certified tau table: digest, identities of tau, reuse and refusals."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from terncorr import ntt, tau
+from terncorr import tau
 from terncorr.errors import BudgetError
 
-# sha256 of "tau(1),tau(2),...,tau(131072)" in decimal, from the table as it
-# was built before the transforms moved to terncorr.ntt (fixed six primes,
-# % butterflies).
+# sha256 of "tau(1),tau(2),...,tau(131072)" in decimal, pinned from the
+# table built by number-theoretic transforms and CRT (fixed six primes, %
+# butterflies), before the float-FFT engine.
 TAU_131072_SHA256 = "1d4962860eb6e2531edcb60882c4f0d2af4fabb20c9425a8ed99037dab7731db"
-
-EMPTY = (np.empty(0, dtype=object), np.empty(0, dtype=np.float64))
-
-
-def bit_reversed(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    return np.array([int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
-                     for i in range(n)])
+N_TABLE = 1 << 17
 
 
-def naive_dft(a: list[int], p: int, g: int) -> list[int]:
-    n = len(a)
-    w = pow(g, (p - 1) // n, p)
-    return [sum(a[j] * pow(w, j * k, p) for j in range(n)) % p for k in range(n)]
+@pytest.fixture(scope="module")
+def taus():
+    """A table of 131072 terms built here, whatever the process holds."""
+    return tau._compute_tau(N_TABLE)[0]
 
 
-# ---------------------------------------------------------------------------
-# terncorr.ntt
+def primes_up_to(n: int) -> list[int]:
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return [int(p) for p in np.flatnonzero(sieve)]
 
 
-@pytest.mark.parametrize("p, g", ntt.PRIMES)
-def test_forward_matches_naive_dft(p, g):
-    rng = np.random.default_rng(p)
-    for n in (1, 2, 4, 8, 16, 32, 64):
-        a = rng.integers(0, p, n, dtype=np.int64)
-        a[0] = p - 1
-        got = ntt.forward(a.astype(np.uint64), p, g)
-        want = naive_dft([int(x) for x in a], p, g)
-        assert [int(x) for x in got[bit_reversed(n)]] == want, n
-        assert (ntt.inverse(got, p, g) == a.astype(np.uint64)).all(), n
-
-
-@pytest.mark.parametrize("p, g", ntt.PRIMES)
-def test_forward_inverse_identity(p, g):
-    n = 1 << 12
-    a = np.random.default_rng(1).integers(0, p, n, dtype=np.int64).astype(np.uint64)
-    a[:3] = (p - 1, 0, 1)
-    b = ntt.inverse(ntt.forward(a.copy(), p, g), p, g)
-    assert (b == a).all()
-
-
-@pytest.mark.parametrize("p, g", ntt.PRIMES)
-def test_square_matches_convolution(p, g):
-    a = np.random.default_rng(2).integers(0, p, 300, dtype=np.int64)
-    want = np.convolve(a.astype(object), a.astype(object))[:300] % p
-    got = ntt.square(a.astype(np.uint64), p, g, 1024, 300)
-    assert [int(x) for x in got] == list(want)
-
-
-def shoup_product(v: int, w: int, p: int) -> int:
-    wa = np.array([w], dtype=np.uint64)
-    out, scratch = np.empty(1, dtype=np.uint64), np.empty(1, dtype=np.uint64)
-    ntt._shoup_into(np.array([v], dtype=np.uint64), wa, ntt.shoup_quotient(wa, p),
-                    np.uint64(p), scratch, out)
-    return int(out[0])
-
-
-# The butterflies multiply fully reduced residues and lazily reduced
-# differences in [0, 2p) by twiddles in [0, p).
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(ntt.PRIMES), st.data())
-def test_shoup_multiply(prime, data):
-    p = prime[0]
-    v = data.draw(st.integers(0, p - 1) | st.integers(p, 2 * p - 1)
-                  | st.sampled_from([p - 1, 2 * p - 1]))
-    w = data.draw(st.integers(0, p - 1) | st.just(p - 1))
-    assert shoup_product(v, w, p) == v * w % p
-
-
-@pytest.mark.parametrize("p, g", ntt.PRIMES)
-def test_shoup_multiply_extremes(p, g):
-    for v in (0, 1, p - 1, p, 2 * p - 1):
-        for w in (0, 1, p - 1):
-            assert shoup_product(v, w, p) == v * w % p
-
-
-def test_primes_for_takes_shortest_prefix():
-    p0, p1 = ntt.PRIMES[0][0], ntt.PRIMES[1][0]
-    assert ntt.primes_for(0) == ntt.PRIMES[:1]
-    assert ntt.primes_for((p0 - 1) // 2) == ntt.PRIMES[:1]
-    assert ntt.primes_for(p0 // 2 + 1) == ntt.PRIMES[:2]
-    assert ntt.primes_for((p0 * p1 - 1) // 2) == ntt.PRIMES[:2]
-    assert ntt.primes_for((p0 * p1 + 1) // 2) == ntt.PRIMES[:3]
-    modulus = 1
-    for p, _ in ntt.PRIMES:
-        modulus *= p
-    assert ntt.primes_for(modulus // 2) == ntt.PRIMES
-    with pytest.raises(BudgetError):
-        ntt.primes_for(modulus // 2 + 1)
-
-
-def test_crt_recovers_signed_values():
-    primes = [p for p, _ in ntt.PRIMES]
-    modulus = 1
-    for p in primes:
-        modulus *= p
-    values = [0, 1, -1, 2**100, -(2**100), modulus // 2, -(modulus // 2) + 1]
-    for k in range(1, len(primes) + 1):
-        m = 1
-        for p in primes[:k]:
-            m *= p
-        vals = [v for v in values if -m // 2 < v <= m // 2]
-        res = [np.array([v % p for v in vals], dtype=np.uint64) for p in primes[:k]]
-        assert list(ntt.crt(res, primes[:k])) == vals, k
-
-
-# ---------------------------------------------------------------------------
-# The tau table
-
-
-def test_tau_table_digest_and_prime_counts(monkeypatch):
-    """A fresh table up to 131072 equals the pinned one; it costs 10 prime
-    squarings: J -> J^2 -> J^4 modulo 3 primes, J^4 -> J^8 modulo 4."""
-    monkeypatch.setattr(tau, "_table", EMPTY)
-    squarings = []
-    real_square = ntt.square
-
-    def counting_square(res, p, g, size, keep):
-        squarings.append(p)
-        return real_square(res, p, g, size, keep)
-
-    monkeypatch.setattr(ntt, "square", counting_square)
-    taus = tau.tau_values(131072)
+def test_tau_table_digest_and_certified_widths(monkeypatch):
+    """A fresh table up to 131072 equals the pinned one, and each of its
+    three squarings ran at a width whose recorded bound is below 1/2."""
+    monkeypatch.setattr(tau, "_table", tau._EMPTY)
+    taus = tau.tau_values(N_TABLE)
     text = ",".join(str(t) for t in taus)
     assert hashlib.sha256(text.encode()).hexdigest() == TAU_131072_SHA256
-    first = [p for p, _ in ntt.PRIMES]
-    assert squarings == [first[0]] * 2 + [first[1]] * 2 + [first[2]] * 2 + first[:4]
-    lam = tau.tau_normalized_values(131072)
-    n = np.arange(1, 131073, dtype=np.float64)
+    squarings = tau._table.squarings
+    assert len(squarings) == 3
+    assert all(bits >= 1 and 0 < bound < 0.5 for bits, bound in squarings)
+    assert tau.table_info() == {
+        "capacity": N_TABLE,
+        "builds": 1,
+        "digit_bits": [bits for bits, _ in squarings],
+        "rounding_bound": max(bound for _, bound in squarings),
+    }
+    lam = tau.tau_normalized_values(N_TABLE)
+    n = np.arange(1, N_TABLE + 1, dtype=np.float64)
     assert np.array_equal(lam, np.array(list(taus), dtype=object).astype(np.float64)
                           / n ** 5.5)
 
 
+def test_ramanujan_congruence_mod_691(taus):
+    # tau(n) = sigma_11(n) (mod 691) for every n in the table.
+    sigma = np.zeros(N_TABLE + 1, dtype=np.int64)
+    for d in range(1, N_TABLE + 1):
+        sigma[d::d] += pow(d, 11, 691)
+    assert np.array_equal((taus % 691).astype(np.int64), sigma[1:] % 691)
+
+
+def test_multiplicative_on_coprime_pairs_near_the_top(taus):
+    rng = np.random.default_rng(691)
+    pairs = 0
+    while pairs < 300:
+        m = int(rng.integers(2, 2000))
+        n = int(rng.integers(N_TABLE // (2 * m), N_TABLE // m + 1))
+        if n < 2 or math.gcd(m, n) != 1:
+            continue
+        assert taus[m * n - 1] == taus[m - 1] * taus[n - 1], (m, n)
+        pairs += 1
+
+
+def test_prime_squares_follow_the_hecke_recursion(taus):
+    primes = primes_up_to(362)  # 362^2 <= 131072 < 363^2
+    assert primes[-1] ** 2 <= N_TABLE
+    for p in primes:
+        assert taus[p * p - 1] == taus[p - 1] ** 2 - p**11, p
+
+
 def test_requests_within_capacity_reuse_one_build(monkeypatch):
-    monkeypatch.setattr(tau, "_table", EMPTY)
+    monkeypatch.setattr(tau, "_table", tau._EMPTY)
     builds = []
 
     def fake_compute(n_terms):
         builds.append(n_terms)
-        return np.arange(1, n_terms + 1).astype(object)
+        return np.arange(1, n_terms + 1).astype(object), ((1, 0.0),) * 3
 
     monkeypatch.setattr(tau, "_compute_tau", fake_compute)
     for n in (100_000, 102_000, 131_072):
@@ -164,22 +97,59 @@ def test_requests_within_capacity_reuse_one_build(monkeypatch):
     assert builds == [131_072, 262_144]
     tau.tau_values(1000)
     assert len(builds) == 2
+    assert tau.table_info()["capacity"] == 262_144
+    assert tau.table_info()["builds"] == 2
 
 
-def test_tau_budget_follows_transform_budget():
-    assert tau.MAX_TAU_INDEX == ntt.MAX_SIZE // 2
-    assert tau._transform_size(tau.MAX_TAU_INDEX) == ntt.MAX_SIZE
-    assert tau._transform_size(tau.MAX_TAU_INDEX + 1) > ntt.MAX_SIZE
+def test_tau_budget_follows_transform_budget(monkeypatch):
+    # The cap is where the certificate was measured to hold (12-bit digits,
+    # bound 0.48 at capacity 2^21); a request past it builds nothing.
+    assert tau.MAX_TAU_INDEX == 1 << 21
+    assert tau._transform_size(tau.MAX_TAU_INDEX) == 1 << 22
+    held = tau._table
+
+    def no_build(n_terms):
+        raise AssertionError("built a table past the budget")
+
+    monkeypatch.setattr(tau, "_compute_tau", no_build)
     with pytest.raises(BudgetError):
         tau.tau_values(tau.MAX_TAU_INDEX + 1)
+    assert tau._table is held
 
 
-def test_too_few_primes_fail_the_crt_certificate(monkeypatch):
-    monkeypatch.setattr(tau, "_table", EMPTY)
-    monkeypatch.setattr(ntt, "PRIMES", ntt.PRIMES[:2])
-    with pytest.raises(BudgetError):
+def test_uncertified_widths_refuse_the_build(monkeypatch):
+    # With a rounding factor of 1 every digit product bound is at least 1,
+    # so no width certifies and nothing is kept.
+    monkeypatch.setattr(tau, "_table", tau._EMPTY)
+    monkeypatch.setattr(tau, "fft_error", lambda length: 1.0)
+    with pytest.raises(BudgetError, match="no digit width"):
         tau.tau_values(1 << 14)
-    assert tau._table[0].size == 0
+    assert tau._table.taus.size == 0
+    assert tau.table_info()["builds"] == 0
+
+
+def test_int64_powers_refused_past_the_limit(monkeypatch):
+    # J^2 stays below 2^20 at 2^14 terms while J^4 passes it.
+    monkeypatch.setattr(tau, "_table", tau._EMPTY)
+    monkeypatch.setattr(tau, "_EXACT_LIMIT", 1 << 20)
+    with pytest.raises(BudgetError, match="2\\^62"):
+        tau.tau_values(1 << 14)
+    assert tau._table.taus.size == 0
+
+
+@pytest.mark.parametrize("bits", [1, 5, 12, 20])
+def test_class_joins_match_python_ints(bits):
+    # Classes of both signs, with carries through every digit and limb.
+    rng = np.random.default_rng(bits)
+    classes = [rng.integers(-(2**45), 2**45, 500) for _ in range(9)]
+    classes[-1][:3] = (-1, 0, 1)
+    want = [sum(int(c[i]) << (bits * k) for k, c in enumerate(classes))
+            for i in range(500)]
+    assert list(tau._to_ints(iter(classes), bits)) == want
+    small = [c >> 40 for c in classes[:3]]
+    want = [sum(int(c[i]) << (bits * k) for k, c in enumerate(small))
+            for i in range(500)]
+    assert tau._join(iter([c.copy() for c in small]), bits).tolist() == want
 
 
 def test_small_tables_and_self_check():
