@@ -1,4 +1,5 @@
-"""The certified tau table: digest, identities of tau, reuse and refusals."""
+"""The certified tau table: digest, identities of tau, reuse and refusals,
+and a reference engine of exact number-theoretic transforms that checks it."""
 
 import hashlib
 import math
@@ -31,7 +32,7 @@ def primes_up_to(n: int) -> list[int]:
     return [int(p) for p in np.flatnonzero(sieve)]
 
 
-def test_tau_table_digest_and_certified_widths(monkeypatch):
+def test_tau_table_digest_and_prime_counts(monkeypatch):
     """A fresh table up to 131072 equals the pinned one, and each of its
     three squarings ran at a width whose recorded bound is below 1/2."""
     monkeypatch.setattr(tau, "_table", tau._EMPTY)
@@ -117,9 +118,13 @@ def test_tau_budget_follows_transform_budget(monkeypatch):
     assert tau._table is held
 
 
-def test_uncertified_widths_refuse_the_build(monkeypatch):
-    # With a rounding factor of 1 every digit product bound is at least 1,
-    # so no width certifies and nothing is kept.
+def test_too_few_primes_fail_the_crt_certificate(monkeypatch):
+    # Neither engine keeps a table it cannot certify.  Two primes do not
+    # span tau up to 2^14 in the reference engine; in the float engine a
+    # rounding factor of 1 makes every digit product bound at least 1, so
+    # no width certifies and nothing is kept.
+    with pytest.raises(ValueError):
+        primes_for(tau_bound(1 << 14), PRIMES[:2])
     monkeypatch.setattr(tau, "_table", tau._EMPTY)
     monkeypatch.setattr(tau, "fft_error", lambda length: 1.0)
     with pytest.raises(BudgetError, match="no digit width"):
@@ -157,3 +162,178 @@ def test_small_tables_and_self_check():
     assert tau.tau_values(1)[0] == 1
     with pytest.raises(ValueError):
         tau.tau_values(0)
+
+
+# ---------------------------------------------------------------------------
+# A reference engine: exact number-theoretic transforms modulo primes
+# p = c 2^k + 1, recombined by CRT.  It shares no code with the float
+# engine, so the tables it builds check tau without the pinned digest.
+
+# (p, primitive root); every p = c * 2^k + 1 with k >= 21 and p < 2^31, so
+# a product of two residues stays below 2^62 in int64.
+PRIMES = (
+    (998244353, 3),
+    (167772161, 3),
+    (469762049, 3),
+    (754974721, 11),
+    (1004535809, 3),
+    (2013265921, 31),
+)
+
+
+def bit_reversed(n: int) -> np.ndarray:
+    bits = n.bit_length() - 1
+    i = np.arange(n)
+    out = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        out |= ((i >> b) & 1) << (bits - 1 - b)
+    return out
+
+
+def ntt(a: np.ndarray, p: int, g: int, inverse: bool = False) -> np.ndarray:
+    """Cyclic transform of int64 residues in [0, p), natural order in and
+    out; the size of a is a power of two dividing p - 1, and the inverse is
+    scaled by 1/n."""
+    n = a.size
+    root = pow(g, (p - 1) // n, p)
+    if inverse:
+        root = pow(root, -1, p)
+    powers = np.ones(max(1, n // 2), dtype=np.int64)
+    for j in range(1, powers.size):
+        powers[j] = powers[j - 1] * root % p
+    a = a[bit_reversed(n)]
+    h = 1
+    while h < n:  # Cooley-Tukey passes on blocks of 2h
+        blocks = a.reshape(-1, 2, h)
+        u = blocks[:, 0].copy()
+        v = blocks[:, 1] * powers[:: n // (2 * h)] % p
+        blocks[:, 0] = (u + v) % p
+        blocks[:, 1] = (u - v) % p
+        h *= 2
+    return a * pow(n, -1, p) % p if inverse else a
+
+
+def naive_dft(a: list[int], p: int, g: int) -> list[int]:
+    n = len(a)
+    w = pow(g, (p - 1) // n, p)
+    return [sum(a[j] * pow(w, j * k, p) for j in range(n)) % p for k in range(n)]
+
+
+def square(res: np.ndarray, p: int, g: int, size: int, keep: int) -> np.ndarray:
+    """Residues mod p of the square of a series, truncated to keep terms;
+    size >= 2 res.size - 1, so the cyclic square does not wrap."""
+    buf = np.zeros(size, dtype=np.int64)
+    buf[: res.size] = res
+    f = ntt(buf, p, g)
+    return ntt(f * f % p, p, g, inverse=True)[:keep]
+
+
+def primes_for(bound: int, primes=PRIMES):
+    """Shortest prefix of primes whose product exceeds 2 * bound."""
+    modulus = 1
+    for i, (p, _) in enumerate(primes):
+        modulus *= p
+        if modulus > 2 * bound:
+            return primes[: i + 1]
+    raise ValueError(f"{len(primes)} primes cannot span 2^{bound.bit_length()}")
+
+
+def crt(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
+    """The representatives in (-M/2, M/2] of the residue tuples, M the
+    product of the primes, as Python ints."""
+    modulus = math.prod(primes)
+    total = 0
+    for r, p in zip(residues, primes):
+        m = modulus // p
+        total = total + r.astype(object) * (m * pow(m, -1, p))
+    total = total % modulus
+    return np.where(total > modulus // 2, total - modulus, total)
+
+
+def tau_bound(n: int) -> int:
+    # |tau(m)| <= d(m) m^(11/2) (Deligne) and d(m) <= 2 sqrt(m).
+    return 2 * n**6
+
+
+def reference_taus(n_terms: int) -> np.ndarray:
+    """tau(1..n_terms) from J^8 modulo each prime that the bound needs."""
+    jacobi = np.zeros(n_terms, dtype=np.int64)
+    for k in range(math.isqrt(2 * n_terms) + 1):
+        if k * (k + 1) // 2 < n_terms:
+            jacobi[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+    primes = primes_for(tau_bound(n_terms))
+    residues = []
+    for p, g in primes:
+        r = jacobi % p
+        for _ in range(3):  # J -> J^2 -> J^4 -> J^8
+            r = square(r, p, g, 2 * n_terms, n_terms)
+        residues.append(r)
+    return crt(residues, [p for p, _ in primes])
+
+
+@pytest.mark.parametrize("p, g", PRIMES)
+def test_forward_matches_naive_dft(p, g):
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 4, 8, 16, 32, 64):
+        a = rng.integers(0, p, n, dtype=np.int64)
+        a[0] = p - 1
+        got = ntt(a, p, g)
+        assert got.tolist() == naive_dft(a.tolist(), p, g), n
+        assert (ntt(got, p, g, inverse=True) == a).all(), n
+
+
+@pytest.mark.parametrize("p, g", PRIMES)
+def test_forward_inverse_identity(p, g):
+    n = 1 << 12
+    a = np.random.default_rng(1).integers(0, p, n, dtype=np.int64)
+    a[:3] = (p - 1, 0, 1)
+    assert (ntt(ntt(a, p, g), p, g, inverse=True) == a).all()
+
+
+@pytest.mark.parametrize("p, g", PRIMES)
+def test_square_matches_convolution(p, g):
+    a = np.random.default_rng(2).integers(0, p, 300, dtype=np.int64)
+    want = np.convolve(a.astype(object), a.astype(object))[:300] % p
+    assert square(a, p, g, 1024, 300).tolist() == list(want)
+
+
+def test_primes_for_takes_shortest_prefix():
+    p0, p1 = PRIMES[0][0], PRIMES[1][0]
+    assert primes_for(0) == PRIMES[:1]
+    assert primes_for((p0 - 1) // 2) == PRIMES[:1]
+    assert primes_for(p0 // 2 + 1) == PRIMES[:2]
+    assert primes_for((p0 * p1 - 1) // 2) == PRIMES[:2]
+    assert primes_for((p0 * p1 + 1) // 2) == PRIMES[:3]
+    modulus = math.prod(p for p, _ in PRIMES)
+    assert primes_for(modulus // 2) == PRIMES
+    with pytest.raises(ValueError):
+        primes_for(modulus // 2 + 1)
+
+
+def test_crt_recovers_signed_values():
+    primes = [p for p, _ in PRIMES]
+    modulus = math.prod(primes)
+    values = [0, 1, -1, 2**100, -(2**100), modulus // 2, -(modulus // 2) + 1]
+    for k in range(1, len(primes) + 1):
+        m = math.prod(primes[:k])
+        vals = [v for v in values if -m // 2 < v <= m // 2]
+        res = [np.array([v % p for v in vals], dtype=np.int64) for p in primes[:k]]
+        assert list(crt(res, primes[:k])) == vals, k
+
+
+@pytest.mark.parametrize("size, scale", [(64, 2**8), (300, 2**40), (2048, 2**62)])
+def test_float_square_matches_convolution(size, scale):
+    # Signed inputs from one digit to several, through _square and _to_ints.
+    a = np.random.default_rng(size).integers(-scale, scale, size)
+    a[:2] = (-scale, scale - 1)
+    want = np.convolve(a.astype(object), a.astype(object))[:size]
+    bits, bound, classes = tau._square(a, 1 << (2 * size - 1).bit_length())
+    assert bound < 0.5
+    assert list(tau._to_ints(classes, bits)) == list(want)
+
+
+def test_table_matches_reference_transforms(taus):
+    n_terms = 1 << 12
+    want = reference_taus(n_terms).tolist()
+    assert tau._compute_tau(n_terms)[0].tolist() == want
+    assert taus[:n_terms].tolist() == want
