@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft
-import scipy.special
+import scipy
 
 from .errors import BudgetError, ConfigurationError, DomainError
 from .multfunc import CoefficientWindow, Kind, MultSpec, as_float, sieve_window

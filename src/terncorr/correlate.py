@@ -38,7 +38,6 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-import scipy.fft as sfft
 
 from .dirichlet import SingularSeries
 from .errors import BudgetError, DomainError
@@ -398,7 +397,7 @@ def _weighted_squares(u, v, c, sign) -> np.ndarray:
     m = u.shape[-1]
     n = 2 * m
     real = not (np.iscomplexobj(u) or np.iscomplexobj(v))
-    fwd, inv = (sfft.rfft, sfft.irfft) if real else (sfft.fft, sfft.ifft)
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     ramp = np.arange(m, dtype=np.float64)
     # c U V + sign (PU V - U QV) = U (c V - sign QV) + sign PU V, with three
     # spectra alive at a time

@@ -836,7 +836,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     given = vars(args)
     flags = {key: given[key] for key in _OPTIONS if key in given}
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            # an OSError's strerror leaves out the path, which is named below
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigurationError(
+                f"cannot read config {args.config!r}: {reason}"
+            ) from None
         return parse_config(text, flags, args.experiment)
     return _build(args.experiment, flags)
 

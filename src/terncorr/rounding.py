@@ -12,7 +12,8 @@ k = n + 2: one stage more for the real-input transform and one for the
 sum of the products that share an inverse transform in the frequency
 domain (up to 16 of them: their 15 additions err less than one stage).
 When the bound is below 1/2, rounding each entry to the nearest integer
-gives the exact product.
+gives the exact product.  The certified products (`correlate`, `tau`) run
+on `numpy.fft` (pocketfft), always at power-of-two lengths.
 
 Values too large for one such product are cut into digits by
 `split_digits`, and each digit product is bounded on its own.

@@ -27,7 +27,6 @@ import threading
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import BudgetError
 from .rounding import ULP, fft_error, max_abs, split_digits
@@ -97,7 +96,7 @@ def _square(a: np.ndarray, size: int) -> tuple[int, float, Iterator[np.ndarray]]
     bits, bound, floats = _widest(a, fft_error(size))
     spectra = []
     while floats:  # free each digit once it is transformed
-        spectra.append(sfft.rfft(floats.pop(0), size))
+        spectra.append(np.fft.rfft(floats.pop(0), size))
     return bits, bound, _classes(spectra, size, a.size)
 
 
@@ -134,7 +133,7 @@ def _classes(spectra: list, size: int, n_terms: int) -> Iterator[np.ndarray]:
             if 2 * i < k:
                 term *= 2  # d_i * d_j and d_j * d_i
             acc = term if acc is None else np.add(acc, term, out=acc)
-        z = sfft.irfft(acc, size)[:n_terms]
+        z = np.fft.irfft(acc, size)[:n_terms]
         yield np.rint(z, out=z).astype(np.int64)
 
 

@@ -213,6 +213,34 @@ def test_sup_scan_minor_constant_window_under_envelope():
     assert rep.ratio == rep.sup_abs / rep.bound_value
 
 
+def test_sup_scan_fft_goes_through_arcs_scipy(monkeypatch):
+    # The benchmark times the scan FFT by swapping `arcs.scipy` for a proxy;
+    # a scan that reached its FFT another way would read as zero there.
+    import scipy
+
+    assert arcs.scipy is scipy
+    calls = []
+
+    def rfft(*args, **kwargs):
+        calls.append(1)
+        return scipy.fft.rfft(*args, **kwargs)
+
+    class Fft:
+        def __getattr__(self, name):
+            return rfft if name == "rfft" else getattr(scipy.fft, name)
+
+    class Scipy:
+        fft = Fft()
+
+        def __getattr__(self, name):
+            return getattr(scipy, name)
+
+    monkeypatch.setattr(arcs, "scipy", Scipy())
+    win = sieve_window(ONE, 1000, 1040)
+    sup_scan(win, decompose(2, 20, 0.05), 1000, 40, "major")
+    assert calls
+
+
 def test_sup_scan_empty_minor_arcs_rejected():
     # At H = 2 the single arc radius beta = 2^(-0.6) > 1/2 swallows the
     # whole circle, so the minor set is empty.

@@ -474,3 +474,29 @@ def test_divisor3_routes_agree_across_old_int64_guard(x):
     expect = object_reference(wins, x, 300)
     assert ternary_direct(req, windows=wins).exact_numerator == expect
     assert ternary_convolution(req, windows=wins).exact_numerator == expect
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+@pytest.mark.parametrize("rows, nodes, m", [(8, 1, 1024), (4, 8, 128), (16, 64, 16)])
+def test_weighted_squares_bits_match_scipy_fft(monkeypatch, dtype, rows, nodes, m):
+    # numpy.fft and scipy.fft run the same pocketfft code, so every float
+    # output, and with it every float correlation, has the same bits on both.
+    import scipy.fft
+
+    rng = np.random.default_rng(rows * nodes * m)
+    x, y = (rng.integers(-2**17, 2**17, (rows, nodes, 2, m)) for _ in range(2))
+    if dtype is not np.int64:
+        x = x * rng.standard_normal(x.shape)
+        y = y * rng.standard_normal(y.shape)
+    if dtype is np.complex128:  # `_fejer_band` makes both blocks complex
+        x = x + 1j * rng.standard_normal(x.shape)
+        y = y + 1j * rng.standard_normal(y.shape)
+    u, v = x[:, :, 0], y[:, :, 1]  # the strided halves `_triangles` passes
+    sign = rng.choice([-1, 1], rows)[:, None, None]
+    c = rng.integers(0, 2 * m, rows)[:, None, None] - sign * m
+    got = _weighted_squares(u, v, c, sign)
+    with monkeypatch.context() as mp:
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            mp.setattr(np.fft, name, getattr(scipy.fft, name))
+        want = _weighted_squares(u, v, c, sign)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -272,6 +272,19 @@ def test_bad_config_value_exits_2(tmp_path, capsys, line):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["not-utf8", "missing", "directory"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "not-utf8":
+        path.write_bytes(b'experiment = "correlate"\nX = 100\nspec = "\xff"\n')
+    elif kind == "directory":
+        path.mkdir()
+    assert main(["correlate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_bad_cli_value_exits_2(capsys):
     assert main(["main-term-trend", "--X-list", "1,a"]) == 2
     assert main(["main-term-trend", "--X-list", ""]) == 2
@@ -330,6 +343,42 @@ def test_python_m_terncorr_help():
     assert "usage: terncorr" in proc.stdout
 
 
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+from terncorr import harness
+
+def loaded():
+    return [m for m in ("scipy.fft", "scipy.special") if m in sys.modules]
+
+runs = [
+    ["correlate", "--spec", "divisor2", "--X", "2000", "--H", "50", "--method", "conv"],
+    ["correlate", "--spec", "tau", "--X", "2000", "--H", "50", "--method", "conv"],
+    ["singular-series", "--spec", "divisor1", "--Q", "4", "--N", "1000"],
+    ["arcs", "scan", "--spec", "divisor1", "--X", "1000", "--H", "40", "--Q", "2"],
+]
+report = {"codes": [], "loaded": [loaded()]}
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["codes"].append(harness.main(argv))
+    report["loaded"].append(loaded())
+print(json.dumps(report))
+"""
+
+
+def test_scipy_fft_loads_only_for_arc_scans():
+    # Every command but `arcs scan` runs without scipy.fft and scipy.special,
+    # whose import would be most of a short job's start-up time.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["loaded"][:4] == [[], [], [], []]
+    assert "scipy.fft" in report["loaded"][4]
+
+
 def test_sieve_beyond_int64_exits_3(capsys):
     code = main(["sieve", "--spec", "divisor60", "--lo", str(2**40),
                  "--hi", str(2**40)])
@@ -358,6 +407,14 @@ def test_tau_correlation_at_a_million(monkeypatch, capsys):
     assert len(info["digit_bits"]) == 3 and info["rounding_bound"] < 0.5
     assert payload["value_im"] == 0.0
     assert 0 < payload["error_bound"] <= 1e-6 * abs(payload["value_re"])
+
+
+def test_tau_correlation_keeps_its_bits(capsys):
+    # The float banded route at the benchmark's tau size, to the last bit.
+    assert main(["correlate", "--spec", "tau", "--X", "50000", "--H", "2000",
+                 "--method", "conv"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["value_re"] == -4582.379970634359
 
 
 def test_tau_table_reported_when_a_spec_is_tau(monkeypatch, capsys):

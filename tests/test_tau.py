@@ -337,3 +337,19 @@ def test_table_matches_reference_transforms(taus):
     want = reference_taus(n_terms).tolist()
     assert tau._compute_tau(n_terms)[0].tolist() == want
     assert taus[:n_terms].tolist() == want
+
+
+def test_square_classes_match_scipy_fft(monkeypatch):
+    import scipy.fft
+
+    a = np.random.default_rng(7).integers(-2**40, 2**40, 3000)
+    size = 1 << (2 * a.size - 1).bit_length()
+    bits, bound, classes = tau._square(a, size)
+    got = list(classes)
+    with monkeypatch.context() as mp:
+        mp.setattr(np.fft, "rfft", scipy.fft.rfft)
+        mp.setattr(np.fft, "irfft", scipy.fft.irfft)
+        want_bits, want_bound, classes = tau._square(a, size)
+        want = list(classes)
+    assert (bits, bound) == (want_bits, want_bound) and len(got) == len(want) > 1
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
