@@ -9,19 +9,24 @@ sum_h (H - |h|) T_h, which is an integer for integer-valued families, so the
 two routes can be compared bit for bit.  Shifted arguments run outside
 [X, 2X]; windows are padded by 2H on both sides.
 
-`ternary_direct` is the reference: one vector triple product per lag,
-O(X H).  `ternary_convolution` is a different algorithm.  It writes H * S
-as sum_r f2(r) K(r), where K is a convolution of f1 and f3 restricted to the
-band |k - n| < 2H with the Fejer weight H - |k - n|/2.  Split by the parity
-of n and cut into blocks of H terms, the band leaves a diagonal and strict
-triangles of neighbouring blocks, on which the weight is linear.  Each
-triangle is evaluated by recursive halving (van der Hoeven, "Relax, but
-don't be too lazy", J. Symb. Comput. 34, 2002): each level is a batch of
-full squares, four forward and one inverse real FFT of length 2m, so the
-whole route costs O(X log^2 H).
+`ternary_direct` is the reference: every term of the definition, O(X H),
+summed in cache-sized tiles of lags by terms of n.  `ternary_convolution`
+is a different algorithm.  It writes H * S as sum_r f2(r) K(r), where K
+is a convolution of f1 and f3 restricted to the band |k - n| < 2H with the
+Fejer weight H - |k - n|/2.  Split by the parity of n and cut into blocks
+of H terms, the band leaves a diagonal and strict triangles of
+neighbouring blocks, on which the weight is linear.  Each triangle is
+evaluated by recursive halving (van der Hoeven, "Relax, but don't be too
+lazy", J. Symb. Comput. 34, 2002): each level is a batch of full squares,
+four forward and one inverse real FFT of length 2m, so the whole route
+costs O(X log^2 H).
 
-Exact families take int64 paths on both routes.  Direct splits values
-into 17-bit digits (`rounding.split_digits`) and sums with `_exact_dot`.
+Exact families take exact paths on both routes.  Direct splits values
+into 17-bit digits (`rounding.split_digits`); a tile sums at most 2^13
+products, each at most bound = b1 b2 b3, in float64 when 2^13 bound < 2^53
+(every partial sum is an integer below 2^53) and otherwise in int64, at
+most (2^63 - 1) // bound terms wide.  Tiles add up per lag in int64 while
+(X + 1) bound < 2^63, else as Python ints (`_lag_sums`).
 The banded route rounds each transform level to int64 under an a priori
 rounding bound (`_square_error`, built on `rounding.fft_error`) kept below
 1/2, with digits narrow enough for it (`_band_digit_bits`); K(r) is
@@ -38,6 +43,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dirichlet import SingularSeries
 from .errors import BudgetError, DomainError
@@ -45,7 +51,9 @@ from .multfunc import CoefficientWindow, MultSpec, WindowCache, as_float
 from .rounding import ULP, fft_error, max_abs, split_digits
 
 _INT64_MAX = (1 << 63) - 1
-_DIGIT_BITS = 17  # (2^17 + 1)^3 < 2^52: dot chunks of at least 4095 elements
+_DIGIT_BITS = 17  # (2^17 + 1)^3 < 2^52: int64 direct tiles >= 4095 terms wide
+_LAG_BLOCK = 16  # lags per direct tile
+_TILE_TERMS = 1 << 13  # terms of n per direct tile, at most
 _LEAF = 16  # triangles of at most this many terms are summed directly
 _GROUP_TERMS = 1 << 14  # block terms per batch of triangles: caps FFT buffers
 
@@ -92,6 +100,9 @@ class CorrelationResult:
     # float families, a bound on |S - value|.  Direct: None.
     error_bound: float | None = None
     digits: tuple[int, int, int] | None = None  # exact families: per window
+    # Direct route, exact families: "float64" or "int64", the dtype of the
+    # tiles `_lag_sums` ran in.  Otherwise None.
+    tile_dtype: str | None = None
 
     @property
     def exact_value(self) -> Fraction | None:
@@ -134,41 +145,41 @@ def ternary_direct(
     cache: WindowCache | None = None,
     h_order: str = "forward",
 ) -> CorrelationResult:
-    """S(X, H) by the h-loop: one vector triple product per shift.
+    """S(X, H) straight from its definition, O(X H).
 
-    h_order ("forward" | "reverse") only permutes the outer accumulation and
-    exists so reproducibility under reordering can be measured.
+    Exact families split the windows into 17-bit digits and sum every digit
+    triple by `_lag_sums`, in tiles of float64 or int64 arithmetic (see
+    there); the tile dtype is recorded as `tile_dtype`.  Float and complex
+    families take one vector triple product per lag and a Kahan-compensated
+    sum over lags; h_order ("forward" | "reverse") only orders that sum,
+    so reproducibility under reordering can be measured.  Exact results do
+    not depend on it.
     """
     t0 = time.perf_counter()
     w1, w2, w3 = windows or correlation_windows(req, cache)
     x, h = req.x_start, req.h_span
-    hs = range(-h, h + 1) if h_order == "forward" else range(h, -h - 1, -1)
 
-    numerator = digits = None
+    numerator = digits = tile_dtype = None
     if _use_exact(req):
-        # Each digit triple multiplies below bound < 2^52; T_h is exact per
-        # lag and the weighted sum over lags is a Python int.
         b1, d1 = split_digits(w1.segment(x, 2 * x), _DIGIT_BITS)
         b2, d2 = split_digits(w2.segment(x - h, 2 * x + h), _DIGIT_BITS)
         b3, d3 = split_digits(w3.segment(x - 2 * h, 2 * x + 2 * h), _DIGIT_BITS)
-        bound = b1 * b2 * b3
+        bound = b1 * b2 * b3  # every digit triple product is at most this
         digits = (len(d1), len(d2), len(d3))
-        combos = [
-            (s1 + s2 + s3, u1, u2, u3)
-            for (s1, u1), (s2, u2), (s3, u3) in product(d1, d2, d3)
-        ]
+        dtype = np.float64 if _TILE_TERMS * bound < 1 << 53 else np.int64
+        tile_dtype = np.dtype(dtype).name
+        u1 = np.stack([d for _, d in d1], axis=1).astype(dtype)
+        weights = np.array([h - abs(hh) for hh in range(-h, h + 1)], dtype=object)
         numerator = 0
-        for hh in hs:
-            i2, i3 = h + hh, 2 * (h + hh)
-            t_h = sum(
-                _exact_dot(u1 * u2[i2 : i2 + x + 1], u3[i3 : i3 + x + 1], bound) << s
-                for s, u1, u2, u3 in combos
-            )
-            numerator += (h - abs(hh)) * t_h
+        for (s2, u2), (s3, u3) in product(d2, d3):
+            sums = _lag_sums(u1, u2.astype(dtype), u3.astype(dtype), bound)
+            for (s1, _), t in zip(d1, sums.T):
+                numerator += int(np.dot(weights, t.astype(object))) << (s1 + s2 + s3)
         value = numerator / h
     else:
         # A float a1 makes every product float: int64 products of a mixed
         # request can wrap (divisor40 values pass 2^44 at X = 8192).
+        hs = range(-h, h + 1) if h_order == "forward" else range(h, -h - 1, -1)
         a1 = as_float(w1.segment(x, 2 * x))
         total = 0.0 + 0.0j
         comp = 0.0 + 0.0j  # Kahan carry over the mixed-sign h-accumulation
@@ -186,8 +197,48 @@ def ternary_direct(
     elapsed = time.perf_counter() - t0
     return CorrelationResult(
         value, Method.DIRECT, x, h, req, timing=elapsed, exact_numerator=numerator,
-        digits=digits,
+        digits=digits, tile_dtype=tile_dtype,
     )
+
+
+def _lag_sums(u1, u2, u3, bound: int) -> np.ndarray:
+    """T[j, c] = sum_n u1[n, c] u2[n + j] u3[n + 2j] for the lags j = h + H.
+
+    u1 is (X + 1, k), the digits of f1 side by side; u2 and u3 hold
+    X + 1 + 2H and X + 1 + 4H terms, all three of the same dtype, float64
+    or int64, and every |u1 u2 u3| is at most bound.  The sum runs in tiles
+    of _LAG_BLOCK lags by `width` terms of n: a tile of u2 u3 is formed
+    from two strided views of the windows into one buffer and contracted
+    against the matching rows of u1 with one matmul, so the windows pass
+    through the cache once per tile of n instead of once per lag.
+
+    A tile sums at most `width` products.  float64 tiles are _TILE_TERMS
+    wide and exact when _TILE_TERMS * bound < 2^53: every partial sum, in
+    any order, is then an integer that float64 holds.  int64 tiles are
+    min(_TILE_TERMS, (2^63 - 1) // bound) wide.  Tile results add up per
+    lag in int64 while (X + 1) * bound < 2^63, otherwise as Python ints.
+    """
+    n, k = u1.shape
+    lags = len(u2) - n + 1
+    width = _TILE_TERMS
+    if u1.dtype == np.int64:
+        width = min(width, _INT64_MAX // bound)
+    v2 = sliding_window_view(u2, n)  # v2[j, i] = u2[j + i]
+    v3 = sliding_window_view(u3, n)[::2]  # v3[j, i] = u3[2j + i]
+    buf = np.empty((_LAG_BLOCK, width), dtype=u1.dtype)
+    part = np.empty((lags, k), dtype=u1.dtype)
+    fits = n * bound <= _INT64_MAX
+    sums = np.zeros((lags, k), dtype=np.int64 if fits else object)
+    for i0 in range(0, n, width):
+        i1 = min(i0 + width, n)
+        for j0 in range(0, lags, _LAG_BLOCK):
+            j1 = min(j0 + _LAG_BLOCK, lags)
+            tile = np.multiply(v2[j0:j1, i0:i1], v3[j0:j1, i0:i1],
+                               out=buf[: j1 - j0, : i1 - i0])
+            np.matmul(tile, u1[i0:i1], out=part[j0:j1])
+        exact = part.astype(np.int64)
+        sums += exact if fits else exact.astype(object)
+    return sums
 
 
 def ternary_convolution(

@@ -398,6 +398,8 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigurationError("no spec id given")
     for sid in cfg.spec_ids:
         multfunc.spec_from_id(sid)  # raises DomainError on unknown ids
+    if cfg.experiment == "identity-check":
+        _check_identity_x(cfg.x_start)  # before H, which small X cannot give
     if COMMANDS[cfg.experiment].uses_xh:
         h = cfg.resolved_h()
         if h < 2:
@@ -511,6 +513,7 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
         ),
         "error_bound": result.error_bound,
         "digits": list(result.digits) if result.digits is not None else None,
+        "tile_dtype": result.tile_dtype,
         **_tau_table((s1, s2, s3)),
     }
 
@@ -712,14 +715,18 @@ def _run_count(cfg, specs, cache, warnings) -> dict:
     }
 
 
+def _check_identity_x(x: int) -> None:
+    if x < 50:
+        raise ConfigurationError(
+            f"identity-check draws X from [50, min(2000, X)], so needs X >= 50, "
+            f"got {x}"
+        )
+
+
 def _run_identity(cfg, specs, cache, warnings) -> dict:
     import random
 
-    if cfg.x_start < 50:
-        raise ConfigurationError(
-            f"identity-check draws X from [50, min(2000, X)], so needs X >= 50, "
-            f"got {cfg.x_start}"
-        )
+    _check_identity_x(cfg.x_start)
     rng = random.Random(cfg.seed)
     pool = ["divisor1", "divisor2", "divisor3", "moebius", "one_star_chi4"]
     exact = [s for s in cfg.spec_ids if multfunc.spec_from_id(s).is_exact]

@@ -16,6 +16,7 @@ from terncorr.correlate import (
     CorrelationRequest,
     Method,
     _DIGIT_BITS,
+    _TILE_TERMS,
     _band_digit_bits,
     _exact_dot,
     _level_errors,
@@ -363,7 +364,9 @@ def test_routes_exact_on_synthetic_windows(x, h, mags, split):
     bound = digits[0][0] * digits[1][0] * digits[2][0]
     k_bound = h * h * mags[0] * mags[2]  # |K(r)| <= H^2 max|f1| max|f3|
     conv = ternary_convolution(req, windows=wins)
-    if split == "chunks":  # each direct lag's dot is split; conv keeps one digit
+    # chunks: direct int64 tiles of 4095 terms and Python-int lag sums;
+    # conv keeps one digit
+    if split == "chunks":
         assert _INT64_MAX // bound < x + 1
         assert band_bits(wins, h) >= 17 and conv.digits == (1, 1, 1)
     if split == "int64":  # K(r) passes 2^53 but stays one int64 digit
@@ -375,6 +378,71 @@ def test_routes_exact_on_synthetic_windows(x, h, mags, split):
     expect = object_reference(wins, x, h)
     assert ternary_direct(req, windows=wins).exact_numerator == expect
     assert conv.exact_numerator == expect
+
+
+def digit_bound(wins):
+    """b1 b2 b3: the bound on every digit triple product of the direct route."""
+    return math.prod(split_digits(w.values, _DIGIT_BITS)[0] for w in wins)
+
+
+@pytest.mark.parametrize(
+    "x, h, mags, tile",
+    [
+        # X + 1 below one tile; H = 1 is one partial lag block of 3
+        (100, 1, (5, 7, 3), "float64"),
+        (2 * 8192 + 100, 1, (2**14 - 1, 2**13, 2**13), "float64"),
+        # 2H + 1 = 41 lags: two blocks of 16 and one of 9; three tiles of
+        # 2^13 terms and a partial one.  bound = 2^40 - 2^26, just below
+        # 2^13 bound = 2^53, then 2^40, where int64 tiles take over
+        (3 * 8192 + 100, 20, (2**14 - 1, 2**13, 2**13), "float64"),
+        (3 * 8192 + 100, 20, (2**14, 2**13, 2**13), "int64"),
+        # one-digit int64 tiles of 4095 terms; X + 1 = 2 * 4095 + 17
+        (2 * 4095 + 16, 20, (2**17, 2**17, 2**17), "int64"),
+    ],
+)
+def test_direct_tiles_exact_at_their_edges(x, h, mags, tile):
+    d2 = MultSpec.divisor_k(2)
+    req = CorrelationRequest(d2, d2, d2, x, h)
+    wins = synthetic_windows(x, h, mags, np.random.default_rng(x + h))
+    bound = digit_bound(wins)
+    assert (_TILE_TERMS * bound < 2**53) == (tile == "float64")
+    res = ternary_direct(req, windows=wins)
+    assert res.tile_dtype == tile and res.digits == (1, 1, 1)
+    assert res.exact_numerator == object_reference(wins, x, h)
+
+
+def test_direct_lag_sums_past_int64_at_small_x():
+    # (X + 1) bound >= 2^63 at X = 6000: every T_h is 6001 * 2^51 > 2^63,
+    # which int64 lag sums would wrap; they are added as Python ints.
+    x, h, m = 6000, 3, 2**17
+    spans = [(x, 2 * x), (x - h, 2 * x + h), (x - 2 * h, 2 * x + 2 * h)]
+    wins = tuple(CoefficientWindow(lo, hi, 1, np.full(hi - lo + 1, m, dtype=np.int64))
+                 for lo, hi in spans)
+    assert (x + 1) * digit_bound(wins) >= 2**63
+    d2 = MultSpec.divisor_k(2)
+    res = ternary_direct(CorrelationRequest(d2, d2, d2, x, h), windows=wins)
+    assert res.tile_dtype == "int64"
+    assert res.exact_numerator == object_reference(wins, x, h) == h * h * (x + 1) * m**3
+
+
+def test_direct_tile_dtype_recorded():
+    d2 = MultSpec.divisor_k(2)
+    wins = synthetic_windows(8191, 2, (2**17,) * 3, np.random.default_rng(3))
+    res = ternary_direct(CorrelationRequest(d2, d2, d2, 8191, 2), windows=wins)
+    assert res.tile_dtype == "int64"
+    conv = ternary_convolution(CorrelationRequest(d2, d2, d2, 8191, 2), windows=wins)
+    assert conv.tile_dtype is None
+    tau = MultSpec.ramanujan_tau_norm()
+    assert ternary_direct(CorrelationRequest(tau, tau, tau, 300, 10),
+                          cache=CACHE).tile_dtype is None
+
+
+def test_direct_exact_numerator_ignores_h_order():
+    specs = (MultSpec.moebius(), MultSpec.divisor_k(3), MultSpec.one_star_chi4())
+    req = CorrelationRequest(*specs, 4000, 300)
+    fwd = ternary_direct(req, cache=CACHE)
+    rev = ternary_direct(req, cache=CACHE, h_order="reverse")
+    assert rev.exact_numerator == fwd.exact_numerator
 
 
 @pytest.mark.parametrize("h", [1, 2, 16, 17, 31, 32, 33, 64, 65, 300])

@@ -133,8 +133,32 @@ def test_run_correlate_constant():
     assert record.experiment == "correlate"
     assert record.payload["digits"] == [1, 1, 1]
     assert record.payload["error_bound"] is None  # the direct route
+    assert record.payload["tile_dtype"] == "float64"
     conv = run(replace(cfg, method="conv")).payload
     assert conv["digits"] == [1, 1, 1] and 0 <= conv["error_bound"] < 0.5
+    assert conv["tile_dtype"] is None
+
+
+def test_run_correlate_chi4_direct_float64_tiles():
+    cfg = ExperimentConfig(
+        experiment="correlate", spec_ids=("one_star_chi4",), x_start=10**5,
+        h_expr="X^0.8",
+    )
+    payload = run(cfg).payload
+    assert payload["H"] == 10**4 and payload["digits"] == [1, 1, 1]
+    assert payload["tile_dtype"] == "float64"
+    assert payload["exact_numerator"] == "4581003458190"
+
+
+@pytest.mark.parametrize("x", ["0", "1"])
+def test_identity_check_small_x_names_x(x, capsys):
+    # H = X^0.8 is below 2 here; the X rule must be the one reported.
+    assert main(["identity-check", "--X", x]) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "X >= 50" in lines[0] and f"got {x}" in lines[0]
+    assert "Traceback" not in err
 
 
 def test_run_identity_check():
