@@ -225,7 +225,7 @@ def _lag_sums(u1, u2, u3, bound: int) -> np.ndarray:
         width = min(width, _INT64_MAX // bound)
     v2 = sliding_window_view(u2, n)  # v2[j, i] = u2[j + i]
     v3 = sliding_window_view(u3, n)[::2]  # v3[j, i] = u3[2j + i]
-    buf = np.empty((_LAG_BLOCK, width), dtype=u1.dtype)
+    buf = _cache_aligned((_LAG_BLOCK, width), u1.dtype)
     part = np.empty((lags, k), dtype=u1.dtype)
     fits = n * bound <= _INT64_MAX
     sums = np.zeros((lags, k), dtype=np.int64 if fits else object)
@@ -239,6 +239,19 @@ def _lag_sums(u1, u2, u3, bound: int) -> np.ndarray:
         exact = part.astype(np.int64)
         sums += exact if fits else exact.astype(object)
     return sums
+
+
+def _cache_aligned(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """np.empty(shape, dtype) starting on a 64-byte cache line.
+
+    numpy only promises 16 bytes.  The direct tiles ran 1.7-2x slower from
+    a buffer off a cache line (one_star_chi4, X = 10^5, H = 10^4: about
+    2.0 s against 1.1 s), so their speed hung on where the allocator put it.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
 def ternary_convolution(

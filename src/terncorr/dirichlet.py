@@ -4,7 +4,11 @@ Characters mod q are assembled by CRT from cyclic components: a primitive
 root for each odd prime power, and the {-1, 5} generating pair for powers
 of two.  The residue of sum f(q0 n) chi(n) n^(-s) at s=1 is realised as the
 two-scale Richardson extrapolation of partial means, which is all the
-downstream singular-series assembly needs.
+downstream singular-series assembly needs.  For the principal character mod
+q1, the partial sums come from the identity
+sum_{n <= M, (n, q1) = 1} f(q0 n) = sum_{d | q1} mu(d) sum_{m <= M/d} f(q0 d m),
+as signed prefixes of the windows f(k n), k = q0 d, that the series holds
+anyway; exact families sum them in Python ints.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .multfunc import MultSpec, WindowCache, as_float, factorize, window_on_progression
+from .multfunc import CoefficientWindow, MultSpec, WindowCache, factorize
 
 MAX_CHARACTER_MODULUS = 1_000_000
 MAX_TABLE_ENTRIES = 1 << 25  # phi(q) * q guard for full group tables
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -255,25 +260,30 @@ def mean_density(
     chi: DirichletCharacter,
     n_terms: int,
     cache: WindowCache | None = None,
+    sums: dict[tuple[int, int], int | complex] | None = None,
 ) -> MeanDensityResult:
-    """Residue at s=1 of sum_{(n,q1)=1} f(q0 n) chi(n) n^(-s), as a mean value."""
+    """Residue at s=1 of sum_{(n,q1)=1} f(q0 n) chi(n) n^(-s), as a mean value.
+
+    The means are taken over n <= M for M = n_terms // 2 and M = n_terms.
+    A principal chi sums by Moebius inversion over the prefixes of the
+    windows f(k n), k = q0 d (see `_principal_sums`), exactly in Python
+    ints for exact families; sums memoises those prefixes by (k, m) for one
+    spec.  Any other chi multiplies the window f(q0 n) by its tiled values.
+    """
     if chi.modulus != q1:
         raise DomainError(f"character modulus {chi.modulus} != q1 = {q1}")
     if n_terms < 2:
         raise DomainError("n_terms must be >= 2")
-    win = (
-        cache.window(spec, q0, 1, n_terms)
-        if cache is not None
-        else window_on_progression(spec, q0, 1, n_terms)
-    )
-    if q1 == 1:
-        prods = as_float(win.values)  # an int64 sum of divisor40 wraps at N = 2*10^6
-    else:
-        chivals = _tiled_character(chi, n_terms)
-        prods = win.values * chivals
+    cache = cache or WindowCache()
     half = n_terms // 2
-    s_half = complex(prods[:half].sum())
-    s_full = s_half + complex(prods[half:].sum())
+    if chi.is_principal:
+        s_half, s_full = _principal_sums(spec, q0, q1, n_terms, cache, sums)
+        s_half, s_full = complex(s_half), complex(s_full)
+    else:
+        win = cache.window(spec, q0, 1, n_terms)
+        prods = win.values * _tiled_character(chi, n_terms)
+        s_half = complex(prods[:half].sum())
+        s_full = s_half + complex(prods[half:].sum())
     mean_full = s_full / n_terms
     mean_half = s_half / half
     estimate = 2.0 * mean_full - mean_half
@@ -286,6 +296,65 @@ def mean_density(
         n_used=n_terms,
         expected_zero=(not spec.has_pole) and chi.is_principal,
     )
+
+
+def _principal_sums(
+    spec: MultSpec,
+    q0: int,
+    q1: int,
+    n_terms: int,
+    cache: WindowCache,
+    sums: dict[tuple[int, int], int | complex] | None,
+) -> list[int | complex]:
+    """sum_{n <= M, (n, q1) = 1} f(q0 n) for M = n_terms // 2 and n_terms.
+
+    By Moebius inversion over d = gcd(n, q1), this is
+    sum_{d | q1} mu(d) sum_{m <= M // d} f(q0 d m): signed prefixes of the
+    windows f(k n), n <= n_terms, for k = q0 d.  Each distinct (k, m) is
+    summed once into sums.
+    """
+    sums = {} if sums is None else sums
+    totals = [0, 0]
+    for d, mu in _moebius_divisors(q1):
+        k = q0 * d
+        ms = [n_terms // 2 // d, n_terms // d]
+        missing = [m for m in ms if (k, m) not in sums]
+        if missing:
+            win = cache.window(spec, k, 1, n_terms)
+            for m in missing:
+                sums[(k, m)] = _prefix_sum(win, m)
+        for i, m in enumerate(ms):
+            totals[i] += mu * sums[(k, m)]
+    return totals
+
+
+def _moebius_divisors(q: int) -> list[tuple[int, int]]:
+    """(d, mu(d)) for every squarefree divisor d of q."""
+    out = [(1, 1)]
+    for p, _ in factorize(q):
+        out += [(d * p, -mu) for d, mu in out]
+    return out
+
+
+def _prefix_sum(win: CoefficientWindow, m: int) -> int | complex:
+    """sum_{n <= m} of the window's values: a Python int for int64 windows.
+
+    A longer int64 prefix than step = (2^63 - 1) // peak terms is summed in
+    chunks, one reshape-sum: the column sums of a step-row reshape add step
+    terms each, so no partial sum can wrap.  The chunk sums are split into
+    their high and low 32 bits, whose int64 sums cannot wrap either, since
+    a window has at most 2^26 terms.
+    """
+    values = win.values[:m]
+    if values.dtype != np.int64:
+        return complex(values.sum())
+    step = _INT64_MAX // max(win.peak, 1)
+    if m <= step:
+        return int(values.sum())
+    full = m - m % step
+    chunks = values[:full].reshape(step, -1).sum(axis=0)
+    high, low = int((chunks >> 32).sum()), int((chunks & 0xFFFFFFFF).sum())
+    return (high << 32) + low + int(values[full:].sum())
 
 
 def _tiled_character(chi: DirichletCharacter, n_terms: int) -> np.ndarray:
@@ -325,9 +394,11 @@ def _singular_coefficient_with_error(
     n_terms: int,
     cache: WindowCache | None = None,
     groups: dict[int, CharacterGroup] | None = None,
+    sums: dict[tuple[int, int], int | complex] | None = None,
 ) -> tuple[complex, float]:
     if q < 1:
         raise DomainError("q must be >= 1")
+    sums = {} if sums is None else sums
     total = 0.0 + 0.0j
     err = 0.0
     for q1 in sorted(d for d in range(1, q + 1) if q % d == 0):
@@ -335,7 +406,8 @@ def _singular_coefficient_with_error(
         if mu == 0:
             continue
         q0 = q // q1
-        dens = mean_density(spec, q0, q1, _group(q1, groups).principal, n_terms, cache)
+        principal = _group(q1, groups).principal
+        dens = mean_density(spec, q0, q1, principal, n_terms, cache, sums)
         w = mu / (euler_phi(q1) * q0)
         total += w * dens.estimate
         err += abs(w) * dens.error_gap
@@ -366,10 +438,11 @@ def local_density(
         raise DomainError(f"need gcd(a, q) = 1, got a={a}, q={q}")
     total = 0.0 + 0.0j
     err = 0.0
+    sums: dict[tuple[int, int], int | complex] = {}
     for q1 in sorted(d for d in range(1, q + 1) if q % d == 0):
         q0 = q // q1
         for chi in _group(q1, groups).characters:
-            dens = mean_density(spec, q0, q1, chi, n_terms, cache)
+            dens = mean_density(spec, q0, q1, chi, n_terms, cache, sums)
             tau_conj = chi(-1) * gauss_sum(chi).conjugate()  # tau(conj chi)
             w = tau_conj * chi(a) / (q0 * euler_phi(q1))
             total += w * dens.estimate
@@ -419,6 +492,7 @@ def singular_series_sum(
         raise DomainError("q_cut must be >= 2")
     cache = cache or WindowCache()
     groups: dict[int, CharacterGroup] = {}
+    sums: dict[tuple[int, int], int | complex] = {}
 
     # The windows are the expensive part; the q-loop is a cheap
     # deterministic reduction over them.
@@ -432,7 +506,7 @@ def singular_series_sum(
     c_table = np.zeros(q_cut - 1, dtype=np.complex128)
     c_err = np.zeros(q_cut - 1, dtype=np.float64)
     for q in range(1, q_cut):
-        c, e = _singular_coefficient_with_error(spec, q, n_terms, held, groups)
+        c, e = _singular_coefficient_with_error(spec, q, n_terms, held, groups, sums)
         c_table[q - 1] = c
         c_err[q - 1] = e
 

@@ -398,8 +398,14 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigurationError("no spec id given")
     for sid in cfg.spec_ids:
         multfunc.spec_from_id(sid)  # raises DomainError on unknown ids
+    # X before H, which a small X cannot give
     if cfg.experiment == "identity-check":
-        _check_identity_x(cfg.x_start)  # before H, which small X cannot give
+        _check_identity_x(cfg.x_start)
+    elif cfg.experiment in ("correlate", "count-triples"):
+        _check_correlation_x(cfg.x_start)
+    elif cfg.experiment == "main-term-trend":
+        for x in cfg.x_list:
+            _check_correlation_x(x)
     if COMMANDS[cfg.experiment].uses_xh:
         h = cfg.resolved_h()
         if h < 2:
@@ -713,6 +719,13 @@ def _run_count(cfg, specs, cache, warnings) -> dict:
         "count": result.count,
         "normalized": result.normalized,
     }
+
+
+def _check_correlation_x(x: int) -> None:
+    if x < 5:
+        raise ConfigurationError(
+            f"X = {x} must be >= 5, since X - 2H >= 1 with H >= 2"
+        )
 
 
 def _check_identity_x(x: int) -> None:

@@ -31,6 +31,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -206,6 +207,13 @@ class CoefficientWindow:
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
+
+    @cached_property
+    def peak(self) -> int | float:
+        """max |f(q0*n)| over the window, found once on first use."""
+        if self.values.dtype == np.int64:  # |values| < 2^62, so -min cannot wrap
+            return int(max(self.values.max(), -self.values.min()))
+        return float(np.abs(self.values).max())
 
     def covers(self, a: int, b: int) -> bool:
         return self.lo <= a and b <= self.hi

@@ -18,6 +18,7 @@ from terncorr.correlate import (
     _DIGIT_BITS,
     _TILE_TERMS,
     _band_digit_bits,
+    _cache_aligned,
     _exact_dot,
     _level_errors,
     _square_error,
@@ -409,6 +410,17 @@ def test_direct_tiles_exact_at_their_edges(x, h, mags, tile):
     res = ternary_direct(req, windows=wins)
     assert res.tile_dtype == tile and res.digits == (1, 1, 1)
     assert res.exact_numerator == object_reference(wins, x, h)
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((16, 8192), np.float64), ((16, 4095), np.int64), ((3, 5), np.float64),
+])
+def test_direct_tile_buffer_on_a_cache_line(shape, dtype):
+    bufs = [_cache_aligned(shape, dtype) for _ in range(8)]
+    for buf in bufs:
+        assert buf.ctypes.data % 64 == 0
+        assert buf.shape == shape and buf.dtype == dtype and buf.flags.c_contiguous
+        buf[...] = 1  # writable, and no view reaches past its end
 
 
 def test_direct_lag_sums_past_int64_at_small_x():

@@ -17,7 +17,7 @@ from terncorr.dirichlet import (
     singular_series_sum,
     twisted_progression_check,
 )
-from terncorr import multfunc
+from terncorr import dirichlet, multfunc
 from terncorr.errors import BudgetError, DomainError
 from terncorr.multfunc import MultSpec, WindowCache, spec_from_id
 
@@ -189,8 +189,88 @@ def test_mean_density_int64_sum_does_not_wrap():
     half = n_terms // 2
     s_half, s_full = vals[:half].sum(), vals.sum()
     assert s_full >= 2**64
-    expect = 2 * s_full / n_terms - s_half / half
-    assert got.estimate.real == pytest.approx(float(expect), rel=1e-12)
+    # the float formula of mean_density applied to the exact Python-int sums
+    mean_full, mean_half = complex(s_full) / n_terms, complex(s_half) / half
+    assert got.estimate == 2.0 * mean_full - mean_half
+    assert got.error_gap == abs(mean_full - mean_half)
+
+
+N_ODD = 20001  # odd, so that n_terms // 2 // d and n_terms // d both round down
+
+
+def _divisor_pairs(q):
+    """Every (q0, q1) with q0 * q1 = q, as local_density visits them."""
+    return [(q // q1, q1) for q1 in range(1, q + 1) if q % q1 == 0]
+
+
+def _means(s_half, s_full, n_terms):
+    """mean_density's float formula on the two sums: (estimate, error_gap)."""
+    mean_full, mean_half = complex(s_full) / n_terms, complex(s_half) / (n_terms // 2)
+    return 2.0 * mean_full - mean_half, abs(mean_full - mean_half)
+
+
+@pytest.mark.parametrize("sid", ["divisor2", "divisor3", "moebius", "one_star_chi4"])
+def test_principal_density_matches_object_sums(sid):
+    # Exact sums over the n coprime to q1, in Python ints, against the
+    # Moebius prefix route; q1 runs over every divisor of q, squarefree or
+    # not, as local_density uses them.
+    spec = spec_from_id(sid)
+    sums = {}  # shared across q, as singular_series_sum shares it
+    n = np.arange(1, N_ODD + 1)
+    half = N_ODD // 2
+    for q in [*range(1, 13), 30, 49]:
+        for q0, q1 in _divisor_pairs(q):
+            vals = CACHE.window(spec, q0, 1, N_ODD).values.astype(object)
+            coprime = np.gcd(n, q1) == 1
+            s_half = vals[:half][coprime[:half]].sum()
+            s_full = vals[coprime].sum()
+            got = mean_density(spec, q0, q1, characters_mod(q1).principal, N_ODD,
+                               CACHE, sums)
+            expect = _means(s_half, s_full, N_ODD)
+            assert (got.estimate, got.error_gap) == expect, (q0, q1)
+
+
+def _complex_rule():
+    bound = 12 * N_ODD
+    return MultSpec.user_euler(
+        {(p, e): complex(math.cos(0.37 * p + 1.1 * e), math.sin(0.37 * p + 1.1 * e))
+         for p in map(int, multfunc.primes_up_to(bound))
+         for e in range(1, int(math.log(bound, p)) + 1)},
+        k_bound=1,
+    )
+
+
+@pytest.mark.parametrize("spec", [MultSpec.ramanujan_tau_norm(), _complex_rule()],
+                         ids=["tau", "complex"])
+def test_principal_density_float_families_match_tiled_route(spec):
+    # Float sums round differently on the two routes; they agree to
+    # 1e-12 of the mean absolute value.
+    cache = WindowCache()
+    half = N_ODD // 2
+    for q in range(1, 13):
+        for q0, q1 in _divisor_pairs(q):
+            chi = characters_mod(q1).principal
+            vals = cache.window(spec, q0, 1, N_ODD).values
+            prods = vals * dirichlet._tiled_character(chi, N_ODD)
+            s_half = complex(prods[:half].sum())
+            tiled, _ = _means(s_half, s_half + complex(prods[half:].sum()), N_ODD)
+            got = mean_density(spec, q0, q1, chi, N_ODD, cache)
+            scale = np.abs(vals).sum() / N_ODD
+            assert abs(got.estimate - tiled) <= 1e-12 * scale, (q0, q1)
+
+
+@pytest.mark.parametrize("peak", [0, 5, (1 << 62) - 1])
+def test_prefix_sum_chunks_do_not_wrap(peak):
+    # With peak near 2^62 the int64 chunks hold 2 terms, and the prefix
+    # lengths below fall on and off the chunk edges.
+    rng = np.random.default_rng(7)
+    values = rng.integers(-peak, peak, size=1001, endpoint=True, dtype=np.int64)
+    values[500] = peak
+    win = multfunc.CoefficientWindow(lo=1, hi=1001, q0=1, values=values)
+    assert win.peak == peak
+    exact = values.astype(object)
+    for m in (0, 1, 2, 3, 500, 1000, 1001):
+        assert dirichlet._prefix_sum(win, m) == exact[:m].sum(), m
 
 
 def test_witness_coefficients_match_progression_densities():
@@ -258,7 +338,7 @@ def test_series_witness_golden_value():
     # (cross-checked against the q<=6 closed forms and the Euler-product
     # estimate 0.4578 of the full series).
     series = singular_series_sum(OSC, 50, 10**6, cache=CACHE, threads=4)
-    assert series.series_value == pytest.approx(0.45798189343971213, abs=1e-9)
+    assert series.series_value == 0.45798189343971213
     assert abs(series.series_imag) <= 1e-6 * abs(series.series_value)
     assert series.tail_estimate < 0.02
     # fitted envelope should sit near |C_q| ~ (pi/4) / q

@@ -323,6 +323,13 @@ def test_bad_cli_value_exits_2(capsys):
     assert main(scan + ["--L", "0"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 10 and "Traceback" not in err
+    # a bad X is named as X, not reported through the H it resolves to
+    for argv in (["correlate", "--X", "0"], ["count-triples", "--X", "1"],
+                 ["main-term-trend", "--X-list", "0"],
+                 ["main-term-trend", "--X-list", "10000,4"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: X = ") and "H expression" not in err, argv
 
 
 @pytest.mark.parametrize(
