@@ -21,16 +21,16 @@ lazy", J. Symb. Comput. 34, 2002): each level is a batch of full squares,
 four forward and one inverse real FFT of length 2m, so the whole route
 costs O(X log^2 H).
 
-Exact families take exact paths on both routes.  Direct splits values
-into 17-bit digits (`rounding.split_digits`); a tile sums at most 2^13
-products, each at most bound = b1 b2 b3, in float64 when 2^13 bound < 2^53
-(every partial sum is an integer below 2^53) and otherwise in int64, at
-most (2^63 - 1) // bound terms wide.  Tiles add up per lag in int64 while
-(X + 1) bound < 2^63, else as Python ints (`_lag_sums`).
+Exact families take exact paths on both routes.  Direct runs the same
+float tiles for every family (`_lag_sums`); exact families split values
+into digits (`_direct_digit_bits`) with D1 D2 D3 <= 2^53 / 2^13, so a tile
+of at most 2^13 terms is exact in float64, and (X + 1) D1 D2 D3 < 2^63,
+so each lag sum fits in int64.
 The banded route rounds each transform level to int64 under an a priori
 rounding bound (`_square_error`, built on `rounding.fft_error`) kept below
 1/2, with digits narrow enough for it (`_band_digit_bits`); K(r) is
-accumulated in int64, since it can pass 2^53.
+accumulated in int64, since it can pass 2^53, and its products with f2
+are summed by `rounding.exact_sum`.
 """
 
 from __future__ import annotations
@@ -48,12 +48,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dirichlet import SingularSeries
 from .errors import BudgetError, DomainError
 from .multfunc import CoefficientWindow, MultSpec, WindowCache, as_float
-from .rounding import ULP, fft_error, max_abs, split_digits
+from .rounding import INT64_MAX, ULP, exact_sum, fft_error, max_abs, split_digits
 
-_INT64_MAX = (1 << 63) - 1
-_DIGIT_BITS = 17  # (2^17 + 1)^3 < 2^52: int64 direct tiles >= 4095 terms wide
+_DIGIT_BITS = 17  # digits of the middle window on the banded route
 _LAG_BLOCK = 16  # lags per direct tile
 _TILE_TERMS = 1 << 13  # terms of n per direct tile, at most
+# A direct pass costs about as much as this many more columns of f1
+# digits: 1.9 ms per pass and 0.3-0.5 ms per column at X = 8192, H = 200;
+# 45 ms and 6-9 ms at X = 2*10^4, H = 2000.
+_PASS_COLUMNS = 4
 _LEAF = 16  # triangles of at most this many terms are summed directly
 _GROUP_TERMS = 1 << 14  # block terms per batch of triangles: caps FFT buffers
 
@@ -100,9 +103,6 @@ class CorrelationResult:
     # float families, a bound on |S - value|.  Direct: None.
     error_bound: float | None = None
     digits: tuple[int, int, int] | None = None  # exact families: per window
-    # Direct route, exact families: "float64" or "int64", the dtype of the
-    # tiles `_lag_sums` ran in.  Otherwise None.
-    tile_dtype: str | None = None
 
     @property
     def exact_value(self) -> Fraction | None:
@@ -127,18 +127,6 @@ def _use_exact(req: CorrelationRequest) -> bool:
     return req.spec1.is_exact and req.spec2.is_exact and req.spec3.is_exact
 
 
-def _exact_dot(u: np.ndarray, v: np.ndarray, bound: int) -> int:
-    """sum(u * v) of int64 arrays with every |u_i v_i| <= bound < 2^63, exactly.
-
-    Each np.dot covers at most (2^63 - 1) // bound elements, so all its
-    partial sums, in any order, stay within int64 at any array length; the
-    chunk results are added as Python ints.
-    """
-    step = _INT64_MAX // bound
-    chunks = range(0, len(u), step)
-    return sum(int(np.dot(u[i : i + step], v[i : i + step])) for i in chunks)
-
-
 def ternary_direct(
     req: CorrelationRequest,
     windows: tuple[CoefficientWindow, ...] | None = None,
@@ -147,47 +135,48 @@ def ternary_direct(
 ) -> CorrelationResult:
     """S(X, H) straight from its definition, O(X H).
 
-    Exact families split the windows into 17-bit digits and sum every digit
-    triple by `_lag_sums`, in tiles of float64 or int64 arithmetic (see
-    there); the tile dtype is recorded as `tile_dtype`.  Float and complex
-    families take one vector triple product per lag and a Kahan-compensated
-    sum over lags; h_order ("forward" | "reverse") only orders that sum,
-    so reproducibility under reordering can be measured.  Exact results do
+    Every family runs the float tiles of `_lag_sums`.  Exact families split
+    the windows into digits (`_direct_digit_bits`) small enough that every
+    tile is exact in float64 and every lag sum fits in int64, and add the
+    weighted lag sums as Python ints.  Float and complex families run the
+    tiles in float64 or complex128 and take a Kahan-compensated sum over
+    lags; h_order ("forward" | "reverse") only orders that sum, so
+    reproducibility under reordering can be measured.  Exact results do
     not depend on it.
     """
     t0 = time.perf_counter()
     w1, w2, w3 = windows or correlation_windows(req, cache)
     x, h = req.x_start, req.h_span
+    f1 = w1.segment(x, 2 * x)
+    f2 = w2.segment(x - h, 2 * x + h)
+    f3 = w3.segment(x - 2 * h, 2 * x + 2 * h)
 
-    numerator = digits = tile_dtype = None
+    numerator = digits = None
     if _use_exact(req):
-        b1, d1 = split_digits(w1.segment(x, 2 * x), _DIGIT_BITS)
-        b2, d2 = split_digits(w2.segment(x - h, 2 * x + h), _DIGIT_BITS)
-        b3, d3 = split_digits(w3.segment(x - 2 * h, 2 * x + 2 * h), _DIGIT_BITS)
-        bound = b1 * b2 * b3  # every digit triple product is at most this
+        limit = min((1 << 53) // _TILE_TERMS, INT64_MAX // (x + 1))
+        bits = _direct_digit_bits(max_abs(f1), max_abs(f2), max_abs(f3), limit)
+        (_, d1), (_, d2), (_, d3) = map(split_digits, (f1, f2, f3), bits)
         digits = (len(d1), len(d2), len(d3))
-        dtype = np.float64 if _TILE_TERMS * bound < 1 << 53 else np.int64
-        tile_dtype = np.dtype(dtype).name
-        u1 = np.stack([d for _, d in d1], axis=1).astype(dtype)
+        u1 = np.stack([d for _, d in d1], axis=1).astype(np.float64)
         weights = np.array([h - abs(hh) for hh in range(-h, h + 1)], dtype=object)
         numerator = 0
         for (s2, u2), (s3, u3) in product(d2, d3):
-            sums = _lag_sums(u1, u2.astype(dtype), u3.astype(dtype), bound)
+            sums = _lag_sums(u1, u2.astype(np.float64), u3.astype(np.float64),
+                             np.int64)
             for (s1, _), t in zip(d1, sums.T):
                 numerator += int(np.dot(weights, t.astype(object))) << (s1 + s2 + s3)
         value = numerator / h
     else:
-        # A float a1 makes every product float: int64 products of a mixed
-        # request can wrap (divisor40 values pass 2^44 at X = 8192).
-        hs = range(-h, h + 1) if h_order == "forward" else range(h, -h - 1, -1)
-        a1 = as_float(w1.segment(x, 2 * x))
+        # Float tiles for every family: int64 products of a mixed request
+        # can wrap (divisor40 values pass 2^44 at X = 8192).
+        dtype = np.result_type(f1, f2, f3, np.float64)
+        sums = _lag_sums(f1.astype(dtype)[:, None], f2.astype(dtype),
+                         f3.astype(dtype), dtype)[:, 0]
+        lags = range(2 * h + 1) if h_order == "forward" else range(2 * h, -1, -1)
         total = 0.0 + 0.0j
         comp = 0.0 + 0.0j  # Kahan carry over the mixed-sign h-accumulation
-        for hh in hs:
-            a2 = w2.segment(x + hh, 2 * x + hh)
-            a3 = w3.segment(x + 2 * hh, 2 * x + 2 * hh)
-            term = (h - abs(hh)) * complex(np.dot(a1 * a2, a3))
-            y = term - comp
+        for j in lags:
+            y = (h - abs(j - h)) * complex(sums[j]) - comp
             t = total + y
             comp = (t - total) - y
             total = t
@@ -197,47 +186,77 @@ def ternary_direct(
     elapsed = time.perf_counter() - t0
     return CorrelationResult(
         value, Method.DIRECT, x, h, req, timing=elapsed, exact_numerator=numerator,
-        digits=digits, tile_dtype=tile_dtype,
+        digits=digits,
     )
 
 
-def _lag_sums(u1, u2, u3, bound: int) -> np.ndarray:
+def _direct_digit_bits(m1: int, m2: int, m3: int, limit: int) -> tuple[int, int, int]:
+    """Digit widths for f1, f2, f3 (max |f_i| = m_i) on the direct route.
+
+    Every digit triple bound D1 D2 D3 stays within limit.  Each digit pair
+    of f2 and f3 is one pass of `_lag_sums`, and the digits of f1 are the
+    columns of its matmul, each about 1/_PASS_COLUMNS of a pass, so the
+    widths give the least passes * (_PASS_COLUMNS + digits of f1), then
+    the fewest passes.
+    """
+    def width(m: int, room: int) -> int | None:
+        """The widest digits of |values| <= m with bound <= room, if any."""
+        if m <= room:
+            return m.bit_length()
+        return (room - 1).bit_length() - 1 if room >= 3 else None
+
+    best = None
+    widths = (range(1, m.bit_length() + 1) for m in (m2, m3))
+    for b2, b3 in product(*widths):
+        d23 = min(m2, (1 << b2) + 1) * min(m3, (1 << b3) + 1)  # `split_digits`' D
+        b1 = width(m1, limit // d23)
+        if b1 is not None:
+            passes = _digit_count(m2, b2) * _digit_count(m3, b3)
+            cost = (passes * (_PASS_COLUMNS + _digit_count(m1, b1)), passes)
+            if best is None or cost < best[0]:
+                best = cost, (b1, b2, b3)
+    return best[1]
+
+
+def _digit_count(m: int, bits: int) -> int:
+    """How many digits `split_digits` cuts |values| <= m into."""
+    count = 1
+    while m >> (bits * (count - 1)) > 1 << bits:
+        count += 1
+    return count
+
+
+def _lag_sums(u1, u2, u3, dtype) -> np.ndarray:
     """T[j, c] = sum_n u1[n, c] u2[n + j] u3[n + 2j] for the lags j = h + H.
 
-    u1 is (X + 1, k), the digits of f1 side by side; u2 and u3 hold
-    X + 1 + 2H and X + 1 + 4H terms, all three of the same dtype, float64
-    or int64, and every |u1 u2 u3| is at most bound.  The sum runs in tiles
-    of _LAG_BLOCK lags by `width` terms of n: a tile of u2 u3 is formed
-    from two strided views of the windows into one buffer and contracted
-    against the matching rows of u1 with one matmul, so the windows pass
-    through the cache once per tile of n instead of once per lag.
+    u1 is (X + 1, k), the digits of f1 side by side (k = 1 for float
+    families); u2 and u3 hold X + 1 + 2H and X + 1 + 4H terms, all three
+    float64 or all three complex128.  The sum runs in tiles of _LAG_BLOCK
+    lags by _TILE_TERMS terms of n: a tile of u2 u3 is formed from two
+    strided views of the windows into one buffer and contracted against
+    the matching rows of u1 with one matmul, so the windows pass through
+    the cache once per tile of n instead of once per lag.
 
-    A tile sums at most `width` products.  float64 tiles are _TILE_TERMS
-    wide and exact when _TILE_TERMS * bound < 2^53: every partial sum, in
-    any order, is then an integer that float64 holds.  int64 tiles are
-    min(_TILE_TERMS, (2^63 - 1) // bound) wide.  Tile results add up per
-    lag in int64 while (X + 1) * bound < 2^63, otherwise as Python ints.
+    Tile results add up per lag in dtype: int64 for exact digits, where
+    _TILE_TERMS * D1 D2 D3 <= 2^53 makes every partial sum of a tile, in
+    any order, an integer that float64 holds, and (X + 1) D1 D2 D3 < 2^63
+    keeps every lag sum within int64; else the tile dtype.
     """
     n, k = u1.shape
     lags = len(u2) - n + 1
-    width = _TILE_TERMS
-    if u1.dtype == np.int64:
-        width = min(width, _INT64_MAX // bound)
     v2 = sliding_window_view(u2, n)  # v2[j, i] = u2[j + i]
     v3 = sliding_window_view(u3, n)[::2]  # v3[j, i] = u3[2j + i]
-    buf = _cache_aligned((_LAG_BLOCK, width), u1.dtype)
+    buf = _cache_aligned((_LAG_BLOCK, _TILE_TERMS), u1.dtype)
     part = np.empty((lags, k), dtype=u1.dtype)
-    fits = n * bound <= _INT64_MAX
-    sums = np.zeros((lags, k), dtype=np.int64 if fits else object)
-    for i0 in range(0, n, width):
-        i1 = min(i0 + width, n)
+    sums = np.zeros((lags, k), dtype=dtype)
+    for i0 in range(0, n, _TILE_TERMS):
+        i1 = min(i0 + _TILE_TERMS, n)
         for j0 in range(0, lags, _LAG_BLOCK):
             j1 = min(j0 + _LAG_BLOCK, lags)
             tile = np.multiply(v2[j0:j1, i0:i1], v3[j0:j1, i0:i1],
                                out=buf[: j1 - j0, : i1 - i0])
             np.matmul(tile, u1[i0:i1], out=part[j0:j1])
-        exact = part.astype(np.int64)
-        sums += exact if fits else exact.astype(object)
+        sums += part.astype(dtype, copy=False)
     return sums
 
 
@@ -293,7 +312,7 @@ def ternary_convolution(
             band = _fejer_band(u1, u3, h, np.int64)
             bound = b2 * max(max_abs(band), 1)  # |K| <= H^2 b1 b3: int64-safe
             for s2, u2 in d2:
-                numerator += _exact_dot(u2, band, bound) << (s1 + s2 + s3)
+                numerator += exact_sum(u2 * band, bound) << (s1 + s2 + s3)
         value = numerator / h
         error_bound = b1 * b3 * fmax
     else:
@@ -345,7 +364,7 @@ def _band_digit_bits(m1: int, m3: int, b2: int, h: int, fmax: float) -> int:
     """
     for bits in range(62, 0, -1):
         d = min(m1, (1 << bits) + 1) * min(m3, (1 << bits) + 1)
-        if d * fmax < 0.5 and d * b2 * h * h <= _INT64_MAX:
+        if d * fmax < 0.5 and d * b2 * h * h <= INT64_MAX:
             return bits
     raise BudgetError(f"H = {h} is too large for an exact banded contraction")
 

@@ -8,7 +8,7 @@ downstream singular-series assembly needs.  For the principal character mod
 q1, the partial sums come from the identity
 sum_{n <= M, (n, q1) = 1} f(q0 n) = sum_{d | q1} mu(d) sum_{m <= M/d} f(q0 d m),
 as signed prefixes of the windows f(k n), k = q0 d, that the series holds
-anyway; exact families sum them in Python ints.
+anyway; exact families sum them exactly with `rounding.exact_sum`.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .multfunc import CoefficientWindow, MultSpec, WindowCache, factorize
+from .rounding import exact_sum
 
 MAX_CHARACTER_MODULUS = 1_000_000
 MAX_TABLE_ENTRIES = 1 << 25  # phi(q) * q guard for full group tables
-_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -337,24 +337,12 @@ def _moebius_divisors(q: int) -> list[tuple[int, int]]:
 
 
 def _prefix_sum(win: CoefficientWindow, m: int) -> int | complex:
-    """sum_{n <= m} of the window's values: a Python int for int64 windows.
-
-    A longer int64 prefix than step = (2^63 - 1) // peak terms is summed in
-    chunks, one reshape-sum: the column sums of a step-row reshape add step
-    terms each, so no partial sum can wrap.  The chunk sums are split into
-    their high and low 32 bits, whose int64 sums cannot wrap either, since
-    a window has at most 2^26 terms.
-    """
+    """sum_{n <= m} of the window's values: exact (`rounding.exact_sum`,
+    bounded by the window's peak) for int64 windows."""
     values = win.values[:m]
     if values.dtype != np.int64:
         return complex(values.sum())
-    step = _INT64_MAX // max(win.peak, 1)
-    if m <= step:
-        return int(values.sum())
-    full = m - m % step
-    chunks = values[:full].reshape(step, -1).sum(axis=0)
-    high, low = int((chunks >> 32).sum()), int((chunks & 0xFFFFFFFF).sum())
-    return (high << 32) + low + int(values[full:].sum())
+    return exact_sum(values, win.peak)
 
 
 def _tiled_character(chi: DirichletCharacter, n_terms: int) -> np.ndarray:

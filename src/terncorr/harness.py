@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -94,17 +95,42 @@ class RunRecord:
 # Exact power expressions
 
 
+MAX_DENOMINATOR = 10**4  # of exponents and epsilon: x^d stays cheap to form
+
+
+def _exact_exponent(value: Fraction, name: str) -> Fraction:
+    """value, refused when its reduced denominator passes MAX_DENOMINATOR.
+
+    An exponent p/d is evaluated exactly through x^p or x^d, whose cost
+    grows with d; name says which value it is in the error.
+    """
+    if value.denominator > MAX_DENOMINATOR:
+        raise ConfigurationError(
+            f"{name} has a reduced denominator above {MAX_DENOMINATOR}"
+        )
+    return value
+
+
 def _int_nth_root(a: int, n: int) -> int:
-    """Largest t with t^n <= a."""
+    """Largest t with t^n <= a.
+
+    The first guess is exp(log(a) / n), scaled by 2^shift to stay in float
+    range (math.log takes ints of any size).  A Newton step from any t > 0
+    lands at or above the root, and the steps fall while above it.
+    """
     if a < 0 or n < 1:
         raise DomainError("nth root needs a >= 0, n >= 1")
     if a in (0, 1):
         return a
-    t = int(round(a ** (1.0 / n)))
-    while t > 0 and t**n > a:
-        t -= 1
-    while (t + 1) ** n <= a:
-        t += 1
+
+    def step(t: int) -> int:
+        return ((n - 1) * t + a // t ** (n - 1)) // n
+
+    shift = max(0, a.bit_length() // n - 64)
+    guess = math.exp(math.log(a) / n - shift * math.log(2))
+    t = step(max(1, round(guess)) << shift)
+    while (s := step(t)) < t:
+        t = s
     return t
 
 
@@ -134,7 +160,7 @@ def eval_power_expr(expr: str | int, x: int, alpha: Fraction | float = 0) -> int
     elif text.lower().startswith("preset:"):
         raise ConfigurationError(f"unknown H preset {text!r}")
     elif text.upper().startswith("X^"):
-        theta = _parse_fraction(text[2:])
+        theta = _exact_exponent(_parse_fraction(text[2:]), f"H exponent {text[2:]!r}")
     if theta is not None:
         if not (0 < theta < 1):
             raise ConfigurationError(
@@ -416,6 +442,9 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigurationError("X_list must name at least one X")
     if not (0 < cfg.epsilon < Fraction(1, 8)):
         raise ConfigurationError("epsilon must lie in (0, 1/8)")
+    _exact_exponent(cfg.epsilon, f"epsilon = {cfg.epsilon}")
+    if not math.isfinite(cfg.c_threshold):
+        raise ConfigurationError(f"c = {cfg.c_threshold} must be finite")
     if cfg.threads < 1:
         raise ConfigurationError("threads must be >= 1")
     for key, val in (("x", cfg.scan_x), ("L", cfg.scan_len)):
@@ -519,7 +548,6 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
         ),
         "error_bound": result.error_bound,
         "digits": list(result.digits) if result.digits is not None else None,
-        "tile_dtype": result.tile_dtype,
         **_tau_table((s1, s2, s3)),
     }
 
@@ -708,8 +736,6 @@ def _run_count(cfg, specs, cache, warnings) -> dict:
     spec = specs[0]
     h = cfg.resolved_h()
     x = cfg.x_start
-    if x - 2 * h < 1:
-        raise ConfigurationError(f"need X - 2H >= 1, got X={x}, H={h}")
     window = cache.window(spec, 1, x - 2 * h, 2 * x + 2 * h)
     result = correlate.count_triples(window, x, h, cfg.c_threshold)
     return {

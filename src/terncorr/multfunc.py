@@ -198,7 +198,9 @@ class CoefficientWindow:
 
     def __post_init__(self):
         if not (1 <= self.lo <= self.hi):
-            raise DomainError("window requires 1 <= lo <= hi")
+            raise DomainError(
+                f"window requires 1 <= lo <= hi, got lo={self.lo}, hi={self.hi}"
+            )
         if self.q0 < 1:
             raise DomainError("stride base q0 must be >= 1")
         if len(self.values) != self.hi - self.lo + 1:
@@ -493,7 +495,7 @@ def _build_windows(
     """
     q0s = tuple(q0s)
     if not (1 <= lo <= hi):
-        raise DomainError("window requires 1 <= lo <= hi")
+        raise DomainError(f"window requires 1 <= lo <= hi, got lo={lo}, hi={hi}")
     if any(q0 < 1 for q0 in q0s):
         raise DomainError("q0 must be >= 1")
     for q0 in q0s:

@@ -16,7 +16,9 @@ gives the exact product.  The certified products (`correlate`, `tau`) run
 on `numpy.fft` (pocketfft), always at power-of-two lengths.
 
 Values too large for one such product are cut into digits by
-`split_digits`, and each digit product is bounded on its own.
+`split_digits`, and each digit product is bounded on its own.  Exact
+integer sums of int64 arrays whose total may pass 2^63 go through
+`exact_sum`, which needs only a bound on each term.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import numpy as np
 
 ULP = 2.0**-53
+INT64_MAX = (1 << 63) - 1
 
 
 def fft_error(length: int) -> float:
@@ -39,6 +42,25 @@ def fft_error(length: int) -> float:
 def max_abs(a: np.ndarray) -> int:
     """max |a| of an int64 array as a Python int (1 for an empty array)."""
     return max(int(a.max(initial=0)), -int(a.min(initial=0)), 1)
+
+
+def exact_sum(a: np.ndarray, bound: int) -> int:
+    """sum(a) as a Python int, for a 1-D int64 array with every |a_i| <= bound.
+
+    A longer array than step = (2^63 - 1) // bound terms is summed as the
+    column sums of one step-row reshape: each column adds step terms, so
+    its sum fits in int64 (int64 addition wraps, so a sum that fits comes
+    out exact in any order).  The column sums are split into their high
+    and low 32 bits, whose int64 sums cannot wrap either for fewer than
+    2^31 columns.
+    """
+    step = INT64_MAX // max(bound, 1)
+    if len(a) <= step:
+        return int(a.sum())
+    full = len(a) - len(a) % step
+    cols = a[:full].reshape(step, -1).sum(axis=0)
+    high, low = int((cols >> 32).sum()), int((cols & 0xFFFFFFFF).sum())
+    return (high << 32) + low + int(a[full:].sum())
 
 
 def split_digits(

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,14 +13,14 @@ from hypothesis import strategies as st
 
 from terncorr import correlate
 from terncorr.correlate import (
-    _INT64_MAX,
     CorrelationRequest,
     Method,
     _DIGIT_BITS,
     _TILE_TERMS,
     _band_digit_bits,
+    _PASS_COLUMNS,
     _cache_aligned,
-    _exact_dot,
+    _direct_digit_bits,
     _level_errors,
     _square_error,
     _weighted_squares,
@@ -32,7 +33,7 @@ from terncorr.correlate import (
 )
 from terncorr.dirichlet import singular_series_sum
 from terncorr.errors import DomainError
-from terncorr.rounding import max_abs, split_digits
+from terncorr.rounding import INT64_MAX, max_abs, split_digits
 from terncorr.multfunc import (
     CoefficientWindow,
     MultSpec,
@@ -268,7 +269,6 @@ def test_windows_are_shared_between_methods():
 # ---------------------------------------------------------------------------
 # Exact int64 accumulation
 
-ROOT_INT64 = 3037000499  # floor(sqrt(2^63 - 1)): products of two stay in int64
 INT64 = st.integers(-(2**63), 2**63 - 1)
 
 
@@ -282,27 +282,6 @@ def object_reference(windows, x, h):
         i2, i3 = x + hh - w2.lo, x + 2 * hh - w3.lo
         total += (h - abs(hh)) * np.dot(base * a2[i2 : i2 + x + 1], a3[i3 : i3 + x + 1])
     return total
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-ROOT_INT64, ROOT_INT64),
-                          st.integers(-ROOT_INT64, ROOT_INT64)),
-                min_size=1, max_size=40))
-def test_exact_dot_matches_python_ints(pairs):
-    u = np.array([a for a, _ in pairs], dtype=np.int64)
-    v = np.array([b for _, b in pairs], dtype=np.int64)
-    bound = max(max(abs(a * b) for a, b in pairs), 1)
-    assert _exact_dot(u, v, bound) == sum(a * b for a, b in pairs)
-
-
-def test_exact_dot_splits_where_one_dot_would_overflow():
-    u = np.full(10, ROOT_INT64, dtype=np.int64)
-    v = np.full(10, -ROOT_INT64, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        wrapped = int(np.dot(u, v))
-    exact = -10 * ROOT_INT64**2
-    assert wrapped != exact  # a single int64 dot wraps around
-    assert _exact_dot(u, v, ROOT_INT64**2) == exact
 
 
 @settings(max_examples=200, deadline=None)
@@ -361,59 +340,104 @@ def test_routes_exact_on_synthetic_windows(x, h, mags, split):
     d2 = MultSpec.divisor_k(2)
     req = CorrelationRequest(d2, d2, d2, x, h)
     wins = synthetic_windows(x, h, mags, np.random.default_rng(sum(mags) % 2**32))
-    digits = [split_digits(w.values, _DIGIT_BITS) for w in wins]
-    bound = digits[0][0] * digits[1][0] * digits[2][0]
     k_bound = h * h * mags[0] * mags[2]  # |K(r)| <= H^2 max|f1| max|f3|
     conv = ternary_convolution(req, windows=wins)
-    # chunks: direct int64 tiles of 4095 terms and Python-int lag sums;
-    # conv keeps one digit
+    direct = ternary_direct(req, windows=wins)
+    check_direct_digits(wins, direct)
+    # chunks: conv keeps one digit and sums f2 K in int64 columns of 1023
+    # terms; direct splits f1 only, into four 5-bit digits
     if split == "chunks":
-        assert _INT64_MAX // bound < x + 1
+        assert INT64_MAX // (k_bound * mags[1]) < x + 1
         assert band_bits(wins, h) >= 17 and conv.digits == (1, 1, 1)
+        assert direct.digits == (4, 1, 1)
     if split == "int64":  # K(r) passes 2^53 but stays one int64 digit
         assert k_bound * mags[1] > 2**53 and conv.digits == (1, 1, 1)
     if split == "digits":
-        assert sum(len(d) > 1 for _, d in digits) == 2
+        # direct: two passes, with f1 split too
+        assert direct.digits[1] * direct.digits[2] == 2 and direct.digits[0] > 1
         # K(r) <= 2^63 / (b2 H^2) splits f1 and f3 except a window of +-1
         assert conv.digits[0] > 1 and (conv.digits[2] > 1) == (mags[2] > 1)
     expect = object_reference(wins, x, h)
-    assert ternary_direct(req, windows=wins).exact_numerator == expect
+    assert direct.exact_numerator == expect
     assert conv.exact_numerator == expect
 
 
-def digit_bound(wins):
-    """b1 b2 b3: the bound on every digit triple product of the direct route."""
-    return math.prod(split_digits(w.values, _DIGIT_BITS)[0] for w in wins)
+def check_direct_digits(wins, res):
+    """The digits `ternary_direct` chose for these windows meet both limits.
+
+    A tile sums _TILE_TERMS digit triples, so it is exact in float64 while
+    _TILE_TERMS D1 D2 D3 <= 2^53; a lag sums X + 1 of them, so it fits in
+    int64 while (X + 1) D1 D2 D3 <= 2^63 - 1.
+    """
+    x = res.x_start
+    limit = min(2**53 // _TILE_TERMS, INT64_MAX // (x + 1))
+    segs = [w.segment(lo, hi) for w, (lo, hi) in zip(
+        wins, [(x, 2 * x), (x - res.h_span, 2 * x + res.h_span),
+               (x - 2 * res.h_span, 2 * x + 2 * res.h_span)])]
+    bits = _direct_digit_bits(*(max_abs(f) for f in segs), limit)
+    splits = [split_digits(f, b) for f, b in zip(segs, bits)]
+    assert res.digits == tuple(len(d) for _, d in splits)
+    bound = math.prod(b for b, _ in splits)
+    assert _TILE_TERMS * bound <= 2**53 and (x + 1) * bound <= INT64_MAX
 
 
 @pytest.mark.parametrize(
-    "x, h, mags, tile",
+    "x, h, mags, digits",
     [
         # X + 1 below one tile; H = 1 is one partial lag block of 3
-        (100, 1, (5, 7, 3), "float64"),
-        (2 * 8192 + 100, 1, (2**14 - 1, 2**13, 2**13), "float64"),
+        (100, 1, (5, 7, 3), (1, 1, 1)),
+        (2 * 8192 + 100, 1, (2**14 - 1, 2**13, 2**13), (1, 1, 1)),
         # 2H + 1 = 41 lags: two blocks of 16 and one of 9; three tiles of
-        # 2^13 terms and a partial one.  bound = 2^40 - 2^26, just below
-        # 2^13 bound = 2^53, then 2^40, where int64 tiles take over
-        (3 * 8192 + 100, 20, (2**14 - 1, 2**13, 2**13), "float64"),
-        (3 * 8192 + 100, 20, (2**14, 2**13, 2**13), "int64"),
-        # one-digit int64 tiles of 4095 terms; X + 1 = 2 * 4095 + 17
-        (2 * 4095 + 16, 20, (2**17, 2**17, 2**17), "int64"),
+        # 2^13 terms and a partial one.  D1 D2 D3 = 2^40 - 2^26, then
+        # 2^40 = 2^53 / 2^13 (one digit each, the last that fits), then one
+        # past it, where f1 alone splits into 13-bit digits
+        (3 * 8192 + 100, 20, (2**14 - 1, 2**13, 2**13), (1, 1, 1)),
+        (3 * 8192 + 100, 20, (2**14, 2**13, 2**13), (1, 1, 1)),
+        (3 * 8192 + 100, 20, (2**14 + 1, 2**13, 2**13), (2, 1, 1)),
+        # one pass with f2 and f3 whole (2^34) and f1 in four 5-bit digits
+        # (D1 = 33); X + 1 = 2 * 4095 + 17
+        (2 * 4095 + 16, 20, (2**17, 2**17, 2**17), (4, 1, 1)),
     ],
 )
-def test_direct_tiles_exact_at_their_edges(x, h, mags, tile):
+def test_direct_tiles_exact_at_their_edges(x, h, mags, digits):
     d2 = MultSpec.divisor_k(2)
     req = CorrelationRequest(d2, d2, d2, x, h)
     wins = synthetic_windows(x, h, mags, np.random.default_rng(x + h))
-    bound = digit_bound(wins)
-    assert (_TILE_TERMS * bound < 2**53) == (tile == "float64")
     res = ternary_direct(req, windows=wins)
-    assert res.tile_dtype == tile and res.digits == (1, 1, 1)
+    assert res.digits == digits
+    check_direct_digits(wins, res)
     assert res.exact_numerator == object_reference(wins, x, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 2**20), min_size=3, max_size=3),
+       st.integers(27, 2**40))
+def test_direct_digit_bits_least_cost(mags, limit):
+    # Brute force over every width triple, digits counted by split_digits;
+    # the cost of a choice is passes * (_PASS_COLUMNS + digits of f1).
+    def options(m):
+        out = []
+        for b in range(1, m.bit_length() + 1):
+            bound, digits = split_digits(np.array([m, -m]), b)
+            out.append((b, bound, len(digits)))
+        return out
+
+    best = min(
+        (n2 * n3 * (_PASS_COLUMNS + n1), n2 * n3)
+        for (_, e1, n1), (_, e2, n2), (_, e3, n3) in product(*map(options, mags))
+        if e1 * e2 * e3 <= limit
+    )
+    bits = _direct_digit_bits(*mags, limit)
+    (e1, d1), (e2, d2), (e3, d3) = (split_digits(np.array([m, -m]), b)
+                                    for m, b in zip(mags, bits))
+    assert e1 * e2 * e3 <= limit
+    passes = len(d2) * len(d3)
+    assert (passes * (_PASS_COLUMNS + len(d1)), passes) == best
 
 
 @pytest.mark.parametrize("shape, dtype", [
     ((16, 8192), np.float64), ((16, 4095), np.int64), ((3, 5), np.float64),
+    ((16, 8192), np.complex128),
 ])
 def test_direct_tile_buffer_on_a_cache_line(shape, dtype):
     bufs = [_cache_aligned(shape, dtype) for _ in range(8)]
@@ -424,29 +448,17 @@ def test_direct_tile_buffer_on_a_cache_line(shape, dtype):
 
 
 def test_direct_lag_sums_past_int64_at_small_x():
-    # (X + 1) bound >= 2^63 at X = 6000: every T_h is 6001 * 2^51 > 2^63,
-    # which int64 lag sums would wrap; they are added as Python ints.
+    # Every T_h is 6001 * 2^51 > 2^63 at X = 6000: the digits keep each
+    # digit's lag sums within int64, and they add up as Python ints.
     x, h, m = 6000, 3, 2**17
     spans = [(x, 2 * x), (x - h, 2 * x + h), (x - 2 * h, 2 * x + 2 * h)]
     wins = tuple(CoefficientWindow(lo, hi, 1, np.full(hi - lo + 1, m, dtype=np.int64))
                  for lo, hi in spans)
-    assert (x + 1) * digit_bound(wins) >= 2**63
+    assert (x + 1) * m**3 >= 2**63
     d2 = MultSpec.divisor_k(2)
     res = ternary_direct(CorrelationRequest(d2, d2, d2, x, h), windows=wins)
-    assert res.tile_dtype == "int64"
+    check_direct_digits(wins, res)
     assert res.exact_numerator == object_reference(wins, x, h) == h * h * (x + 1) * m**3
-
-
-def test_direct_tile_dtype_recorded():
-    d2 = MultSpec.divisor_k(2)
-    wins = synthetic_windows(8191, 2, (2**17,) * 3, np.random.default_rng(3))
-    res = ternary_direct(CorrelationRequest(d2, d2, d2, 8191, 2), windows=wins)
-    assert res.tile_dtype == "int64"
-    conv = ternary_convolution(CorrelationRequest(d2, d2, d2, 8191, 2), windows=wins)
-    assert conv.tile_dtype is None
-    tau = MultSpec.ramanujan_tau_norm()
-    assert ternary_direct(CorrelationRequest(tau, tau, tau, 300, 10),
-                          cache=CACHE).tile_dtype is None
 
 
 def test_direct_exact_numerator_ignores_h_order():
@@ -527,14 +539,19 @@ def test_banded_route_splits_when_one_digit_bound_fails():
 
 
 def test_float_routes_agree_within_recorded_bound():
-    primes = [p for p in range(2, 1400) if all(p % q for q in range(2, p))]
+    sieve = np.ones(18200, dtype=bool)
+    for p in range(2, 135):
+        sieve[p * p :: p] = False
     unit = MultSpec.user_euler(
-        {(p, e): cmath.exp(1j * p * e) for p in primes for e in range(1, 12)},
+        {(int(p), e): cmath.exp(1j * p * e)
+         for p in np.flatnonzero(sieve)[2:] for e in range(1, 15)},
         k_bound=1,
     )
     tau = MultSpec.ramanujan_tau_norm()
+    # the last case runs complex tiles over two tiles of n and 81 lags
     for specs, x, h in (((tau, tau, tau), 4000, 80), ((unit, tau, unit), 600, 40),
-                        ((tau, unit, tau), 600, 40), ((unit, unit, unit), 600, 33)):
+                        ((tau, unit, tau), 600, 40), ((unit, unit, unit), 600, 33),
+                        ((unit, unit, unit), 9000, 40)):
         req = CorrelationRequest(*specs, x, h)
         a = ternary_direct(req, cache=CACHE)
         b = ternary_convolution(req, cache=CACHE)
@@ -553,6 +570,31 @@ def test_divisor3_routes_agree_across_old_int64_guard(x):
     wins = correlation_windows(req, CACHE)
     expect = object_reference(wins, x, 300)
     assert ternary_direct(req, windows=wins).exact_numerator == expect
+    assert ternary_convolution(req, windows=wins).exact_numerator == expect
+
+
+@pytest.mark.parametrize("k, digits", [(4, (2, 1, 1)), (5, (3, 1, 1)), (6, (2, 2, 1))])
+def test_divisor_k_routes_agree_past_one_digit(k, digits):
+    # max d_k on these windows is 19200, 123750 and 598752, all past one
+    # digit each: the direct route splits f1 and keeps one pass, except for
+    # divisor6, where one pass would leave room for 1-bit digits of f1 only
+    # (598752^2 D1 <= 2^40 needs D1 <= 3) and two cost less.  The reference sums
+    # each lag's int64 triple products, which stay below 2^63 (598752^3 <
+    # 2^58) and whose sums of magnitudes stay below 2^62, checked here.
+    x, h = 20000, 2000
+    dk = MultSpec.divisor_k(k)
+    req = CorrelationRequest(dk, dk, dk, x, h)
+    w1, w2, w3 = wins = correlation_windows(req, CACHE)
+    a1 = w1.segment(x, 2 * x)
+    expect = 0
+    for hh in range(-h, h + 1):
+        terms = a1 * w2.segment(x + hh, 2 * x + hh) * w3.segment(x + 2 * hh, 2 * x + 2 * hh)
+        assert np.abs(terms).sum(dtype=np.float64) < 2**62
+        expect += (h - abs(hh)) * int(terms.sum())
+    direct = ternary_direct(req, windows=wins)
+    check_direct_digits(wins, direct)
+    assert direct.digits == digits
+    assert direct.exact_numerator == expect
     assert ternary_convolution(req, windows=wins).exact_numerator == expect
 
 

@@ -14,6 +14,7 @@ from terncorr import harness, tau
 from terncorr.errors import ConfigurationError
 from terncorr.harness import (
     ExperimentConfig,
+    _int_nth_root,
     build_parser,
     ceil_rational_power,
     config_from_args,
@@ -65,6 +66,25 @@ def test_ceil_rational_power():
     assert ceil_rational_power(10, Fraction(1, 2)) == 4
     assert ceil_rational_power(16, Fraction(1, 2)) == 4  # exact root stays put
     assert ceil_rational_power(17, Fraction(1, 2)) == 5
+    # x^p passes float range: the root's first guess comes from math.log
+    theta = Fraction(8123, 10**4)
+    h = ceil_rational_power(10**5, theta)
+    assert (h - 1) ** 10**4 < 10 ** (5 * 8123) <= h**10**4
+    # roots past float range start from a guess scaled by a power of two
+    assert _int_nth_root(10**800, 2) == 10**400
+    assert _int_nth_root(2**3000 - 1, 3) == 2**1000 - 1
+    assert _int_nth_root(3**5000, 1) == 3**5000
+
+
+def test_power_expressions_from_the_cli(capsys):
+    argv = ["correlate", "--X", "100000", "--method", "conv", "--H"]
+    assert main(argv + ["X^0.8123"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["H"] == 11522
+    assert main(argv + ["X^1e-400"]) == 2
+    assert "H exponent '1e-400'" in capsys.readouterr().err
+    assert main(["arcs", "scan", "--X", "100000", "--H", "3000",
+                 "--eps", "0.01234567"]) == 2
+    assert "epsilon = 1234567/100000000" in capsys.readouterr().err
 
 
 def test_q_presets():
@@ -133,10 +153,9 @@ def test_run_correlate_constant():
     assert record.experiment == "correlate"
     assert record.payload["digits"] == [1, 1, 1]
     assert record.payload["error_bound"] is None  # the direct route
-    assert record.payload["tile_dtype"] == "float64"
+    assert "tile_dtype" not in record.payload  # direct tiles are float only
     conv = run(replace(cfg, method="conv")).payload
     assert conv["digits"] == [1, 1, 1] and 0 <= conv["error_bound"] < 0.5
-    assert conv["tile_dtype"] is None
 
 
 def test_run_correlate_chi4_direct_float64_tiles():
@@ -146,7 +165,6 @@ def test_run_correlate_chi4_direct_float64_tiles():
     )
     payload = run(cfg).payload
     assert payload["H"] == 10**4 and payload["digits"] == [1, 1, 1]
-    assert payload["tile_dtype"] == "float64"
     assert payload["exact_numerator"] == "4581003458190"
 
 
@@ -309,6 +327,13 @@ def test_unreadable_config_exits_2(tmp_path, capsys, kind):
     assert str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_count_triples_refuses_a_threshold_that_is_not_finite(c, capsys):
+    assert main(["count-triples", "--X", "1000", "--H", "10", f"--c={c}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: c = {c} ") and "Traceback" not in err
+
+
 def test_bad_cli_value_exits_2(capsys):
     assert main(["main-term-trend", "--X-list", "1,a"]) == 2
     assert main(["main-term-trend", "--X-list", ""]) == 2
@@ -321,8 +346,10 @@ def test_bad_cli_value_exits_2(capsys):
     scan = ["arcs", "scan", "--spec", "divisor2", "--X", "1000", "--H", "50", "--Q", "3"]
     assert main(scan + ["--x", "0"]) == 2
     assert main(scan + ["--L", "0"]) == 2
+    # X - 2H < 1: the window of the count cannot start at 1
+    assert main(["count-triples", "--X", "100", "--H", "60"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 10 and "Traceback" not in err
+    assert err.count("error:") == 11 and "Traceback" not in err
     # a bad X is named as X, not reported through the H it resolves to
     for argv in (["correlate", "--X", "0"], ["count-triples", "--X", "1"],
                  ["main-term-trend", "--X-list", "0"],
