@@ -4,8 +4,8 @@ The circle [1/Q, 1+1/Q) is split into major arcs (a/q +- beta, q < Q,
 beta = H^(8 eps - 1)) and their complement.  Window sums
 S(alpha; x) = sum_{x <= n <= x+L} f(n) e(n alpha) are evaluated either
 pointwise (phase recurrence, resynchronised in blocks) or on a full uniform
-grid at once through an FFT of the zero-padded window, which is what makes
-the certified-spacing sup scans affordable.
+grid at once through FFTs of the zero-padded window, whose Taylor bounds
+certify the sup scans cell by cell.
 
 The major-arc model of S(a/q + gamma; x) over [x, x+2H] is the local
 density C(a, q) (dirichlet.local_density) times the integral of e(gamma y).
@@ -25,10 +25,12 @@ import scipy
 
 from .errors import BudgetError, ConfigurationError, DomainError
 from .multfunc import CoefficientWindow, Kind, MultSpec, as_float, sieve_window
+from .rounding import ULP, fft_bin_error
 
 _RESYNC_BLOCK = 1 << 14
 _PHASE_SPLIT = 1 << 26
-MAX_GRID_POINTS = 1 << 27
+MAX_GRID_POINTS = 1 << 26
+_CELL_PAD = 0.5 + 1e-6  # half a scan cell, and a margin for float arc ends
 MAX_DECOMPOSE_Q = 2000
 # Dual frequencies |k| kept beyond the stationary point.  On criterion 9's
 # grid the worst residual/allowance was 1.29, 0.68, 0.38, 0.30, 0.38 and 0.36
@@ -248,6 +250,7 @@ def edge_divisor_sum(x: int, length: int, eta: float, k: int) -> float:
 class SupScanReport:
     kind: str
     sup_abs: float
+    sup_upper: float
     argmax_x: int
     argmax_alpha: float
     bound_value: float
@@ -262,37 +265,28 @@ class SupScanReport:
     edge_sum: float
 
 
-def _arc_index_ranges(dec: ArcDecomposition, m_grid: int) -> list[tuple[int, int]]:
-    """Half-open index ranges [i, j) of grid points j/M inside major arcs,
-    folded mod 1 into [0, M)."""
-    ranges = []
+def _major_bins(
+    dec: ArcDecomposition, m_grid: int, half: int, pad: float, fold: bool
+) -> np.ndarray:
+    """Mask of bins 0..half with |k/M - c| <= r + pad/M for a major arc
+    (c, r), mod 1: with pad = 0 the grid points in the closed arcs, with
+    pad = _CELL_PAD (-_CELL_PAD) the cells |alpha - k/M| <= 1/(2M) that
+    meet an arc (lie inside one).
+
+    With fold=True (real windows) bins above M/2 are reflected onto the
+    half spectrum: |S| is symmetric under alpha -> 1 - alpha and the Farey
+    arc set shares that symmetry, so the half spectrum carries the full sup.
+    """
+    mask = np.zeros(half + 1, dtype=bool)
     for arc in dec.major:
         c = float(arc.center) % 1.0
-        lo = (c - arc.radius) * m_grid
-        hi = (c + arc.radius) * m_grid
-        i, j = math.ceil(lo), math.floor(hi) + 1
-        ranges.append((i, j))
-    return ranges
-
-
-def _mask_for_kind(
-    dec: ArcDecomposition, m_grid: int, half: int, kind: str, fold: bool
-) -> np.ndarray:
-    """Boolean mask over spectrum bins 0..half for the requested arc set.
-
-    With fold=True (real windows) bins above M/2 are reflected onto the half
-    spectrum: |S| is symmetric under alpha -> 1 - alpha and the Farey arc
-    set shares that symmetry, so the half spectrum carries the full sup.
-    """
-    major = np.zeros(half + 1, dtype=bool)
-    for i, j in _arc_index_ranges(dec, m_grid):
+        i = math.ceil((c - arc.radius) * m_grid - pad)
+        j = math.floor((c + arc.radius) * m_grid + pad) + 1
         idx = np.arange(i, j, dtype=np.int64) % m_grid
         if fold:
             idx = np.minimum(idx, m_grid - idx)
-        major[idx[idx <= half]] = True
-    if kind == "major":
-        return major
-    return ~major
+        mask[idx[idx <= half]] = True
+    return mask
 
 
 def _refine(
@@ -343,60 +337,67 @@ def sup_scan(
     k: int = 2,
     epsilon: float = 0.05,
 ) -> SupScanReport:
-    """Certified-spacing supremum of |S(alpha; x)| over major or minor arcs.
+    """Supremum of |S(alpha; x)| over major or minor arcs: sup_abs attained,
+    sup_upper certified.
 
-    |S(alpha; x)| = |sum_{0 <= j <= L} f(x+j) e(j alpha)| does not depend
-    on the phase e(x alpha), so the window is transformed from offset 0 and
-    |dS/d alpha| <= 2 pi L sum|f|.  The uniform grid j/M satisfies
-    M >= 2 pi L / tol with tol = 1e-2 * trivial_bound, so |S| moves by at
-    most 1% of its trivial bound between neighbouring grid points; the grid
-    budget therefore limits L, not x.  Three rounds of tenfold local
-    refinement around the best five grid points and the arc centers/edges
-    follow.
+    |S| does not depend on the phase, so S(alpha) = sum_{0 <= j <= L} f_j
+    e((j - c) alpha) with f_j = f(x+j) and c = L/2.  On the grid k/M, M the
+    least power of two >= 64 (L+1) (it depends on L only), transforms give
+    S and T = sum_j (j - c) f_j e(j alpha), and Taylor's theorem bounds |S|
+    on each cell |alpha - k/M| <= 1/(2M) by
+
+        B_k = |S(k/M)| + pi |T(k/M)| / M + pi^2 sum_j (j-c)^2 |f_j| / (2 M^2)
+
+    plus `rounding.fft_bin_error` for each transform and 8 * 2^-53 sum|f|
+    for the float64 arithmetic outside them.  sup_upper is the largest B_k
+    over the cells that meet the arc set; sup_abs refines the best five
+    grid points in the arc set by three rounds of tenfold local grids.
     """
     if kind not in ("major", "minor"):
         raise DomainError("kind must be 'major' or 'minor'")
-    vals = as_float(window.segment(x, x + length))  # int64 sums can wrap
-    trivial = float(np.abs(vals).sum())
-    if trivial == 0.0:
-        raise DomainError("window is identically zero on the scan range")
-
-    m_min = math.ceil(2.0 * math.pi * max(length, 1) * 100.0)
-    m_grid = scipy.fft.next_fast_len(m_min, real=True)
+    m_grid = 1 << (64 * (length + 1) - 1).bit_length()
     if m_grid > MAX_GRID_POINTS:
         raise BudgetError(
             f"scan grid needs {m_grid} points, budget {MAX_GRID_POINTS}"
         )
+    vals = as_float(window.segment(x, x + length))  # int64 sums can wrap
+    size = np.abs(vals)
+    trivial = float(size.sum())
+    if trivial == 0.0:
+        raise DomainError("window is identically zero on the scan range")
 
     is_real = not np.iscomplexobj(vals)
-    buf = np.zeros(m_grid, dtype=np.float64 if is_real else np.complex128)
-    buf[: length + 1] = vals
-    if is_real:
-        spec = scipy.fft.rfft(buf)
-        half = m_grid // 2
-    else:
-        spec = scipy.fft.ifft(buf) * m_grid  # +2 pi i convention
-        half = m_grid - 1
-    mags = np.abs(spec).astype(np.float32)
-    del spec, buf
-
-    mask = _mask_for_kind(dec, m_grid, half, kind, fold=is_real)
-    if not mask.any():
+    half = m_grid // 2 if is_real else m_grid - 1
+    pad = _CELL_PAD if kind == "major" else -_CELL_PAD
+    points, cells = (_major_bins(dec, m_grid, half, p, is_real) for p in (0.0, pad))
+    if kind == "minor":
+        points, cells = ~points, ~cells
+    if not points.any():
         raise ConfigurationError(
             f"{kind} arc set is empty at Q = {dec.q_cut}, beta = {dec.beta:.3g}"
         )
-    mags[~mask] = -1.0
+
+    def magnitudes(v):
+        if is_real:
+            return np.abs(np.fft.rfft(v, m_grid))
+        return np.abs(np.fft.ifft(v, m_grid, norm="forward"))  # e(+jk/M), unscaled
+
+    offsets = np.arange(length + 1) - length / 2.0
+    ramp = offsets * vals
+    upper = magnitudes(ramp)
+    upper *= math.pi / m_grid
+    mags = magnitudes(vals)
+    upper += mags
+    rounding = (fft_bin_error(m_grid, float(np.linalg.norm(vals))) + 8 * ULP * trivial
+                + math.pi / m_grid * fft_bin_error(m_grid, float(np.linalg.norm(ramp))))
+    taylor = math.pi**2 * float(offsets**2 @ size) / (2.0 * m_grid**2)
+    sup_upper = float(upper.max(where=cells, initial=0.0)) + taylor + rounding
+    del upper
+
+    mags[~points] = -1.0
     top = np.argpartition(mags, -5)[-5:]
-    seeds = [float(t) / m_grid for t in top if mags[t] >= 0.0]
-
-    # Insurance points: arc centers for major scans, arc edges for minor.
-    if kind == "major":
-        seeds.extend(float(arc.center) % 1.0 for arc in dec.major)
-    else:
-        for a, b in dec.minor_intervals():
-            seeds.extend((a % 1.0, (b - 1e-15) % 1.0))
-
     clamp = _make_clamp(dec, kind)
+    seeds = [float(t) / m_grid for t in top if mags[t] >= 0.0]
     seeds = [s for s in (clamp(s) for s in seeds) if s is not None]
     sup, arg, round_sups = _refine(
         window, x, length, seeds, 1.0 / m_grid, rounds=3, clamp=clamp
@@ -407,6 +408,7 @@ def sup_scan(
     return SupScanReport(
         kind=kind,
         sup_abs=sup,
+        sup_upper=sup_upper,
         argmax_x=x,
         argmax_alpha=arg,
         bound_value=bound.value,

@@ -1,7 +1,10 @@
 """Exception taxonomy and process exit codes shared by all subsystems.
 
 Exit-code contract: 0 success, 2 configuration/domain/specification error,
-3 resource (budget) error.  I/O failures and unexpected exceptions exit 1.
+3 resource (budget) error.  An input file named by a flag (`--config`,
+`--series`) that is missing, unreadable or not in its expected format is
+a configuration error (2).  Failures writing outputs and unexpected
+exceptions exit 1.
 """
 
 EXIT_OK = 0

@@ -561,10 +561,7 @@ def _tau_table(specs) -> dict:
 
 def load_series_record(path: str) -> dirichlet.SingularSeries:
     """Rebuild a SingularSeries from a singular-series RunRecord JSON."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise TerncorrError(f"cannot read series record {path!r}: {exc}") from exc
+    raw = _read_input(path, "series record")
     try:
         return _series_from_record(json.loads(raw))
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
@@ -672,6 +669,7 @@ def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
     return {
         "kind": report.kind,
         "sup_abs": report.sup_abs,
+        "sup_upper": report.sup_upper,
         "argmax_x": report.argmax_x,
         "argmax_alpha": report.argmax_alpha,
         "q": report.nearest_q,
@@ -693,11 +691,12 @@ def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
 def _write_scan_csv(report: arcs.SupScanReport, path: str):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "alpha", "q", "a", "gamma", "abs_value", "bound", "ratio"])
+        writer.writerow(["x", "alpha", "q", "a", "gamma", "abs_value", "bound", "ratio",
+                         "sup_upper"])
         writer.writerow([
             report.argmax_x, repr(report.argmax_alpha), report.nearest_q,
             report.nearest_a, repr(report.gamma), repr(report.sup_abs),
-            repr(report.bound_value), repr(report.ratio),
+            repr(report.bound_value), repr(report.ratio), repr(report.sup_upper),
         ])
 
 
@@ -882,16 +881,20 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     given = vars(args)
     flags = {key: given[key] for key in _OPTIONS if key in given}
     if args.config:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            # an OSError's strerror leaves out the path, which is named below
-            reason = getattr(exc, "strerror", None) or exc
-            raise ConfigurationError(
-                f"cannot read config {args.config!r}: {reason}"
-            ) from None
+        text = _read_input(args.config, "config")
         return parse_config(text, flags, args.experiment)
     return _build(args.experiment, flags)
+
+
+def _read_input(path: str, what: str) -> str:
+    """The text of an input file named by a flag; a missing or unreadable
+    file is a ConfigurationError (exit 2), like a malformed one."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's strerror leaves out the path, which is named below
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"cannot read {what} {path!r}: {reason}") from None
 
 
 def _accept(only: str | None, out: str | None) -> int:

@@ -12,8 +12,11 @@ k = n + 2: one stage more for the real-input transform and one for the
 sum of the products that share an inverse transform in the frequency
 domain (up to 16 of them: their 15 additions err less than one stage).
 When the bound is below 1/2, rounding each entry to the nearest integer
-gives the exact product.  The certified products (`correlate`, `tau`) run
-on `numpy.fft` (pocketfft), always at power-of-two lengths.
+gives the exact product.  The same argument bounds one forward transform
+alone: every bin of a length-2^n transform of x is within
+sqrt(2^n) |x| ((1+e)^k (1+e sqrt5)^k (1+b)^k - 1) of the exact DFT, with
+k = n + 1 (`fft_bin_error`, used by the arc scans).  All of these run on
+`numpy.fft` (pocketfft), always at power-of-two lengths.
 
 Values too large for one such product are cut into digits by
 `split_digits`, and each digit product is bounded on its own.  Exact
@@ -31,12 +34,29 @@ ULP = 2.0**-53
 INT64_MAX = (1 << 63) - 1
 
 
+def _growth(stages: int, products: int = 0) -> float:
+    """(1+e)^s (1+e sqrt5)^(s+p) (1+2e)^s - 1 for s stages and p products."""
+    logs = stages * (math.log1p(ULP) + math.log1p(2 * ULP))
+    logs += (stages + products) * math.log1p(ULP * math.sqrt(5))
+    return math.expm1(logs)
+
+
 def fft_error(length: int) -> float:
     """Percival's factor for a product by real transforms of this length."""
-    k = length.bit_length() + 1
-    logs = 3 * k * (math.log1p(ULP) + math.log1p(2 * ULP))
-    logs += (3 * k + 1) * math.log1p(ULP * math.sqrt(5))
-    return math.expm1(logs)
+    return _growth(3 * (length.bit_length() + 1), products=1)
+
+
+def fft_bin_error(length: int, norm: float) -> float:
+    """Bound on every bin's rounding error in one forward transform.
+
+    For a power-of-two length 2^n and an input of Euclidean norm `norm`:
+    the transform's norm is sqrt(2^n) norm (Parseval), and Percival's
+    factor over n + 1 stages (one more for the real-input pass) bounds the
+    error's norm, hence each bin.
+    """
+    if length < 1 or length & (length - 1):
+        raise ValueError(f"transform length {length} is not a power of two")
+    return math.sqrt(length) * norm * _growth(length.bit_length())
 
 
 def max_abs(a: np.ndarray) -> int:

@@ -1,13 +1,18 @@
 """Arc decompositions, short exponential sums, sup scans, major-arc model."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from terncorr import arcs
+from terncorr import arcs, multfunc
 from terncorr.arcs import (
     DUAL_MARGIN,
     decompose,
@@ -22,6 +27,7 @@ from terncorr.arcs import (
 )
 from terncorr.dirichlet import local_density
 from terncorr.errors import BudgetError, ConfigurationError, DomainError
+from terncorr.harness import resolve_q
 from terncorr.multfunc import MultSpec, WindowCache, sieve_window
 
 ONE = MultSpec.divisor_k(1)
@@ -213,32 +219,30 @@ def test_sup_scan_minor_constant_window_under_envelope():
     assert rep.ratio == rep.sup_abs / rep.bound_value
 
 
-def test_sup_scan_fft_goes_through_arcs_scipy(monkeypatch):
-    # The benchmark times the scan FFT by swapping `arcs.scipy` for a proxy;
-    # a scan that reached its FFT another way would read as zero there.
-    import scipy
+_SCAN_IMPORTS = """
+import contextlib, io, json, sys
+import scipy
+from terncorr import arcs, harness
 
-    assert arcs.scipy is scipy
-    calls = []
+scan = ["arcs", "scan", "--X", "2000", "--H", "100", "--Q", "3", "--kind", "minor"]
+codes = []
+for spec in ("tau", "one_star_chi4"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(harness.main(scan + ["--spec", spec]))
+print(json.dumps({"codes": codes, "fft": "scipy.fft" in sys.modules,
+                  "same": arcs.scipy is scipy}))
+"""
 
-    def rfft(*args, **kwargs):
-        calls.append(1)
-        return scipy.fft.rfft(*args, **kwargs)
 
-    class Fft:
-        def __getattr__(self, name):
-            return rfft if name == "rfft" else getattr(scipy.fft, name)
-
-    class Scipy:
-        fft = Fft()
-
-        def __getattr__(self, name):
-            return getattr(scipy, name)
-
-    monkeypatch.setattr(arcs, "scipy", Scipy())
-    win = sieve_window(ONE, 1000, 1040)
-    sup_scan(win, decompose(2, 20, 0.05), 1000, 40, "major")
-    assert calls
+def test_scans_run_without_scipy_fft():
+    # The scan FFT is numpy's; `arcs.scipy` stays the scipy module (J0 and
+    # the benchmark's trace proxy both reach scipy through it).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _SCAN_IMPORTS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "fft": False, "same": True}
 
 
 def test_sup_scan_empty_minor_arcs_rejected():
@@ -264,8 +268,8 @@ def test_sup_scan_far_minor_constant_window_under_envelope(x):
 
 
 def test_sup_scan_within_tolerance_of_dense_grid():
-    """The certified spacing: the scan's sup is at least the max of |S| on a
-    4x denser grid, less 1% of the trivial bound."""
+    """The scan's sup is within 1% of the trivial bound of the max of |S| on
+    a much denser grid, and its certificate is above that max."""
     tau = MultSpec.ramanujan_tau_norm()
     x, length = 20_000, 400
     dec = decompose(4, length // 2, 0.05)
@@ -281,6 +285,7 @@ def test_sup_scan_within_tolerance_of_dense_grid():
     dense = mags[minor].max()
     assert rep.sup_abs >= dense - 0.01 * rep.trivial_bound
     assert rep.sup_abs <= dense + 0.01 * rep.trivial_bound
+    assert rep.sup_upper >= dense
 
 
 def test_sup_scan_grid_budget():
@@ -288,6 +293,89 @@ def test_sup_scan_grid_budget():
     dec = decompose(2, 10**5, 0.05)
     with pytest.raises(BudgetError):
         sup_scan(win, dec, 1, 2 * 10**6 - 1, "minor")
+
+
+def test_sup_scan_grid_budget_boundary(monkeypatch):
+    # 64 (L + 1) points, rounded up to a power of two: L = 63 fills 2^12
+    # exactly, L = 64 needs 2^13 and is refused before any transform.
+    monkeypatch.setattr(arcs, "MAX_GRID_POINTS", 1 << 12)
+    dec = decompose(2, 32, 0.05)
+    win = sieve_window(ONE, 1000, 1064)
+    assert sup_scan(win, dec, 1000, 63, "minor").grid_spacing == 2.0**-12
+    calls = []
+    for name in ("rfft", "ifft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(BudgetError, match="8192"):
+        sup_scan(win, dec, 1000, 64, "minor")
+    assert calls == []
+
+
+@pytest.mark.parametrize("m, kind, points, cells", [
+    # one arc at 0, beta * M = 4.04: cell 4 straddles the edge, its centre
+    # inside the arc, so it is a major point but also a minor cell
+    (64, "major", range(0, 5), range(0, 5)),
+    (64, "minor", range(5, 33), range(4, 33)),
+    # beta * M = 0.505: cell 1 straddles the edge from outside
+    (8, "major", [0], [0, 1]),
+    (8, "minor", range(1, 5), range(1, 5)),
+])
+def test_scan_cells_that_meet_the_arc_set(m, kind, points, cells):
+    dec = decompose(2, 100, 0.05)
+    pad = arcs._CELL_PAD if kind == "major" else -arcs._CELL_PAD
+    got = [arcs._major_bins(dec, m, m // 2, p, True) for p in (0.0, pad)]
+    if kind == "minor":
+        got = [~g for g in got]
+    assert [np.flatnonzero(g).tolist() for g in got] == [list(points), list(cells)]
+
+
+def _in_arc_set(dec, kind, alphas):
+    """Which alphas lie in the closed major arcs, or in the minor set."""
+    centers = np.array([float(a.center) % 1.0 for a in dec.major])
+    dist = np.abs((alphas[:, None] - centers + 0.5) % 1.0 - 0.5).min(axis=1)
+    return dist <= dec.beta if kind == "major" else dist >= dec.beta
+
+
+def _unit_euler(bound):
+    rng = np.random.default_rng(bound)
+    return MultSpec.user_euler(
+        {(int(p), e): cmath.exp(2j * math.pi * rng.uniform())
+         for p in multfunc.primes_up_to(bound) for e in range(1, 16)},
+        k_bound=1,
+    )
+
+
+@pytest.mark.parametrize("kind", ["major", "minor"])
+@pytest.mark.parametrize("family", ["tau", "moebius", "one_star_chi4", "complex"])
+def test_sup_scan_certificate_bounds_every_alpha(family, kind):
+    x, length = 5000, 600
+    spec = {
+        "tau": MultSpec.ramanujan_tau_norm,
+        "moebius": MultSpec.moebius,
+        "one_star_chi4": MultSpec.one_star_chi4,
+        "complex": lambda: _unit_euler(x + length),
+    }[family]()
+    dec = decompose(4, length // 2, 0.05)
+    win = sieve_window(spec, x, x + length)
+    rep = sup_scan(win, dec, x, length, kind)
+    assert rep.sup_abs <= rep.sup_upper <= rep.sup_abs + 0.01 * rep.trivial_bound
+    draws = np.random.default_rng(len(family) + len(kind)).uniform(size=4000)
+    alphas = draws[_in_arc_set(dec, kind, draws)][:200]
+    assert len(alphas) == 200
+    # and a cell's width on each side of the attained sup, where |S| comes
+    # closest to the certificate
+    near = (rep.argmax_alpha + rep.grid_spacing / 8 * np.arange(-8, 9)) % 1.0
+    for alpha in np.concatenate([alphas, near[_in_arc_set(dec, kind, near)]]):
+        assert abs(short_exp_sum(win, x, length, alpha).value) <= rep.sup_upper, alpha
+
+
+def test_benchmark_tau_scan_certificate_is_tight():
+    x, h = 10**5, 3000
+    q = largest_disjoint_q(resolve_q("preset:thm14", x, h, Fraction(1, 20)), h, 0.05)
+    dec = decompose(q, h, 0.05)
+    win = sieve_window(MultSpec.ramanujan_tau_norm(), x, x + 2 * h)
+    rep = sup_scan(win, dec, x, 2 * h, "minor")
+    assert rep.grid_spacing == 2.0**-19
+    assert rep.sup_abs <= rep.sup_upper <= rep.sup_abs + 0.01 * rep.trivial_bound
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,7 @@ def test_exit_code_resource_error(capsys):
     "line",
     ["X = abc", "X_list = [1,a]", "epsilon = 1/0x", "X_list = 5", "X_list = []",
      "Q = 1", "X = 1000.9", "H = 10.5", "Q = 5.5", "threads = true",
-     "N = 5000.5"],
+     "N = 5000.5", '{"X": 100}'],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -322,6 +322,22 @@ def test_unreadable_config_exits_2(tmp_path, capsys, kind):
     elif kind == "directory":
         path.mkdir()
     assert main(["correlate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "missing", "directory"])
+def test_unreadable_series_record_exits_2(tmp_path, capsys, kind):
+    # Input files named by flags share one rule: missing, unreadable or
+    # malformed is a configuration error (test_bad_series_record_exits_2).
+    path = tmp_path / "series.json"
+    if kind == "not-utf8":
+        path.write_bytes(b'{"payload": "\xff"}')
+    elif kind == "directory":
+        path.mkdir()
+    assert main(["correlate", "--spec", "divisor1", "--X", "100", "--H", "10",
+                 "--series", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
     assert str(path) in err and "Traceback" not in err
@@ -423,9 +439,10 @@ print(json.dumps(report))
 """
 
 
-def test_scipy_fft_loads_only_for_arc_scans():
-    # Every command but `arcs scan` runs without scipy.fft and scipy.special,
-    # whose import would be most of a short job's start-up time.
+def test_no_command_loads_scipy_fft():
+    # Every command, `arcs scan` included, runs without scipy.fft and
+    # scipy.special, whose import would be most of a short job's start-up
+    # time.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], env=env,
@@ -433,8 +450,7 @@ def test_scipy_fft_loads_only_for_arc_scans():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["codes"] == [0, 0, 0, 0]
-    assert report["loaded"][:4] == [[], [], [], []]
-    assert "scipy.fft" in report["loaded"][4]
+    assert report["loaded"] == [[]] * 5
 
 
 def test_sieve_beyond_int64_exits_3(capsys):
@@ -450,7 +466,10 @@ def test_arc_scan_far_from_origin(tmp_path):
     assert main(["arcs", "scan", "--spec", "divisor2", "--X", "300000",
                  "--H", "3000", "--Q", "5", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())["payload"]
-    assert 0 < payload["sup_abs"] <= payload["trivial_bound"]
+    assert 0 < payload["sup_abs"] <= payload["sup_upper"] <= payload["trivial_bound"]
+    header, row = out.with_suffix(".csv").read_text().splitlines()
+    assert header.endswith(",ratio,sup_upper")
+    assert float(row.split(",")[-1]) == payload["sup_upper"]
 
 
 def test_tau_correlation_at_a_million(monkeypatch, capsys):

@@ -1,11 +1,13 @@
-"""Exact int64 sums, and the balanced digit split shared by the tau squarings."""
+"""Exact int64 sums, the balanced digit split shared by the tau squarings,
+and the per-bin rounding bound of one transform."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from terncorr.rounding import INT64_MAX, exact_sum, split_digits
+from terncorr.rounding import INT64_MAX, exact_sum, fft_bin_error, split_digits
 
 ROOT_INT64 = 3037000499  # floor(sqrt(2^63 - 1)): products of two stay in int64
 
@@ -68,3 +70,40 @@ def test_balanced_digits_reconstruct_within_half(values, bits):
         total = [t + (v << shift) for t, v in zip(total, d.tolist())]
     assert total == values
 
+
+
+def _exact_dft(x, bins, sign):
+    """sum_j x_j e(sign j k / n) at each bin k, in 200-bit arithmetic."""
+    n = len(x)
+    with mpmath.workprec(200):
+        xs = [mpmath.mpc(complex(v)) for v in x]
+        out = []
+        for k in map(int, bins):
+            total = mpmath.fsum(v * mpmath.expjpi(mpmath.mpf(2 * sign * j * k) / n)
+                                for j, v in enumerate(xs))
+            out.append(complex(total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 16, 128, 1024])
+@pytest.mark.parametrize("real", [True, False])
+def test_fft_bin_error_bounds_one_transform(n, real):
+    # The forms the arc scans take: rfft of a real window, and the
+    # unscaled inverse transform of a complex one.
+    rng = np.random.default_rng(n + real)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+    if not real:
+        x = x + 1j * rng.standard_normal(n)
+    got = np.fft.rfft(x) if real else np.fft.ifft(x, norm="forward")
+    bins = np.arange(len(got)) if n <= 128 else rng.choice(len(got), 24, replace=False)
+    err = np.abs(got[bins] - _exact_dft(x, bins, -1 if real else 1))
+    norm = float(np.linalg.norm(x))
+    bound = fft_bin_error(n, norm)
+    assert err.max() <= bound
+    assert bound <= 2**-40 * np.sqrt(n) * norm  # the transform's norm is sqrt(n) norm
+
+
+def test_fft_bin_error_needs_a_power_of_two():
+    assert fft_bin_error(1, 1.0) > 0
+    with pytest.raises(ValueError, match="power of two"):
+        fft_bin_error(96, 1.0)
