@@ -17,6 +17,7 @@ past the stationary point of the oscillation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -268,14 +269,11 @@ class SupScanReport:
 def _major_bins(
     dec: ArcDecomposition, m_grid: int, half: int, pad: float, fold: bool
 ) -> np.ndarray:
-    """Mask of bins 0..half with |k/M - c| <= r + pad/M for a major arc
-    (c, r), mod 1: with pad = 0 the grid points in the closed arcs, with
-    pad = _CELL_PAD (-_CELL_PAD) the cells |alpha - k/M| <= 1/(2M) that
-    meet an arc (lie inside one).
-
-    With fold=True (real windows) bins above M/2 are reflected onto the
-    half spectrum: |S| is symmetric under alpha -> 1 - alpha and the Farey
-    arc set shares that symmetry, so the half spectrum carries the full sup.
+    """Mask of bins 0..half with |k/M - c| <= r + pad/M, mod 1, for a major
+    arc (c, r): pad = 0 marks the grid points in the arcs, +-_CELL_PAD the
+    cells |alpha - k/M| <= 1/(2M) that meet an arc (lie inside one).
+    fold=True (real windows) reflects bins above M/2: |S| and the arc set
+    are symmetric under alpha -> 1 - alpha.
     """
     mask = np.zeros(half + 1, dtype=bool)
     for arc in dec.major:
@@ -341,17 +339,16 @@ def sup_scan(
     sup_upper certified.
 
     |S| does not depend on the phase, so S(alpha) = sum_{0 <= j <= L} f_j
-    e((j - c) alpha) with f_j = f(x+j) and c = L/2.  On the grid k/M, M the
-    least power of two >= 64 (L+1) (it depends on L only), transforms give
-    S and T = sum_j (j - c) f_j e(j alpha), and Taylor's theorem bounds |S|
-    on each cell |alpha - k/M| <= 1/(2M) by
+    e((j - c) alpha), f_j = f(x+j), c = L/2.  On the grid k/M, M the least
+    power of two >= 64 (L+1), transforms give S and T = sum_j (j - c) f_j
+    e(j alpha), and Taylor bounds |S| on each cell |alpha - k/M| <= 1/(2M) by
 
         B_k = |S(k/M)| + pi |T(k/M)| / M + pi^2 sum_j (j-c)^2 |f_j| / (2 M^2)
 
-    plus `rounding.fft_bin_error` for each transform and 8 * 2^-53 sum|f|
-    for the float64 arithmetic outside them.  sup_upper is the largest B_k
-    over the cells that meet the arc set; sup_abs refines the best five
-    grid points in the arc set by three rounds of tenfold local grids.
+    plus `rounding.fft_bin_error` per transform and 8 * 2^-53 sum|f| for
+    the float64 arithmetic outside them.  sup_upper is the largest B_k over
+    the cells meeting the arc set; sup_abs refines the best five grid
+    points in it by three rounds of tenfold local grids.
     """
     if kind not in ("major", "minor"):
         raise DomainError("kind must be 'major' or 'minor'")
@@ -377,10 +374,14 @@ def sup_scan(
             f"{kind} arc set is empty at Q = {dec.q_cut}, beta = {dec.beta:.3g}"
         )
 
+    # scipy.fft (via `scipy`, where a tracer may wrap it) only once loaded, as
+    # its import costs 0.3 s; numpy.fft is the same pocketfft, bit for bit.
+    fft = scipy.fft if "scipy.fft" in sys.modules else np.fft
+
     def magnitudes(v):
         if is_real:
-            return np.abs(np.fft.rfft(v, m_grid))
-        return np.abs(np.fft.ifft(v, m_grid, norm="forward"))  # e(+jk/M), unscaled
+            return np.abs(fft.rfft(v, m_grid))
+        return np.abs(fft.ifft(v, m_grid, norm="forward"))  # e(+jk/M), unscaled
 
     offsets = np.arange(length + 1) - length / 2.0
     ramp = offsets * vals

@@ -49,13 +49,11 @@ def fft_error(length: int) -> float:
 def fft_bin_error(length: int, norm: float) -> float:
     """Bound on every bin's rounding error in one forward transform.
 
-    For a power-of-two length 2^n and an input of Euclidean norm `norm`:
-    the transform's norm is sqrt(2^n) norm (Parseval), and Percival's
-    factor over n + 1 stages (one more for the real-input pass) bounds the
-    error's norm, hence each bin.
+    `length` must be a power of two 2^n.  For an input of Euclidean norm
+    `norm`, the transform's norm is sqrt(2^n) norm (Parseval), and
+    Percival's factor over n + 1 stages (one more for the real-input pass)
+    bounds the error's norm, hence each bin.
     """
-    if length < 1 or length & (length - 1):
-        raise ValueError(f"transform length {length} is not a power of two")
     return math.sqrt(length) * norm * _growth(length.bit_length())
 
 

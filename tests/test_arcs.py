@@ -1,13 +1,9 @@
 """Arc decompositions, short exponential sums, sup scans, major-arc model."""
 
 import cmath
-import json
 import math
-import os
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,30 +215,38 @@ def test_sup_scan_minor_constant_window_under_envelope():
     assert rep.ratio == rep.sup_abs / rep.bound_value
 
 
-_SCAN_IMPORTS = """
-import contextlib, io, json, sys
-import scipy
-from terncorr import arcs, harness
+def test_sup_scan_fft_goes_through_arcs_scipy(monkeypatch):
+    # Once scipy.fft is loaded, the scan's transforms go through
+    # `arcs.scipy`, where the benchmark's tracer wraps them; they match
+    # numpy.fft's bit for bit.
+    import scipy
+    import scipy.fft
 
-scan = ["arcs", "scan", "--X", "2000", "--H", "100", "--Q", "3", "--kind", "minor"]
-codes = []
-for spec in ("tau", "one_star_chi4"):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(harness.main(scan + ["--spec", spec]))
-print(json.dumps({"codes": codes, "fft": "scipy.fft" in sys.modules,
-                  "same": arcs.scipy is scipy}))
-"""
+    assert arcs.scipy is scipy
+    win = sieve_window(ONE, 1000, 1040)
+    dec = decompose(2, 20, 0.05)
+    monkeypatch.delitem(sys.modules, "scipy.fft")  # numpy.fft
+    plain = sup_scan(win, dec, 1000, 40, "major")
+    monkeypatch.undo()
+    calls = []
 
+    def rfft(*args, **kwargs):
+        calls.append(1)
+        return scipy.fft.rfft(*args, **kwargs)
 
-def test_scans_run_without_scipy_fft():
-    # The scan FFT is numpy's; `arcs.scipy` stays the scipy module (J0 and
-    # the benchmark's trace proxy both reach scipy through it).
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", _SCAN_IMPORTS],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0, 0], "fft": False, "same": True}
+    class Fft:
+        def __getattr__(self, name):
+            return rfft if name == "rfft" else getattr(scipy.fft, name)
+
+    class Scipy:
+        fft = Fft()
+
+        def __getattr__(self, name):
+            return getattr(scipy, name)
+
+    monkeypatch.setattr(arcs, "scipy", Scipy())
+    assert sup_scan(win, dec, 1000, 40, "major") == plain
+    assert calls
 
 
 def test_sup_scan_empty_minor_arcs_rejected():

@@ -101,9 +101,3 @@ def test_fft_bin_error_bounds_one_transform(n, real):
     bound = fft_bin_error(n, norm)
     assert err.max() <= bound
     assert bound <= 2**-40 * np.sqrt(n) * norm  # the transform's norm is sqrt(n) norm
-
-
-def test_fft_bin_error_needs_a_power_of_two():
-    assert fft_bin_error(1, 1.0) > 0
-    with pytest.raises(ValueError, match="power of two"):
-        fft_bin_error(96, 1.0)
