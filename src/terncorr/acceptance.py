@@ -112,15 +112,14 @@ def criterion_5() -> tuple[bool, str, list[str]]:
     the simple-pole witness has C_1 = pi/4."""
     one, osc = _spec("divisor1"), _spec("one_star_chi4")
     failures = []
-    groups: dict[int, dirichlet.CharacterGroup] = {}
-    c1 = dirichlet.singular_coefficient(one, 1, 10**6, _CACHE, groups)
+    c1, _ = dirichlet.singular_coefficient(one, 1, 10**6, _CACHE)
     if abs(c1 - 1.0) > 1e-3:
         failures.append(f"f=1: C_1 = {c1}")
     for q in range(2, 51):
-        cq = dirichlet.singular_coefficient(one, q, 10**6, _CACHE, groups)
+        cq, _ = dirichlet.singular_coefficient(one, q, 10**6, _CACHE)
         if abs(cq) > 1e-3:
             failures.append(f"f=1: |C_{q}| = {abs(cq):.3g}")
-    c1_osc = dirichlet.singular_coefficient(osc, 1, 10**6, _CACHE, groups)
+    c1_osc, _ = dirichlet.singular_coefficient(osc, 1, 10**6, _CACHE)
     if abs(c1_osc - math.pi / 4) > 5e-3:
         failures.append(f"witness: C_1 = {c1_osc}")
     detail = f"C_1(f=1)={c1.real:.6f}, C_1(witness)={c1_osc.real:.6f} vs pi/4={math.pi / 4:.6f}"
@@ -205,13 +204,12 @@ def criterion_9() -> tuple[bool, str, list[str]]:
     x, h = 10**5, 10**4
     beta = float(h) ** (-0.6)
     window = _CACHE.window(osc, 1, x, x + 2 * h)
-    groups: dict[int, dirichlet.CharacterGroup] = {}
     failures = []
     worst, worst_case = 0.0, ""
     for q in (1, 2, 3, 4):
         units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
         for a in units:
-            density, _ = dirichlet.local_density(osc, q, a, 10**6, _CACHE, groups)
+            density, _ = dirichlet.local_density(osc, q, a, 10**6, _CACHE)
             for gamma in (0.0, beta / 10, -beta / 10, beta, -beta):
                 r = arcs.major_arc_model(osc, density, q, a, gamma, x, h, window=window)
                 allowance = 0.05 * max(abs(r.actual), math.sqrt(x))
@@ -329,8 +327,7 @@ def prop_hyperbola():
 def prop_orthogonality():
     for q in range(1, 101):
         group = dirichlet.characters_mod(q)
-        mat = np.array([c.values for c in group.characters])
-        gram = mat @ mat.conj().T
+        gram = group.table @ group.table.conj().T
         target = np.eye(len(group)) * dirichlet.euler_phi(q)
         assert np.abs(gram - target).max() < 1e-9, f"q={q}"
 

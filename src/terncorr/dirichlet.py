@@ -4,27 +4,34 @@ Characters mod q are assembled by CRT from cyclic components: a primitive
 root for each odd prime power, and the {-1, 5} generating pair for powers
 of two.  The residue of sum f(q0 n) chi(n) n^(-s) at s=1 is realised as the
 two-scale Richardson extrapolation of partial means, which is all the
-downstream singular-series assembly needs.  For the principal character mod
-q1, the partial sums come from the identity
+downstream singular-series assembly needs.  Each window f(q0 n) is reduced
+once to its residue-class sums mod q1 (`_class_sums`, exact for integer
+families), and each character mod q1 is one dot product with them.  For
+the principal character the partial sums come instead from the identity
 sum_{n <= M, (n, q1) = 1} f(q0 n) = sum_{d | q1} mu(d) sum_{m <= M/d} f(q0 d m),
 as signed prefixes of the windows f(k n), k = q0 d, that the series holds
-anyway; exact families sum them exactly with `rounding.exact_sum`.
+anyway; exact families sum them exactly with `rounding.exact_sum`.  The
+singular series needs only these.  The local density C(a, q) and the
+twisted-progression check share one expansion (`_character_expansion`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
 from .multfunc import CoefficientWindow, MultSpec, WindowCache, factorize
-from .rounding import exact_sum
+from .rounding import INT64_MAX, exact_sum
 
 MAX_CHARACTER_MODULUS = 1_000_000
 MAX_TABLE_ENTRIES = 1 << 25  # phi(q) * q guard for full group tables
+
+# Memoised window reductions of one spec (see mean_density).
+Sums = dict[tuple, int | complex | list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,13 @@ class CharacterGroup:
     @property
     def principal(self) -> DirichletCharacter:
         return self.characters[0]
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """phi(q) x q array whose row j is characters[j].values (read-only)."""
+        table = np.array([chi.values for chi in self.characters])
+        table.setflags(write=False)
+        return table
 
 
 def euler_phi(n: int) -> int:
@@ -122,18 +136,25 @@ def _component_two(a: int):
     return m, [2, half], [sign, five]
 
 
+def principal_character(q: int) -> DirichletCharacter:
+    """The principal character mod q, from its coprimality table alone."""
+    values = (np.gcd(np.arange(q), q) == 1).astype(np.complex128)
+    return DirichletCharacter(
+        modulus=q, index=0, is_principal=True, is_primitive=q == 1, values=values
+    )
+
+
+@functools.lru_cache(maxsize=16)
 def characters_mod(q: int) -> CharacterGroup:
-    """All phi(q) Dirichlet characters mod q, principal first."""
+    """All phi(q) Dirichlet characters mod q, principal first.
+
+    The groups of the last 16 moduli asked for are memoised; groups are
+    immutable, so callers share them.
+    """
     if q < 1:
         raise DomainError("modulus must be >= 1")
     if q > MAX_CHARACTER_MODULUS:
         raise BudgetError(f"modulus {q} exceeds budget {MAX_CHARACTER_MODULUS}")
-    if q == 1:
-        values = np.ones(1, dtype=np.complex128)
-        chi = DirichletCharacter(
-            modulus=1, index=0, is_principal=True, is_primitive=True, values=values
-        )
-        return CharacterGroup(modulus=1, characters=(chi,))
     phi = euler_phi(q)
     if phi * q > MAX_TABLE_ENTRIES:
         raise BudgetError(
@@ -148,24 +169,15 @@ def characters_mod(q: int) -> CharacterGroup:
     # Per-subcomponent discrete logs of every residue (or -1 off units).
     sub_orders: list[int] = []
     sub_dlogs: list[np.ndarray] = []
-    coprime = np.ones(q, dtype=bool)
     for m, orders, dlogs in comps:
-        r = n % m
-        unit = np.ones(q, dtype=bool)
-        for dl in dlogs:
-            unit &= dl[r] >= 0
-        if not dlogs:  # 2^1 component: units are the odd residues
-            unit = r == 1
-        coprime &= unit
         for order, dl in zip(orders, dlogs):
             sub_orders.append(order)
-            sub_dlogs.append(dl[r])
+            sub_dlogs.append(dl[n % m])
+    coprime = np.gcd(n, q) == 1
 
-    prim_flags = _primitivity_flags(comps)
     chars = []
-    total = phi
     digits = [0] * len(sub_orders)
-    for index in range(total):
+    for index in range(phi):
         phase = np.zeros(q, dtype=np.float64)
         for t, order, dl in zip(digits, sub_orders, sub_dlogs):
             if t:
@@ -176,7 +188,7 @@ def characters_mod(q: int) -> CharacterGroup:
                 modulus=q,
                 index=index,
                 is_principal=all(t == 0 for t in digits),
-                is_primitive=prim_flags(digits),
+                is_primitive=_is_primitive(values, q),
                 values=values,
             )
         )
@@ -189,45 +201,26 @@ def characters_mod(q: int) -> CharacterGroup:
     return CharacterGroup(modulus=q, characters=tuple(chars))
 
 
-def _primitivity_flags(comps):
-    """Closure testing component-wise primitivity for a digit vector."""
-    pos = 0
-    groups: list[tuple[int, int, object]] = []  # (start, ndigits, checker)
-    for m, orders, _ in comps:
-        nd = len(orders)
-        if m % 2 == 0:
-            a = m.bit_length() - 1
-            if a == 1:
-                groups.append((pos, 0, lambda ts: False))  # conductor 1 < 2
-            elif a == 2:
-                groups.append((pos, 1, lambda ts: ts[0] == 1))
-            else:
-                groups.append((pos, 2, lambda ts: ts[1] % 2 == 1))
-        else:
-            p = factorize(m)[0][0]
-            a = round(math.log(m, p))
-            if a == 1:
-                groups.append((pos, 1, lambda ts: ts[0] != 0))
-            else:
-                groups.append((pos, 1, lambda ts, p=p: ts[0] % p != 0))
-        pos += nd
+def _is_primitive(values: np.ndarray, q: int) -> bool:
+    """Whether the character with this value table mod q is primitive.
 
-    def check(digits: Sequence[int]) -> bool:
-        for start, nd, pred in groups:
-            if nd == 0:
-                return False  # a 2^1 factor forces an imprimitive character
-            if not pred(list(digits[start : start + nd])):
-                return False
-        return True
-
-    return check
+    chi is induced from a smaller modulus exactly when, for some prime
+    p | q, chi(n) = 1 on every unit n = 1 (mod q/p).  That test reads
+    |chi(n) - 1| < 1e-9, which is safe: chi(n) is a root of unity of order
+    at most phi(q) < MAX_CHARACTER_MODULUS, so one other than 1 lies at
+    least 2 sin(pi/phi(q)) > 6e-6 from 1, while the tables err by about
+    1e-15.  (np.allclose would not do: its rtol of 1e-5 calls such values 1.)
+    """
+    for p, _ in factorize(q):
+        v = values[np.arange(1, q, q // p)]  # n = 1 + k q/p, k < p
+        if np.all((v == 0) | (np.abs(v - 1) < 1e-9)):
+            return False
+    return True
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum over units m of chi(m) e(m/q)."""
     q = chi.modulus
-    if q == 1:
-        return 1.0 + 0.0j
     m = np.arange(q)
     return complex(np.dot(chi.values, np.exp(2j * np.pi * m / q)))
 
@@ -260,30 +253,35 @@ def mean_density(
     chi: DirichletCharacter,
     n_terms: int,
     cache: WindowCache | None = None,
-    sums: dict[tuple[int, int], int | complex] | None = None,
+    sums: Sums | None = None,
 ) -> MeanDensityResult:
     """Residue at s=1 of sum_{(n,q1)=1} f(q0 n) chi(n) n^(-s), as a mean value.
 
     The means are taken over n <= M for M = n_terms // 2 and M = n_terms.
     A principal chi sums by Moebius inversion over the prefixes of the
     windows f(k n), k = q0 d (see `_principal_sums`), exactly in Python
-    ints for exact families; sums memoises those prefixes by (k, m) for one
-    spec.  Any other chi multiplies the window f(q0 n) by its tiled values.
+    ints for exact families.  Any other chi is its value table dotted with
+    the residue-class sums mod q1 of f(q0 n) at both cuts (`_class_sums`).
+    sums memoises both kinds of sum for one spec: prefixes by (k, m), class
+    sums by (q0, q1, n_terms).
     """
     if chi.modulus != q1:
         raise DomainError(f"character modulus {chi.modulus} != q1 = {q1}")
     if n_terms < 2:
         raise DomainError("n_terms must be >= 2")
     cache = cache or WindowCache()
+    sums = {} if sums is None else sums
     half = n_terms // 2
     if chi.is_principal:
         s_half, s_full = _principal_sums(spec, q0, q1, n_terms, cache, sums)
         s_half, s_full = complex(s_half), complex(s_full)
     else:
-        win = cache.window(spec, q0, 1, n_terms)
-        prods = win.values * _tiled_character(chi, n_terms)
-        s_half = complex(prods[:half].sum())
-        s_full = s_half + complex(prods[half:].sum())
+        key = (q0, q1, n_terms)
+        if key not in sums:
+            win = cache.window(spec, q0, 1, n_terms)
+            sums[key] = [np.asarray(_class_sums(win, q1, m), np.complex128)
+                         for m in (half, n_terms)]
+        s_half, s_full = (complex(chi.values @ r) for r in sums[key])
     mean_full = s_full / n_terms
     mean_half = s_half / half
     estimate = 2.0 * mean_full - mean_half
@@ -304,7 +302,7 @@ def _principal_sums(
     q1: int,
     n_terms: int,
     cache: WindowCache,
-    sums: dict[tuple[int, int], int | complex] | None,
+    sums: Sums,
 ) -> list[int | complex]:
     """sum_{n <= M, (n, q1) = 1} f(q0 n) for M = n_terms // 2 and n_terms.
 
@@ -313,7 +311,6 @@ def _principal_sums(
     windows f(k n), n <= n_terms, for k = q0 d.  Each distinct (k, m) is
     summed once into sums.
     """
-    sums = {} if sums is None else sums
     totals = [0, 0]
     for d, mu in _moebius_divisors(q1):
         k = q0 * d
@@ -345,14 +342,40 @@ def _prefix_sum(win: CoefficientWindow, m: int) -> int | complex:
     return exact_sum(values, win.peak)
 
 
-def _tiled_character(chi: DirichletCharacter, n_terms: int) -> np.ndarray:
-    """chi(n) for n = 1..n_terms by tiling one period; real for 0/1 tables."""
-    q1 = chi.modulus
-    pattern = chi.values[(np.arange(q1) + 1) % q1]
-    if np.allclose(pattern.imag, 0.0):
-        pattern = pattern.real.copy()
-    reps = -(-n_terms // q1)
-    return np.tile(pattern, reps)[:n_terms]
+def _class_sums(win: CoefficientWindow, q1: int, m: int) -> np.ndarray:
+    """R[r] = sum_{n <= m, n = r (mod q1)} of the window's values, r < q1.
+
+    Column j of values[:m] in rows of q1 holds the n = j + 1 (mod q1).  An
+    int64 column adds at most ceil(m/q1) terms of size <= peak, so its
+    int64 sum is exact while ceil(m/q1)*peak <= 2^63 - 1; past that each
+    column goes through `rounding.exact_sum` and R holds Python ints.
+    """
+    values = win.values[:m]
+    if values.dtype == np.int64 and -(-m // q1) * win.peak > INT64_MAX:
+        cols = np.array(
+            [exact_sum(values[j::q1], win.peak) for j in range(q1)], dtype=object
+        )
+    else:
+        full = m - m % q1
+        cols = values[:full].reshape(-1, q1).sum(axis=0)
+        cols[: m - full] += values[full:]
+    return np.roll(cols, 1)
+
+
+def _character_expansion(q: int, a: int):
+    """Yield (q0, q1, group, w) for q = q0*q1, with w[j] the weight
+    tau(conj chi_j) chi_j(a) / phi(q1) of group.characters[j].
+
+    For n = q0 m with (m, q1) = 1, e(an/q) = e(am/q1) = sum_j w[j] chi_j(m),
+    the Gauss-sum expansion of an additive character on units; a is a unit
+    mod q (or 0 for q = 1).
+    """
+    for q1 in (d for d in range(1, q + 1) if q % d == 0):
+        group = characters_mod(q1)
+        # tau(conj chi) = chi(-1) conj(tau(chi))
+        taus = np.array([chi(-1) * gauss_sum(chi).conjugate()
+                         for chi in group.characters])
+        yield q // q1, q1, group, taus * group.table[:, a % q1] / euler_phi(q1)
 
 
 def singular_coefficient(
@@ -360,42 +383,21 @@ def singular_coefficient(
     q: int,
     n_terms: int,
     cache: WindowCache | None = None,
-    groups: dict[int, CharacterGroup] | None = None,
-) -> complex:
-    """C_q = sum over q = q0*q1 of mu(q1)/(phi(q1) q0) times the principal
-    mean density for (q0, q1)."""
-    c, _ = _singular_coefficient_with_error(spec, q, n_terms, cache, groups)
-    return c
-
-
-def _group(q1: int, groups: dict[int, CharacterGroup] | None) -> CharacterGroup:
-    if groups is not None:
-        if q1 not in groups:
-            groups[q1] = characters_mod(q1)
-        return groups[q1]
-    return characters_mod(q1)
-
-
-def _singular_coefficient_with_error(
-    spec: MultSpec,
-    q: int,
-    n_terms: int,
-    cache: WindowCache | None = None,
-    groups: dict[int, CharacterGroup] | None = None,
-    sums: dict[tuple[int, int], int | complex] | None = None,
+    sums: Sums | None = None,
 ) -> tuple[complex, float]:
+    """(C_q, error gap): C_q = sum over q = q0*q1 of w = mu(q1)/(phi(q1) q0)
+    times the principal mean density for (q0, q1), and the gap the sum of
+    |w| times the density gaps.  No character group is built."""
     if q < 1:
         raise DomainError("q must be >= 1")
+    cache = cache or WindowCache()
     sums = {} if sums is None else sums
     total = 0.0 + 0.0j
     err = 0.0
-    for q1 in sorted(d for d in range(1, q + 1) if q % d == 0):
-        mu = moebius(q1)
-        if mu == 0:
-            continue
+    for q1, mu in sorted(_moebius_divisors(q)):
         q0 = q // q1
-        principal = _group(q1, groups).principal
-        dens = mean_density(spec, q0, q1, principal, n_terms, cache, sums)
+        chi = principal_character(q1)
+        dens = mean_density(spec, q0, q1, chi, n_terms, cache, sums)
         w = mu / (euler_phi(q1) * q0)
         total += w * dens.estimate
         err += abs(w) * dens.error_gap
@@ -408,33 +410,30 @@ def local_density(
     a: int,
     n_terms: int,
     cache: WindowCache | None = None,
-    groups: dict[int, CharacterGroup] | None = None,
 ) -> tuple[complex, float]:
     """C(a, q) = lim mean of f(n) e(an/q), with its propagated error gap.
 
-    The expansion of twisted_progression_check: over q = q0*q1 and every
-    chi mod q1, tau(conj chi) chi(a) / (q0 phi(q1)) times the mean density
-    of f(q0 n) chi(n).  Its principal terms are C_q, so the mean over the
-    units a is singular_coefficient; the other characters carry the poles
-    of the twisted series (+-i pi/8 at q = 4 for the 1*chi4 witness).
-    The error gap is the weighted sum of the density gaps, an error scale
-    rather than a bound.
+    The expansion of `_character_expansion`: over q = q0*q1 and every chi
+    mod q1, the weight w / q0 times the mean density of f(q0 n) chi(n).  Its
+    principal terms are C_q, so the mean over the units a is
+    singular_coefficient; the other characters carry the poles of the
+    twisted series (+-i pi/8 at q = 4 for the 1*chi4 witness).  The error
+    gap is the weighted sum of the density gaps, an error scale rather than
+    a bound.
     """
     if q < 1:
         raise DomainError("q must be >= 1")
     if math.gcd(a, q) != 1:
         raise DomainError(f"need gcd(a, q) = 1, got a={a}, q={q}")
+    cache = cache or WindowCache()
     total = 0.0 + 0.0j
     err = 0.0
-    sums: dict[tuple[int, int], int | complex] = {}
-    for q1 in sorted(d for d in range(1, q + 1) if q % d == 0):
-        q0 = q // q1
-        for chi in _group(q1, groups).characters:
+    sums: Sums = {}
+    for q0, q1, group, w in _character_expansion(q, a):
+        for chi, wj in zip(group.characters, w / q0):
             dens = mean_density(spec, q0, q1, chi, n_terms, cache, sums)
-            tau_conj = chi(-1) * gauss_sum(chi).conjugate()  # tau(conj chi)
-            w = tau_conj * chi(a) / (q0 * euler_phi(q1))
-            total += w * dens.estimate
-            err += abs(w) * dens.error_gap
+            total += wj * dens.estimate
+            err += abs(wj) * dens.error_gap
     return total, err
 
 
@@ -479,8 +478,7 @@ def singular_series_sum(
     if q_cut < 2:
         raise DomainError("q_cut must be >= 2")
     cache = cache or WindowCache()
-    groups: dict[int, CharacterGroup] = {}
-    sums: dict[tuple[int, int], int | complex] = {}
+    sums: Sums = {}
 
     # The windows are the expensive part; the q-loop is a cheap
     # deterministic reduction over them.
@@ -494,7 +492,7 @@ def singular_series_sum(
     c_table = np.zeros(q_cut - 1, dtype=np.complex128)
     c_err = np.zeros(q_cut - 1, dtype=np.float64)
     for q in range(1, q_cut):
-        c, e = _singular_coefficient_with_error(spec, q, n_terms, held, groups, sums)
+        c, e = singular_coefficient(spec, q, n_terms, held, sums)
         c_table[q - 1] = c
         c_err[q - 1] = e
 
@@ -554,8 +552,10 @@ def twisted_progression_check(
     """|additive side - character side| for sum_{n <= N} f(n) e(an/q).
 
     The character side decomposes over q = q0*q1 by the gcd of n with q and
-    expands e(a n/q1) through Gauss sums; the identity is exact for every
-    truncation N, so the returned difference is pure roundoff.
+    expands e(a n/q1) through Gauss sums (`_character_expansion`), each
+    character dotted with the residue-class sums of f(q0 m), m <= N // q0;
+    the identity is exact for every truncation N, so the returned difference
+    is pure roundoff.
     """
     if q < 1:
         raise DomainError("q must be >= 1")
@@ -568,21 +568,10 @@ def twisted_progression_check(
     additive = complex(np.dot(win.values, np.exp(2j * np.pi * ((a * n) % q) / q)))
 
     char_side = 0.0 + 0.0j
-    for q1 in sorted(d for d in range(1, q + 1) if q % d == 0):
-        q0 = q // q1
-        group = characters_mod(q1)
+    for q0, q1, group, w in _character_expansion(q, a):
         m_cut = n_terms // q0
         if m_cut < 1:
             continue
-        wprog = cache.window(spec, q0, 1, m_cut)
-        idx = np.arange(1, m_cut + 1, dtype=np.int64) % q1
-        inner = np.array(
-            [complex(np.dot(wprog.values, chi.values[idx])) for chi in group.characters]
-        )
-        # tau(conj chi) = chi(-1) conj(tau(chi))
-        taus = np.array(
-            [chi(-1) * gauss_sum(chi).conjugate() for chi in group.characters]
-        )
-        chi_a = np.array([chi(a) for chi in group.characters])
-        char_side += (taus * chi_a * inner).sum() / euler_phi(q1)
+        r = _class_sums(cache.window(spec, q0, 1, m_cut), q1, m_cut)
+        char_side += w @ (group.table @ np.asarray(r, np.complex128))
     return abs(additive - char_side)

@@ -97,6 +97,35 @@ def test_primitive_counts_partition_group():
         assert total == euler_phi(q), q
 
 
+def _brute_conductor(chi):
+    """The least d | q with chi periodic mod d on the units mod q."""
+    q = chi.modulus
+    units = np.array([n for n in range(q) if math.gcd(n, q) == 1])
+    for d in range(1, q + 1):
+        if q % d:
+            continue
+        first = {}  # the value at the first unit of each class mod d
+        for n in units:
+            first.setdefault(n % d, chi.values[n])
+        if all(abs(chi.values[n] - first[n % d]) < 1e-9 for n in units):
+            return d
+
+
+def test_is_primitive_matches_brute_force_conductor():
+    for q in range(1, 101):
+        for chi in characters_mod(q).characters:
+            assert chi.is_primitive == (_brute_conductor(chi) == q), (q, chi.index)
+
+
+def test_principal_character_matches_group():
+    for q in (1, 2, 12, 49, 60):
+        chi = dirichlet.principal_character(q)
+        ref = characters_mod(q).principal
+        assert np.array_equal(chi.values, ref.values)
+        assert (chi.index, chi.is_principal, chi.is_primitive) == (
+            ref.index, ref.is_principal, ref.is_primitive)
+
+
 def test_modulus_budget():
     with pytest.raises(BudgetError):
         characters_mod(10**6 + 1)
@@ -170,13 +199,14 @@ def test_mean_density_validation():
 
 
 def test_singular_coefficient_constant():
-    assert singular_coefficient(ONE, 1, N_FAST, CACHE) == pytest.approx(1.0, abs=1e-6)
-    assert abs(singular_coefficient(ONE, 2, N_FAST, CACHE)) < 1e-4
+    c1, gap1 = singular_coefficient(ONE, 1, N_FAST, CACHE)
+    assert c1 == pytest.approx(1.0, abs=1e-6) and gap1 == 0.0
+    assert abs(singular_coefficient(ONE, 2, N_FAST, CACHE)[0]) < 1e-4
 
 
 @pytest.mark.parametrize("q", sorted(WITNESS_CLOSED_FORMS))
 def test_witness_coefficients_match_closed_forms(q):
-    got = singular_coefficient(OSC, q, 10**6, CACHE)
+    got, _ = singular_coefficient(OSC, q, 10**6, CACHE)
     assert got.real == pytest.approx(WITNESS_CLOSED_FORMS[q], abs=7e-3)
     assert abs(got.imag) < 1e-12
 
@@ -193,6 +223,14 @@ def test_mean_density_int64_sum_does_not_wrap():
     mean_full, mean_half = complex(s_full) / n_terms, complex(s_half) / half
     assert got.estimate == 2.0 * mean_full - mean_half
     assert got.error_gap == abs(mean_full - mean_half)
+    # a character mod 3 dots the exact class sums, which pass 2^63 as well
+    chi = characters_mod(3).characters[1]
+    got = mean_density(spec, 1, 3, chi, n_terms, cache)
+    res = np.arange(1, n_terms + 1) % 3
+    rows = [[vals[:m][res[:m] == r].sum() for r in range(3)] for m in (half, n_terms)]
+    assert max(rows[1]) >= 2**63
+    s_half, s_full = (complex(chi.values @ np.array(row, np.complex128)) for row in rows)
+    assert got.estimate == _means(s_half, s_full, n_terms)[0]
 
 
 N_ODD = 20001  # odd, so that n_terms // 2 // d and n_terms // d both round down
@@ -251,7 +289,9 @@ def test_principal_density_float_families_match_tiled_route(spec):
         for q0, q1 in _divisor_pairs(q):
             chi = characters_mod(q1).principal
             vals = cache.window(spec, q0, 1, N_ODD).values
-            prods = vals * dirichlet._tiled_character(chi, N_ODD)
+            # chi(n) for n = 1..N_ODD, by tiling one period
+            period = chi.values[(np.arange(q1) + 1) % q1].real
+            prods = vals * np.tile(period, -(-N_ODD // q1))[:N_ODD]
             s_half = complex(prods[:half].sum())
             tiled, _ = _means(s_half, s_half + complex(prods[half:].sum()), N_ODD)
             got = mean_density(spec, q0, q1, chi, N_ODD, cache)
@@ -273,6 +313,47 @@ def test_prefix_sum_chunks_do_not_wrap(peak):
         assert dirichlet._prefix_sum(win, m) == exact[:m].sum(), m
 
 
+@pytest.mark.parametrize("peak", [0, 5, (1 << 62) - 1])
+def test_class_sums_are_exact(peak):
+    # With peak near 2^62 a column of two or more terms goes through
+    # exact_sum, one term stays int64; the cuts fall below q1, on a
+    # multiple of q1 and off it.
+    rng = np.random.default_rng(11)
+    values = rng.integers(-peak, peak, size=1001, endpoint=True, dtype=np.int64)
+    values[500] = peak
+    win = multfunc.CoefficientWindow(lo=1, hi=1001, q0=1, values=values)
+    exact = values.astype(object)
+    n = np.arange(1, 1002)
+    for q1 in (1, 2, 3, 7, 49):
+        for m in sorted({0, 1, q1 - 1, q1, q1 + 1, 7 * q1, 7 * q1 + 3, 1000, 1001}):
+            expect = [sum(exact[:m][n[:m] % q1 == r]) for r in range(q1)]
+            assert list(dirichlet._class_sums(win, q1, m)) == expect, (q1, m)
+
+
+@pytest.mark.parametrize("q1", [3, 4, 5, 8, 12, 49])
+@pytest.mark.parametrize("sid", ["divisor3", "one_star_chi4"])
+def test_nonprincipal_density_matches_object_sums(sid, q1):
+    # Python-int class sums times the character table, against the
+    # memoised class sums of mean_density; only the float dot products
+    # round, so they agree to 1e-13 of the mean absolute class sum.
+    spec = spec_from_id(sid)
+    n = np.arange(1, N_ODD + 1)
+    half = N_ODD // 2
+    for q0 in (1, 2):
+        vals = CACHE.window(spec, q0, 1, N_ODD).values.astype(object)
+        exact = [[sum(vals[:m][n[:m] % q1 == r]) for r in range(q1)]
+                 for m in (half, N_ODD)]
+        scale = sum(abs(x) for x in exact[1]) / N_ODD
+        sums = {}
+        for chi in characters_mod(q1).characters[1:]:
+            s_half, s_full = (sum(complex(chi.values[r]) * x for r, x in enumerate(row))
+                              for row in exact)
+            got = mean_density(spec, q0, q1, chi, N_ODD, CACHE, sums)
+            expect, gap = _means(s_half, s_full, N_ODD)
+            assert abs(got.estimate - expect) <= 1e-13 * scale, (q0, chi.index)
+            assert abs(got.error_gap - gap) <= 1e-13 * scale, (q0, chi.index)
+
+
 def test_witness_coefficients_match_progression_densities():
     # direct cross-check of C_3 against raw progression densities at two
     # scales, with no character machinery: C_3 = (1/3) mean f(3n) - (1/2)
@@ -284,7 +365,7 @@ def test_witness_coefficients_match_progression_densities():
     n = np.arange(1, n_terms + 1)
     coprime = float(win1.values[n % 3 != 0].sum()) / n_terms
     direct = mean_f3 / 3.0 - coprime / 2.0
-    got = singular_coefficient(OSC, 3, n_terms, CACHE)
+    got, _ = singular_coefficient(OSC, 3, n_terms, CACHE)
     assert got.real == pytest.approx(direct, abs=2e-3)
 
 
@@ -292,13 +373,10 @@ def test_witness_coefficients_match_progression_densities():
 def test_local_density_unit_mean_is_singular_coefficient(sid):
     # the non-principal terms cancel in the mean over the units a
     spec = spec_from_id(sid)
-    groups = {}
     for q in range(1, 13):
         units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-        mean = sum(
-            local_density(spec, q, a, N_FAST, CACHE, groups)[0] for a in units
-        ) / len(units)
-        assert abs(mean - singular_coefficient(spec, q, N_FAST, CACHE)) < 1e-12, q
+        mean = sum(local_density(spec, q, a, N_FAST, CACHE)[0] for a in units) / len(units)
+        assert abs(mean - singular_coefficient(spec, q, N_FAST, CACHE)[0]) < 1e-12, q
 
 
 def test_witness_local_density_closed_form():
@@ -365,6 +443,33 @@ def test_series_builds_each_window_once(monkeypatch, threads):
     assert cache.counts()["builds"] == 29
     assert np.array_equal(series.c_table, reference.c_table)
     assert series.series_value == reference.series_value
+
+
+def test_series_builds_no_character_table(monkeypatch):
+    def refuse(q):
+        raise AssertionError(f"characters_mod({q}) called")
+
+    monkeypatch.setattr(dirichlet, "characters_mod", refuse)
+    series = singular_series_sum(OSC, 50, 10**4, cache=WindowCache())
+    assert len(series.c_table) == 49
+
+
+def test_twisted_terms_match_principal_series():
+    # The ternary singular series with every character term,
+    # sum_q sum_a C(a, q)^2 C(-2a/q) over the units a mod q, against the
+    # principal-only sum phi(q) C_q^3 that singular_series_sum reports.
+    q_cut, n_terms, cache = 50, 2 * 10**5, WindowCache(max_items=96)
+    dens = {}
+    for q in range(1, q_cut):
+        for a in range(1, q + 1):
+            if math.gcd(a, q) == 1:
+                dens[(q, a % q)] = local_density(OSC, q, a, n_terms, cache)[0]
+    total = 0j
+    for (q, a), c in dens.items():
+        g = math.gcd(2, q)  # -2a/q in lowest terms
+        total += c * c * dens[(q // g, (-2 * a // g) % (q // g))]
+    series = singular_series_sum(OSC, q_cut, n_terms, cache=cache)
+    assert abs(total - series.series_value) <= 1e-4
 
 
 def test_series_tail_handles_all_zero():
