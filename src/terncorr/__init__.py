@@ -18,4 +18,3 @@ from .errors import (  # noqa: F401
     SpecificationError,
     TerncorrError,
 )
-from . import arcs, correlate, dirichlet, multfunc  # noqa: E402,F401

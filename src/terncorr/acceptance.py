@@ -1,8 +1,10 @@
 """Acceptance suite: one callable per criterion, shared by CLI and pytest.
 
 Each criterion checks its stated tolerance and prints one PASS/FAIL line.
-Heavy intermediates (tau tables, million-point progression windows) are
-shared through module-level caches so the whole suite stays inside the
+Criteria about an experiment (6, 7, 8 and 10) check the payload of
+`harness.run` on its config, so they test the code the CLI runs.  Heavy
+intermediates of the others (million-point progression windows) are
+shared through a module-level cache so the whole suite stays inside the
 per-criterion runtime budgets.
 """
 
@@ -17,8 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import arcs, correlate, dirichlet, multfunc
-from .harness import ceil_rational_power, resolve_q
+from . import arcs, correlate, dirichlet, harness, multfunc
 
 _SEED = 20260808
 _CACHE = multfunc.WindowCache(max_items=48)
@@ -38,6 +39,11 @@ def _spec(sid: str) -> multfunc.MultSpec:
     return multfunc.spec_from_id(sid)
 
 
+def _payload(experiment: str, **settings) -> dict:
+    """The payload of harness.run on an experiment's config."""
+    return harness.run(harness.ExperimentConfig(experiment, **settings)).payload
+
+
 # ---------------------------------------------------------------------------
 # Criteria
 
@@ -55,13 +61,8 @@ def criterion_1() -> tuple[bool, str, list[str]]:
 def criterion_2() -> tuple[bool, str, list[str]]:
     """20 randomized exact-spec cases: direct and convolution numerators
     are bit-identical integers."""
-    rng = random.Random(_SEED)
-    pool = ["divisor1", "divisor2", "divisor3", "moebius", "one_star_chi4"]
     failures = []
-    for i in range(20):
-        ids = [rng.choice(pool) for _ in range(3)]
-        x = rng.randint(50, 2000)
-        h = rng.randint(1, min(50, (x - 1) // 2))
+    for i, (ids, x, h) in enumerate(harness.random_exact_cases(_SEED, 20)):
         req = correlate.CorrelationRequest(*(map(_spec, ids)), x, h)
         a = correlate.ternary_direct(req, cache=_CACHE)
         b = correlate.ternary_convolution(req, cache=_CACHE)
@@ -129,22 +130,11 @@ def criterion_5() -> tuple[bool, str, list[str]]:
 def criterion_6() -> tuple[bool, str, list[str]]:
     """Main-term trend for the simple-pole witness, H = ceil(X^0.8):
     relative gap at X=1e5 is <= 0.15 and strictly below the X=1e4 gap."""
-    osc = _spec("one_star_chi4")
-    eps = Fraction(1, 20)
-    gaps = {}
-    for x in (10**4, 10**5):
-        h = ceil_rational_power(x, Fraction(4, 5))
-        q_pre = resolve_q("preset:thm13", x, h, eps)
-        q_use = arcs.largest_disjoint_q(q_pre, h, float(eps))
-        series = dirichlet.singular_series_sum(
-            osc, q_use, 10**6, cache=_CACHE, threads=8
-        )
-        req = correlate.CorrelationRequest(osc, osc, osc, x, h)
-        res = correlate.ternary_convolution(req, cache=_CACHE)
-        res = correlate.compare_to_main_term(res, series, x, h)
-        gaps[x] = res.relative_gap
-    ok = gaps[10**5] <= 0.15 and gaps[10**5] < gaps[10**4]
-    detail = f"gap(1e4)={gaps[10**4]:.4f} gap(1e5)={gaps[10**5]:.4f}"
+    trend = _payload("main-term-trend", spec_ids=("one_star_chi4",),
+                     x_list=(10**4, 10**5), threads=2)
+    g4, g5 = (p["relative_gap"] for p in trend["points"])
+    ok = g5 <= 0.15 and g5 < g4
+    detail = f"gap(1e4)={g4:.4f} gap(1e5)={g5:.4f}"
     failures = [] if ok else [detail]
     return ok, detail, failures
 
@@ -152,13 +142,9 @@ def criterion_6() -> tuple[bool, str, list[str]]:
 def criterion_7() -> tuple[bool, str, list[str]]:
     """Pole-free smallness: |S(X, H)| <= X * H^0.975 for the normalized
     tau coefficients at X = 1e5, H = ceil(X^0.8)."""
-    tau = _spec("tau")
-    x = 10**5
-    h = ceil_rational_power(x, Fraction(4, 5))
-    req = correlate.CorrelationRequest(tau, tau, tau, x, h)
-    res = correlate.ternary_convolution(req, cache=_CACHE)
-    bound = x * h**0.975
-    val = abs(complex(res.value))
+    res = _payload("correlate", spec_ids=("tau",), x_start=10**5, method="conv")
+    bound = res["X"] * res["H"] ** 0.975
+    val = abs(complex(res["value_re"], res["value_im"]))
     ok = val <= bound
     return ok, f"|S| = {val:.4g} vs X*H^0.975 = {bound:.4g}", [] if ok else [f"{val} > {bound}"]
 
@@ -167,27 +153,20 @@ def criterion_8() -> tuple[bool, str, list[str]]:
     """Minor-arc sup scans: constant window stays under the exact geometric
     envelope at distance beta; tau window ratio against the bound shape."""
     failures = []
-    one = _spec("divisor1")
-    x1, h1 = 10**4, 100
-    dec = arcs.decompose(2, h1, 0.05)
-    w = _CACHE.window(one, 1, x1, x1 + 2 * h1)
-    rep1 = arcs.sup_scan(w, dec, x1, 2 * h1, "minor", eta=0.65, k=1, epsilon=0.05)
-    env = arcs.geometric_minor_envelope(dec.beta)
-    if not rep1.sup_abs <= env:
-        failures.append(f"constant window: sup {rep1.sup_abs} > envelope {env}")
+    rep1 = _payload("arc-scan", spec_ids=("divisor1",), x_start=10**4, h_expr=100,
+                    q_source=2)
+    env = arcs.geometric_minor_envelope(rep1["beta"])
+    if not rep1["sup_abs"] <= env:
+        failures.append(f"constant window: sup {rep1['sup_abs']} > envelope {env}")
 
-    tau = _spec("tau")
-    x2, h2 = 10**5, 3000
-    q_pre = resolve_q("preset:thm14", x2, h2, Fraction(1, 20), alpha=0)
-    q_use = arcs.largest_disjoint_q(q_pre, h2, 0.05)
-    dec2 = arcs.decompose(q_use, h2, 0.05)
-    w2 = _CACHE.window(tau, 1, x2, x2 + 2 * h2)
-    rep2 = arcs.sup_scan(w2, dec2, x2, 2 * h2, "minor", eta=0.65, k=2, epsilon=0.05)
-    if not rep2.ratio <= 100:
-        failures.append(f"tau window: ratio {rep2.ratio}")
+    rep2 = _payload("arc-scan", spec_ids=("tau",), x_start=10**5, h_expr=3000,
+                    q_source="preset:thm14")
+    if not rep2["ratio"] <= 100:
+        failures.append(f"tau window: ratio {rep2['ratio']}")
     detail = (
-        f"f=1 sup={rep1.sup_abs:.3f} <= envelope={env:.3f}; "
-        f"tau sup={rep2.sup_abs:.2f} ratio={rep2.ratio:.3g} (Q {q_pre}->{q_use})"
+        f"f=1 sup={rep1['sup_abs']:.3f} <= envelope={env:.3f}; "
+        f"tau sup={rep2['sup_abs']:.2f} ratio={rep2['ratio']:.3g} "
+        f"(Q {rep2['Q_preset']}->{rep2['Q_used']})"
     )
     return not failures, detail, failures
 
@@ -233,14 +212,11 @@ def criterion_9() -> tuple[bool, str, list[str]]:
 def criterion_10() -> tuple[bool, str, list[str]]:
     """Triple counting for normalized tau: positive normalized count,
     stable to 5 percent between X = 1e5 and X = 2e5."""
-    tau = _spec("tau")
-    h, c = 10**3, 1e-3
-    norms = {}
-    for x in (10**5, 2 * 10**5):
-        w = _CACHE.window(tau, 1, x - 2 * h, 2 * x + 2 * h)
-        res = correlate.count_triples(w, x, h, c)
-        norms[x] = res.normalized
-    a, b = norms[10**5], norms[2 * 10**5]
+    a, b = (
+        _payload("count-triples", spec_ids=("tau",), x_start=x, h_expr=10**3,
+                 c_threshold=1e-3)["normalized"]
+        for x in (10**5, 2 * 10**5)
+    )
     ok = a > 0 and b > 0 and abs(a - b) <= 0.05 * max(a, b)
     detail = f"normalized: {a:.5f} (X=1e5) vs {b:.5f} (X=2e5)"
     return ok, detail, [] if ok else [detail]

@@ -38,14 +38,13 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dirichlet import SingularSeries
 from .errors import BudgetError, DomainError
 from .multfunc import CoefficientWindow, MultSpec, WindowCache, as_float
 from .rounding import INT64_MAX, ULP, exact_sum, fft_error, max_abs, split_digits
@@ -83,10 +82,6 @@ class CorrelationRequest:
                 f"got X={self.x_start}, H={self.h_span}"
             )
 
-    @property
-    def symmetric(self) -> bool:
-        return self.spec1 == self.spec2 == self.spec3
-
 
 @dataclass(frozen=True)
 class CorrelationResult:
@@ -94,9 +89,6 @@ class CorrelationResult:
     method: Method
     x_start: int
     h_span: int
-    request: CorrelationRequest | None = None
-    main_term: float | None = None
-    relative_gap: float | None = None
     timing: float = 0.0
     exact_numerator: int | None = None  # H * S as an exact integer
     # Conv: exact families, the largest per-level rounding bound (< 1/2);
@@ -185,7 +177,7 @@ def ternary_direct(
             value = value.real
     elapsed = time.perf_counter() - t0
     return CorrelationResult(
-        value, Method.DIRECT, x, h, req, timing=elapsed, exact_numerator=numerator,
+        value, Method.DIRECT, x, h, timing=elapsed, exact_numerator=numerator,
         digits=digits,
     )
 
@@ -323,7 +315,7 @@ def ternary_convolution(
         error_bound = _float_error(f1, f2, f3, band, h, levels)
     elapsed = time.perf_counter() - t0
     return CorrelationResult(
-        value, Method.CONVOLUTION, x, h, req, timing=elapsed,
+        value, Method.CONVOLUTION, x, h, timing=elapsed,
         exact_numerator=numerator, error_bound=error_bound, digits=digits,
     )
 
@@ -525,33 +517,6 @@ def fejer_overlap_weight(h: int, h_span: int) -> int:
     if abs(h) > h_span:
         raise DomainError(f"|h| = {abs(h)} exceeds H = {h_span}")
     return 2 * h_span - 2 * abs(h)
-
-
-def compare_to_main_term(
-    result: CorrelationResult,
-    series: SingularSeries,
-    x_start: int,
-    h_span: int,
-    epsilon: float = 0.05,
-) -> CorrelationResult:
-    """Attach the singular-series main term X*H*sum phi(q) C_q^3.
-
-    For pole-free specs the main term is zero by construction and the gap
-    reported is the smallness ratio |S| / (X * H^(1 - epsilon)).
-    """
-    req = result.request
-    if req is None or not req.symmetric:
-        raise DomainError("main-term comparison requires spec1 = spec2 = spec3")
-    if req.spec1.spec_id != series.spec_id:
-        raise DomainError(
-            f"series computed for {series.spec_id!r}, result uses {req.spec1.spec_id!r}"
-        )
-    if not req.spec1.has_pole:
-        gap = abs(result.value) / (x_start * h_span ** (1.0 - epsilon))
-        return replace(result, main_term=0.0, relative_gap=gap)
-    main = x_start * h_span * series.series_value
-    gap = abs(result.value - main) / max(abs(main), 1.0)
-    return replace(result, main_term=main, relative_gap=gap)
 
 
 @dataclass(frozen=True)

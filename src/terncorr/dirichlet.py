@@ -13,6 +13,8 @@ as signed prefixes of the windows f(k n), k = q0 d, that the series holds
 anyway; exact families sum them exactly with `rounding.exact_sum`.  The
 singular series needs only these.  The local density C(a, q) and the
 twisted-progression check share one expansion (`_character_expansion`).
+`main_term_gap` is the one place that decides whether a correlation has
+the main term X*H*sum phi(q) C_q^3 (a pole at s = 1) or none.
 """
 
 from __future__ import annotations
@@ -441,8 +443,8 @@ def local_density(
 class SingularSeries:
     """Truncated singular-series table and main-term factor.
 
-    series_value = sum_{1 <= q < Q} phi(q) * C_q^exponent (real part), with
-    the fitted-tail model |C_q| <= fit_c * q^(fit_delta - 1) integrated over
+    series_value = sum_{1 <= q < Q} phi(q) * C_q^3 (real part), with the
+    fitted-tail model |C_q| <= fit_c * q^(fit_delta - 1) integrated over
     q >= Q as tail_estimate.
     """
 
@@ -456,18 +458,39 @@ class SingularSeries:
     fit_c: float
     fit_delta: float
     n_used: int
-    exponent: int = 3
+
+
+def main_term_gap(
+    spec: MultSpec,
+    value: complex,
+    x: int,
+    h: int,
+    epsilon: float,
+    series_value: float | None = None,
+) -> tuple[float, float]:
+    """(main term, relative gap) of a symmetric correlation S(X, H) = value.
+
+    A spec with a pole at s = 1 has the main term X*H*sum phi(q) C_q^3
+    (series_value, which it needs) and the gap |S - main| / max(|main|, 1).
+    A pole-free spec has main term 0 and the smallness ratio
+    |S| / (X * H^(1 - epsilon)) as its gap; it reads no series.
+    """
+    if not spec.has_pole:
+        return 0.0, abs(value) / (x * h ** (1.0 - epsilon))
+    if series_value is None:
+        raise DomainError(f"{spec.spec_id} has a pole: its main term needs a series")
+    main = x * h * series_value
+    return main, abs(value - main) / max(abs(main), 1.0)
 
 
 def singular_series_sum(
     spec: MultSpec,
     q_cut: int,
     n_terms: int,
-    exponent: int = 3,
     cache: WindowCache | None = None,
     threads: int = 1,
 ) -> SingularSeries:
-    """Assemble C_q for q < q_cut and the main-term factor sum phi(q) C_q^e.
+    """Assemble C_q for q < q_cut and the main-term factor sum phi(q) C_q^3.
 
     Each C_q is a sum of means of f(q0 n), n <= n_terms, over the divisors
     q0 of q.  All those progression windows come from one
@@ -498,9 +521,9 @@ def singular_series_sum(
 
     qs = np.arange(1, q_cut, dtype=np.float64)
     phis = np.array([euler_phi(int(q)) for q in range(1, q_cut)], dtype=np.float64)
-    series = complex((phis * c_table**exponent).sum())
+    series = complex((phis * c_table**3).sum())
 
-    fit_c, fit_delta, tail = _fit_tail(qs, c_table, c_err, q_cut, exponent)
+    fit_c, fit_delta, tail = _fit_tail(qs, c_table, c_err, q_cut)
     return SingularSeries(
         spec_id=spec.spec_id,
         q_cut=q_cut,
@@ -512,13 +535,12 @@ def singular_series_sum(
         fit_c=fit_c,
         fit_delta=fit_delta,
         n_used=n_terms,
-        exponent=exponent,
     )
 
 
-def _fit_tail(qs, c_table, c_err, q_cut, exponent):
+def _fit_tail(qs, c_table, c_err, q_cut):
     """Least-squares |C_q| ~ c*q^(delta-1) on the non-noise entries, then
-    integrate phi(q)|C_q|^e <= q (c q^(delta-1))^e over the tail q >= Q."""
+    integrate phi(q)|C_q|^3 <= q (c q^(delta-1))^3 over the tail q >= Q."""
     mags = np.abs(c_table)
     keep = mags > 10.0 * c_err  # entries consistent with zero are noise
     keep &= mags > 0
@@ -529,13 +551,13 @@ def _fit_tail(qs, c_table, c_err, q_cut, exponent):
     slope, intercept = np.polyfit(x, y, 1)
     delta = float(slope + 1.0)
     c = float(np.exp(intercept))
-    expo = exponent * (delta - 1.0) + 1.0  # phi(q)|C_q|^e <= c^e q^expo
+    expo = 3 * (delta - 1.0) + 1.0  # phi(q)|C_q|^3 <= c^3 q^expo
     if expo >= -1.0:
         return c, delta, float("inf")
     # sum_{q >= Q} q^expo: explicit head plus integral remainder
     head = sum(q**expo for q in range(q_cut, q_cut + 64))
     rest = (q_cut + 64.0) ** (expo + 1.0) / -(expo + 1.0)
-    return c, delta, float(c**exponent * (head + rest))
+    return c, delta, float(c**3 * (head + rest))
 
 
 # ---------------------------------------------------------------------------

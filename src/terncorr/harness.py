@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import random
 import sys
 import time
 from collections.abc import Callable
@@ -218,16 +219,12 @@ def resolve_q(
 
 
 def _ceil_div_power(x: int, h: int, expo: Fraction) -> int:
-    """ceil(x / h^expo) exactly: smallest Q with Q^d * h^(p) >= x^d."""
+    """ceil(x / h^expo) exactly: the least Q with Q^d * h^p >= x^d, expo = p/d.
+
+    Q^d is an integer, so that is Q^d >= ceil(x^d / h^p): a ceiling root.
+    """
     p, d = expo.numerator, expo.denominator
-    rhs = x**d
-    lhs_base = h**p
-    q = max(1, int(round(x / float(h) ** float(expo))))
-    while q**d * lhs_base >= rhs:
-        q -= 1
-    while q**d * lhs_base < rhs:
-        q += 1
-    return q
+    return ceil_rational_power(-(-(x**d) // h**p), Fraction(1, d))
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +519,18 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
         else correlate.ternary_convolution
     )
     result = op(req, cache=cache)
-    main_term = None
-    rel_gap = None
+    main_term = rel_gap = None
     if cfg.series_path:
-        series = load_series_record(cfg.series_path)
-        result = correlate.compare_to_main_term(
-            result, series, cfg.x_start, h, float(cfg.epsilon)
+        series_id, series_value = load_series_record(cfg.series_path)
+        if not s1 == s2 == s3:
+            raise DomainError("main-term comparison requires spec1 = spec2 = spec3")
+        if s1.spec_id != series_id:
+            raise DomainError(
+                f"series computed for {series_id!r}, result uses {s1.spec_id!r}"
+            )
+        main_term, rel_gap = dirichlet.main_term_gap(
+            s1, result.value, cfg.x_start, h, float(cfg.epsilon), series_value
         )
-        main_term = result.main_term
-        rel_gap = result.relative_gap
     value = complex(result.value)
     return {
         "value_re": value.real,
@@ -559,39 +559,21 @@ def _tau_table(specs) -> dict:
     return {}
 
 
-def load_series_record(path: str) -> dirichlet.SingularSeries:
-    """Rebuild a SingularSeries from a singular-series RunRecord JSON."""
+def load_series_record(path: str) -> tuple[str, float]:
+    """(spec, series_value) of a singular-series RunRecord JSON."""
     raw = _read_input(path, "series record")
     try:
-        return _series_from_record(json.loads(raw))
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        doc = json.loads(raw)
+        payload = doc.get("payload", doc)
+        spec_id, value = payload["spec"], payload["series_value"]
+        if not (isinstance(spec_id, str) and type(value) in (int, float)
+                and math.isfinite(value)):
+            raise ValueError(f"spec {spec_id!r}, series_value {value!r}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"{path!r} is not a singular-series record: {exc!r}"
         ) from None
-
-
-def _series_from_record(doc: dict) -> dirichlet.SingularSeries:
-    payload = doc.get("payload", doc)
-    table = np.zeros(max(1, payload["Q"] - 1), dtype=np.complex128)
-    csv_path = payload.get("c_table_csv")
-    if csv_path and Path(csv_path).exists():
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                table[int(row["q"]) - 1] = complex(
-                    float(row["re_Cq"]), float(row["im_Cq"])
-                )
-    return dirichlet.SingularSeries(
-        spec_id=payload["spec"],
-        q_cut=payload["Q"],
-        c_table=table,
-        c_errors=np.zeros_like(table, dtype=np.float64),
-        series_value=payload["series_value"],
-        series_imag=payload.get("series_imag", 0.0),
-        tail_estimate=payload.get("tail_estimate", 0.0),
-        fit_c=payload.get("fit_c", 0.0),
-        fit_delta=payload.get("fit_delta", 0.0),
-        n_used=payload.get("N", 0),
-    )
+    return spec_id, float(value)
 
 
 def _clamped_q(cfg, spec, h, warnings) -> tuple[int, int]:
@@ -707,21 +689,23 @@ def _run_trend(cfg, specs, cache, warnings) -> dict:
         sub = replace(cfg, x_start=x)
         h = sub.resolved_h()
         _, q_use = _clamped_q(sub, spec, h, warnings)
-        series = dirichlet.singular_series_sum(
-            spec, q_use, cfg.n_terms, cache=cache, threads=cfg.threads
-        )
+        series_value = None
+        if spec.has_pole:  # a pole-free spec has no main term to compare
+            series_value = dirichlet.singular_series_sum(
+                spec, q_use, cfg.n_terms, cache=cache, threads=cfg.threads
+            ).series_value
         req = correlate.CorrelationRequest(spec, spec, spec, x, h)
         result = correlate.ternary_direct(req, cache=cache)
-        result = correlate.compare_to_main_term(
-            result, series, x, h, float(cfg.epsilon)
+        main_term, rel_gap = dirichlet.main_term_gap(
+            spec, result.value, x, h, float(cfg.epsilon), series_value
         )
         gaps.append({
             "X": x,
             "H": h,
-            "Q": series.q_cut,
+            "Q": q_use,
             "value_re": complex(result.value).real,
-            "main_term": result.main_term,
-            "relative_gap": result.relative_gap,
+            "main_term": main_term,
+            "relative_gap": rel_gap,
         })
     rgaps = [g["relative_gap"] for g in gaps]
     return {
@@ -761,24 +745,30 @@ def _check_identity_x(x: int) -> None:
         )
 
 
-def _run_identity(cfg, specs, cache, warnings) -> dict:
-    import random
-
-    _check_identity_x(cfg.x_start)
-    rng = random.Random(cfg.seed)
+def random_exact_cases(
+    seed: int, count: int, x_max: int = 2000
+) -> list[tuple[list[str], int, int]]:
+    """count random (spec ids, X, H) of exact families from random.Random(seed):
+    X in [50, x_max], H in [1, min(50, (X - 1) // 2)]."""
+    rng = random.Random(seed)
     pool = ["divisor1", "divisor2", "divisor3", "moebius", "one_star_chi4"]
+    cases = []
+    for _ in range(count):
+        ids = [rng.choice(pool) for _ in range(3)]
+        x = rng.randint(50, x_max)
+        cases.append((ids, x, rng.randint(1, min(50, (x - 1) // 2))))
+    return cases
+
+
+def _run_identity(cfg, specs, cache, warnings) -> dict:
+    _check_identity_x(cfg.x_start)
     exact = [s for s in cfg.spec_ids if multfunc.spec_from_id(s).is_exact]
-    draws: list[tuple[list[str], int, int]] = []
+    draws = []
     # The configured (spec, X, H) leads when it stays inside the exact domain.
     h0 = cfg.resolved_h()
     if exact and cfg.x_start - 2 * h0 >= 1:
-        ids0 = (exact * 3)[:3]
-        draws.append((ids0, cfg.x_start, h0))
-    while len(draws) < 20:
-        ids = [rng.choice(pool) for _ in range(3)]
-        x = rng.randint(50, min(2000, cfg.x_start))
-        h = rng.randint(1, min(50, (x - 1) // 2))
-        draws.append((ids, x, h))
+        draws.append(((exact * 3)[:3], cfg.x_start, h0))
+    draws += random_exact_cases(cfg.seed, 20 - len(draws), min(2000, cfg.x_start))
     cases = []
     exact_match = True
     for ids, x, h in draws:

@@ -24,14 +24,14 @@ from terncorr.correlate import (
     _level_errors,
     _square_error,
     _weighted_squares,
-    compare_to_main_term,
     correlation_windows,
     count_triples,
     fejer_overlap_weight,
     ternary_convolution,
     ternary_direct,
 )
-from terncorr.dirichlet import singular_series_sum
+from terncorr import harness
+from terncorr.dirichlet import main_term_gap, singular_series_sum
 from terncorr.errors import DomainError
 from terncorr.rounding import INT64_MAX, max_abs, split_digits
 from terncorr.multfunc import (
@@ -198,29 +198,36 @@ def test_compare_constant_function_gap_is_one_over_x():
     series = singular_series_sum(ONE, 20, 10**5, cache=CACHE)
     req = CorrelationRequest(ONE, ONE, ONE, x, h)
     res = ternary_direct(req, cache=CACHE)
-    res = compare_to_main_term(res, series, x, h)
+    main, gap = main_term_gap(ONE, res.value, x, h, 0.05, series.series_value)
     # value = H(X+1), main = X H series with series = 1 up to floor noise
-    assert res.relative_gap == pytest.approx(1.0 / x, rel=1e-2)
+    assert main == x * h * series.series_value
+    assert gap == pytest.approx(1.0 / x, rel=1e-2)
+    with pytest.raises(DomainError, match="needs a series"):
+        main_term_gap(ONE, res.value, x, h, 0.05)
 
 
-def test_compare_requires_symmetric_request():
-    series = singular_series_sum(ONE, 10, 10**4, cache=CACHE)
-    req = CorrelationRequest(ONE, ONE, MultSpec.divisor_k(2), 100, 5)
-    res = ternary_direct(req, cache=CACHE)
-    with pytest.raises(DomainError):
-        compare_to_main_term(res, series, 100, 5)
+def test_compare_requires_symmetric_request(tmp_path, capsys):
+    record = tmp_path / "series.json"
+    assert harness.main(["singular-series", "--spec", "divisor1", "--Q", "10",
+                         "--N", "10000", "--out", str(record)]) == 0
+    correlate = ["correlate", "--X", "100", "--H", "5", "--series", str(record)]
+    assert harness.main(correlate + ["--spec", "divisor1"]) == 0
+    capsys.readouterr()
+    assert harness.main(correlate + ["--spec", "divisor1,divisor1,divisor2"]) == 2
+    assert "spec1 = spec2 = spec3" in capsys.readouterr().err
+    assert harness.main(correlate + ["--spec", "divisor2"]) == 2
+    assert "series computed for 'divisor1'" in capsys.readouterr().err
 
 
 def test_compare_polefree_reports_smallness_ratio():
     tau = MultSpec.ramanujan_tau_norm()
     x, h = 2000, 40
-    series = singular_series_sum(tau, 6, 10**4, cache=CACHE)
     req = CorrelationRequest(tau, tau, tau, x, h)
     res = ternary_direct(req, cache=CACHE)
-    res = compare_to_main_term(res, series, x, h, epsilon=0.05)
-    assert res.main_term == 0.0
+    main, gap = main_term_gap(tau, res.value, x, h, 0.05)  # no series needed
+    assert main == 0.0
     expected = abs(complex(res.value)) / (x * h**0.95)
-    assert res.relative_gap == pytest.approx(expected, rel=1e-12)
+    assert gap == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

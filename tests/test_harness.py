@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -96,6 +97,18 @@ def test_q_presets():
     assert resolve_q("preset:thm14", 10**5, 10**4, Fraction(1, 20), alpha=0) == 100
     with pytest.raises(ConfigurationError):
         resolve_q("preset:unknown", 10**5, 10**4, Fraction(1, 20))
+
+
+def test_q_preset_is_the_least_q_of_its_definition():
+    # Q = ceil(X / H^(p/d)) is the least Q with Q^d H^p >= X^d.
+    rng = random.Random(13)
+    for _ in range(300):
+        x = rng.randint(1, 10**6)
+        h = rng.randint(2, 10**4)
+        expo = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        p, d = expo.numerator, expo.denominator
+        q = harness._ceil_div_power(x, h, expo)
+        assert q**d * h**p >= x**d and (q == 1 or (q - 1) ** d * h**p < x**d)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +263,16 @@ def test_series_roundtrip_via_record(tmp_path):
         q_source=6, n_terms=10**4, out=str(out),
     )
     record = run(cfg)
-    series = load_series_record(str(out))
-    assert series.spec_id == "divisor1"
-    assert series.series_value == pytest.approx(record.payload["series_value"])
-    assert series.q_cut == 6
-    assert series.c_table[0] == pytest.approx(1.0, abs=1e-3)
+    assert load_series_record(str(out)) == ("divisor1", record.payload["series_value"])
+
+
+def test_pole_free_trend_sieves_no_series(capsys):
+    # tau progressions would pass the 2^21 tau budget (exit 3), but a
+    # pole-free trend reads no series: its gap is |S| / (X H^(1 - eps)).
+    assert main(["main-term-trend", "--spec", "tau", "--X-list", "10000"]) == 0
+    (point,) = json.loads(capsys.readouterr().out)["payload"]["points"]
+    assert point["main_term"] == 0.0
+    assert point["relative_gap"] == abs(point["value_re"]) / (10**4 * point["H"] ** 0.95)
 
 
 def test_series_reports_window_cache_counts(tmp_path, capsys):
@@ -376,7 +394,9 @@ def test_bad_cli_value_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "doc", ["{not json", '{"payload": {}}', '{"payload": {"Q": "5"}}', "[1, 2]"]
+    "doc", ["{not json", '{"payload": {}}', '{"payload": {"Q": "5"}}', "[1, 2]",
+            '{"spec": "divisor1", "series_value": "1.0"}',
+            '{"spec": "divisor1", "series_value": NaN}']
 )
 def test_bad_series_record_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "series.json"
@@ -457,6 +477,18 @@ def test_no_command_loads_scipy_fft():
     assert report["codes"] == [0] * 6
     assert report["loaded"] == [[]] * 7
     assert report["same"]
+
+
+def test_correlate_import_leaves_dirichlet_out():
+    # The correlation routes stand apart from the main term: importing
+    # them loads no character or singular-series code.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys, terncorr.correlate; print('terncorr.dirichlet' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sieve_beyond_int64_exits_3(capsys):
