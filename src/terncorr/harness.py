@@ -65,11 +65,6 @@ class ExperimentConfig:
         alpha = multfunc.spec_from_id(self.spec_ids[0]).alpha
         return eval_power_expr(self.h_expr, self.x_start, alpha)
 
-    def resolved_eta(self) -> float:
-        if self.eta is not None:
-            return float(self.eta)
-        return float(1 - 7 * self.epsilon)
-
 
 @dataclass
 class RunRecord:
@@ -279,8 +274,10 @@ class Option:
     key is the document key and, unless flag says otherwise, the flag
     --key; attr is the ExperimentConfig field it sets (whose default is the
     setting's default); cast turns a document value or a flag's text into
-    the field value; commands are the experiments whose subcommand takes
-    the flag (empty: all); echo renders the field in the run record.
+    the field value; commands are the experiments whose handler reads the
+    setting (empty: all), the only ones that take its flag and document key
+    and echo it; choices bind flags and documents alike; echo renders the
+    field in the run record.
     """
 
     key: str
@@ -295,19 +292,24 @@ class Option:
 
 OPTIONS = (
     Option("spec", "spec_ids", _spec_list,
-           help="spec id or comma triple (divisor1, divisor2, divisor3, "
-                "moebius, one_star_chi4, tau)"),
-    Option("X", "x_start"),
+           help="spec id, or for correlate and identity-check a comma triple "
+                "(divisor1, divisor2, divisor3, moebius, one_star_chi4, tau)"),
+    Option("X", "x_start", commands=("singular-series", "correlate", "arc-scan",
+                                     "count-triples", "identity-check")),
     Option("H", "h_expr", _int_or_text, echo=str,
+           commands=("singular-series", "correlate", "arc-scan",
+                     "main-term-trend", "count-triples", "identity-check"),
            help='integer or expression like "X^0.8" / "X^10/13"'),
     Option("Q", "q_source", _int_or_text, echo=str,
+           commands=("singular-series", "arc-scan", "main-term-trend"),
            help="integer, preset:thm13 or preset:thm14"),
-    Option("epsilon", "epsilon", _fraction, flag="--eps"),
-    Option("eta", "eta", _fraction),
-    Option("N", "n_terms"),
+    Option("epsilon", "epsilon", _fraction, flag="--eps",
+           commands=("singular-series", "correlate", "arc-scan", "main-term-trend")),
+    Option("eta", "eta", _fraction, commands=("arc-scan",)),
+    Option("N", "n_terms", commands=("singular-series", "main-term-trend")),
     Option("out", "out", str),
-    Option("threads", "threads"),
-    Option("seed", "seed"),
+    Option("threads", "threads", commands=("singular-series", "main-term-trend")),
+    Option("seed", "seed", commands=("identity-check",)),
     Option("coeff_cache", "coeff_cache", str, flag="--coeff-cache"),
     Option("lo", "lo", commands=("sieve",)),
     Option("hi", "hi", commands=("sieve",)),
@@ -327,8 +329,17 @@ OPTIONS = (
 )
 _OPTIONS = {opt.key: opt for opt in OPTIONS}
 # Document-only keys besides `experiment`: single spec ids that together
-# replace `spec`.
+# replace `spec`, read by the experiments that take a triple.
 _SPEC_KEYS = ("spec1", "spec2", "spec3")
+_TRIPLES = ("correlate", "identity-check")
+
+
+def _reads(key: str, experiment: str) -> bool:
+    """Whether experiment reads the setting of a document key."""
+    if key in _SPEC_KEYS:
+        return experiment in _TRIPLES
+    commands = _OPTIONS[key].commands
+    return not commands or experiment in commands
 
 
 def parse_config(
@@ -350,7 +361,7 @@ def parse_config(
         key = key.strip()
         if key not in _OPTIONS and key not in ("experiment", *_SPEC_KEYS):
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(val.strip(), lineno)
+        values[key] = _parse_value(val.strip(), f"line {lineno}: {key!r}")
 
     if "experiment" not in values:
         raise ConfigurationError("missing required key 'experiment'")
@@ -362,12 +373,13 @@ def parse_config(
             f"the document is for experiment {name!r}, not {experiment!r}"
         )
     flags = flags or {}
-    if COMMANDS[name].uses_xh and "X" not in values and "X" not in flags:
+    if (COMMANDS[name].uses_xh and _reads("X", name)
+            and "X" not in values and "X" not in flags):
         raise ConfigurationError("missing required key 'X'")
     return _build(name, values, flags)
 
 
-def _parse_value(val: str, lineno: int):
+def _parse_value(val: str, where: str):
     if val.startswith('"') and val.endswith('"') and len(val) >= 2:
         return val[1:-1]
     if val.startswith("[") and val.endswith("]"):
@@ -375,7 +387,7 @@ def _parse_value(val: str, lineno: int):
             return [int(v.strip()) for v in val[1:-1].split(",") if v.strip()]
         except ValueError:
             raise ConfigurationError(
-                f"line {lineno}: bad integer list {val!r}"
+                f"{where} has a bad integer list {val!r}"
             ) from None
     for caster in (int, float):
         try:
@@ -386,7 +398,7 @@ def _parse_value(val: str, lineno: int):
         return val.lower() == "true"
     if val:
         return val
-    raise ConfigurationError(f"line {lineno}: empty value")
+    raise ConfigurationError(f"{where} has an empty value")
 
 
 def _build(experiment: str, *layers: dict) -> ExperimentConfig:
@@ -399,13 +411,23 @@ def _build(experiment: str, *layers: dict) -> ExperimentConfig:
 
 
 def _apply_values(cfg: ExperimentConfig, values: dict):
+    for key in values:
+        if not _reads(key, cfg.experiment):
+            raise ConfigurationError(
+                f"experiment {cfg.experiment!r} does not read {key!r}"
+            )
     values = dict(values)
     single = [str(values.pop(k)) for k in _SPEC_KEYS if k in values]
     if single:
         values["spec"] = ",".join(single)
     for key, val in values.items():
         opt = _OPTIONS[key]
-        setattr(cfg, opt.attr, _cast(key, opt.cast, val))
+        value = _cast(key, opt.cast, val)
+        if opt.choices and value not in opt.choices:
+            raise ConfigurationError(
+                f"bad value for {key!r}: {val!r}, not one of {opt.choices}"
+            )
+        setattr(cfg, opt.attr, value)
 
 
 def _cast(key: str, cast, val):
@@ -417,22 +439,29 @@ def _cast(key: str, cast, val):
 
 
 def _validate(cfg: ExperimentConfig):
-    if not cfg.spec_ids:
-        raise ConfigurationError("no spec id given")
+    counts = (1, 3) if cfg.experiment in _TRIPLES else (1,)
+    if len(cfg.spec_ids) not in counts:
+        raise ConfigurationError(
+            f"{cfg.experiment} takes {' or '.join(map(str, counts))} spec id(s), "
+            f"got {len(cfg.spec_ids)}: {','.join(cfg.spec_ids)!r}"
+        )
     for sid in cfg.spec_ids:
         multfunc.spec_from_id(sid)  # raises DomainError on unknown ids
-    # X before H, which a small X cannot give
-    if cfg.experiment == "identity-check":
-        _check_identity_x(cfg.x_start)
-    elif cfg.experiment in ("correlate", "count-triples"):
-        _check_correlation_x(cfg.x_start)
-    elif cfg.experiment == "main-term-trend":
-        for x in cfg.x_list:
-            _check_correlation_x(x)
-    if COMMANDS[cfg.experiment].uses_xh:
-        h = cfg.resolved_h()
+    # X before H, which a small X cannot give; a trend reads each X_list entry
+    xs = cfg.x_list if cfg.experiment == "main-term-trend" else (cfg.x_start,)
+    for x in xs if COMMANDS[cfg.experiment].uses_xh else ():
+        if cfg.experiment == "identity-check" and x < 50:
+            raise ConfigurationError(
+                f"identity-check draws X from [50, min(2000, X)], so needs X >= 50, "
+                f"got {x}"
+            )
+        if x < 5 and cfg.experiment != "arc-scan":
+            raise ConfigurationError(
+                f"X = {x} must be >= 5, since X - 2H >= 1 with H >= 2"
+            )
+        h = replace(cfg, x_start=x).resolved_h()
         if h < 2:
-            raise ConfigurationError(f"H = {h} must be >= 2")
+            raise ConfigurationError(f"H = {h} at X = {x} must be >= 2")
     if isinstance(cfg.q_source, int) and cfg.q_source < 2:
         raise ConfigurationError(f"Q = {cfg.q_source} must be >= 2")
     if not cfg.x_list:
@@ -495,32 +524,16 @@ def run(cfg: ExperimentConfig) -> RunRecord:
 
 def _echo_config(cfg: ExperimentConfig) -> dict:
     echo = {"experiment": cfg.experiment}
-    echo.update((opt.key, opt.echo(getattr(cfg, opt.attr))) for opt in OPTIONS)
+    echo.update((opt.key, opt.echo(getattr(cfg, opt.attr))) for opt in OPTIONS
+                if _reads(opt.key, cfg.experiment))
     return echo
 
 
-def _triple(specs):
-    if len(specs) == 1:
-        return (specs[0],) * 3
-    if len(specs) == 3:
-        return specs
-    raise ConfigurationError("need one spec id or exactly three")
-
-
 def _run_correlate(cfg, specs, cache, warnings) -> dict:
-    if cfg.method not in ("direct", "conv"):
-        raise ConfigurationError(f"unknown method {cfg.method!r}")
-    s1, s2, s3 = _triple(specs)
+    s1, s2, s3 = specs * (3 // len(specs))
     h = cfg.resolved_h()
-    req = correlate.CorrelationRequest(s1, s2, s3, cfg.x_start, h)
-    op = (
-        correlate.ternary_direct
-        if cfg.method == "direct"
-        else correlate.ternary_convolution
-    )
-    result = op(req, cache=cache)
-    main_term = rel_gap = None
-    if cfg.series_path:
+    series_value = None
+    if cfg.series_path:  # checked before the correlation runs
         series_id, series_value = load_series_record(cfg.series_path)
         if not s1 == s2 == s3:
             raise DomainError("main-term comparison requires spec1 = spec2 = spec3")
@@ -528,6 +541,11 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
             raise DomainError(
                 f"series computed for {series_id!r}, result uses {s1.spec_id!r}"
             )
+    req = correlate.CorrelationRequest(s1, s2, s3, cfg.x_start, h)
+    route = {"direct": correlate.ternary_direct, "conv": correlate.ternary_convolution}
+    result = route[cfg.method](req, cache=cache)
+    main_term = rel_gap = None
+    if cfg.series_path:
         main_term, rel_gap = dirichlet.main_term_gap(
             s1, result.value, cfg.x_start, h, float(cfg.epsilon), series_value
         )
@@ -541,11 +559,8 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
         "H": h,
         "method": cfg.method,
         "seconds": result.timing,
-        "exact_numerator": (
-            str(result.exact_numerator)
-            if result.exact_numerator is not None
-            else None
-        ),
+        "exact_numerator": (None if result.exact_numerator is None
+                            else str(result.exact_numerator)),
         "error_bound": result.error_bound,
         "digits": list(result.digits) if result.digits is not None else None,
         **_tau_table((s1, s2, s3)),
@@ -589,10 +604,9 @@ def _clamped_q(cfg, spec, h, warnings) -> tuple[int, int]:
 
 def _run_series(cfg, specs, cache, warnings) -> dict:
     spec = specs[0]
-    q_cut = cfg.q_source if isinstance(cfg.q_source, int) else None
-    if q_cut is None:
-        q_cut = resolve_q(cfg.q_source, cfg.x_start, cfg.resolved_h(), cfg.epsilon,
-                          spec.alpha)
+    q_cut = cfg.q_source
+    if not isinstance(q_cut, int):  # a preset reads X and H
+        q_cut = resolve_q(q_cut, cfg.x_start, cfg.resolved_h(), cfg.epsilon, spec.alpha)
     series = dirichlet.singular_series_sum(
         spec, q_cut, cfg.n_terms, cache=cache, threads=cfg.threads
     )
@@ -625,13 +639,8 @@ def _write_series_csv(series: dirichlet.SingularSeries, path: str):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q", "re_Cq", "im_Cq", "err"])
-        for i, c in enumerate(series.c_table, start=1):
-            writer.writerow([
-                i,
-                repr(float(c.real)),
-                repr(float(c.imag)),
-                repr(float(series.c_errors[i - 1])),
-            ])
+        for q, (c, err) in enumerate(zip(series.c_table, series.c_errors), start=1):
+            writer.writerow([q, *(repr(float(v)) for v in (c.real, c.imag, err))])
 
 
 def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
@@ -644,7 +653,8 @@ def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
     window = cache.window(spec, 1, x, x + length)
     report = arcs.sup_scan(
         window, dec, x, length, cfg.kind,
-        eta=cfg.resolved_eta(), k=spec.k_bound, epsilon=float(cfg.epsilon),
+        eta=float(1 - 7 * cfg.epsilon if cfg.eta is None else cfg.eta),
+        k=spec.k_bound, epsilon=float(cfg.epsilon),
     )
     if cfg.out:
         _write_scan_csv(report, _side_output(cfg.out, ".csv"))
@@ -730,21 +740,6 @@ def _run_count(cfg, specs, cache, warnings) -> dict:
     }
 
 
-def _check_correlation_x(x: int) -> None:
-    if x < 5:
-        raise ConfigurationError(
-            f"X = {x} must be >= 5, since X - 2H >= 1 with H >= 2"
-        )
-
-
-def _check_identity_x(x: int) -> None:
-    if x < 50:
-        raise ConfigurationError(
-            f"identity-check draws X from [50, min(2000, X)], so needs X >= 50, "
-            f"got {x}"
-        )
-
-
 def random_exact_cases(
     seed: int, count: int, x_max: int = 2000
 ) -> list[tuple[list[str], int, int]]:
@@ -761,13 +756,12 @@ def random_exact_cases(
 
 
 def _run_identity(cfg, specs, cache, warnings) -> dict:
-    _check_identity_x(cfg.x_start)
-    exact = [s for s in cfg.spec_ids if multfunc.spec_from_id(s).is_exact]
+    triple = specs * (3 // len(specs))
     draws = []
-    # The configured (spec, X, H) leads when it stays inside the exact domain.
+    # The configured (specs, X, H) leads when it stays inside the exact domain.
     h0 = cfg.resolved_h()
-    if exact and cfg.x_start - 2 * h0 >= 1:
-        draws.append(((exact * 3)[:3], cfg.x_start, h0))
+    if all(s.is_exact for s in triple) and cfg.x_start - 2 * h0 >= 1:
+        draws.append(([s.spec_id for s in triple], cfg.x_start, h0))
     draws += random_exact_cases(cfg.seed, 20 - len(draws), min(2000, cfg.x_start))
     cases = []
     exact_match = True
@@ -812,8 +806,9 @@ def _run_sieve(cfg, specs, cache, warnings) -> dict:
 @dataclass(frozen=True)
 class Command:
     """One experiment: the handler that runs it, its help, its subcommand
-    words (default: its name), and whether it reads X and H, in which case
-    a document must give X and H must be >= 2."""
+    words (default: its name), and whether it reads H at its X (at each
+    X_list entry, for a trend), in which case H must be >= 2 there and a
+    document must give X where X is a setting of the experiment."""
 
     handler: Callable
     help: str
@@ -849,18 +844,19 @@ def build_parser() -> argparse.ArgumentParser:
         if group:  # "arcs scan" is the one grouped subcommand
             where = sub.add_parser(group[0], help="arc-decomposition tools")
             where = where.add_subparsers(dest="group_command", required=True)
-        p = where.add_parser(name, help=command.help)
+        # no abbreviations: --X must not stand for a trend's --X-list
+        p = where.add_parser(name, help=command.help, allow_abbrev=False)
         p.set_defaults(experiment=experiment)
         p.add_argument("--config", help="key = value document; flags override it")
         for opt in OPTIONS:
-            if not opt.commands or experiment in opt.commands:
+            if _reads(opt.key, experiment):
                 # SUPPRESS keeps flags not given out of the namespace, so
                 # they override neither the document nor the defaults.
                 p.add_argument(opt.flag or f"--{opt.key}", dest=opt.key,
                                default=argparse.SUPPRESS, choices=opt.choices,
                                help=opt.help)
 
-    p = sub.add_parser("accept", help="run the acceptance suite")
+    p = sub.add_parser("accept", help="run the acceptance suite", allow_abbrev=False)
     p.add_argument("--only", default=None, help="comma list of criterion numbers")
     p.add_argument("--out", default=None)
     return parser

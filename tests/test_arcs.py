@@ -292,6 +292,30 @@ def test_sup_scan_within_tolerance_of_dense_grid():
     assert rep.sup_upper >= dense
 
 
+@pytest.mark.parametrize("kind, h", [("minor", 300), ("major", 300), ("major", 10**8)])
+def test_sup_scan_seeds_are_the_top_five_scanned_bins(monkeypatch, kind, h):
+    # The refinement starts from the five largest |S(k/M)| over the bins k
+    # of the arc set (all of them when it has fewer), found by brute force.
+    x, length = 5000, 600
+    win = sieve_window(MultSpec.ramanujan_tau_norm(), x, x + length)
+    dec = decompose(3, h, 0.05)
+    got = []
+
+    def refine(window, x, length, seeds, spacing, rounds, clamp):
+        got.extend(seeds)
+        return 1.0, seeds[0], [1.0]
+
+    monkeypatch.setattr(arcs, "_refine", refine)
+    monkeypatch.setattr(arcs, "_make_clamp", lambda dec, kind: lambda alpha: alpha)
+    m = round(1 / sup_scan(win, dec, x, length, kind).grid_spacing)
+    mags = np.abs(np.fft.rfft(win.segment(x, x + length), m))
+    points = arcs._major_bins(dec, m, m // 2, 0.0, True) ^ (kind == "minor")
+    scanned = np.flatnonzero(points)
+    top = sorted(scanned, key=lambda k: -mags[k])[:5]
+    assert sorted(round(s * m) for s in got) == sorted(top)
+    assert len(scanned) < 5 if h == 10**8 else len(scanned) > 5
+
+
 def test_sup_scan_grid_budget():
     win = sieve_window(ONE, 1, 2 * 10**6)
     dec = decompose(2, 10**5, 0.05)

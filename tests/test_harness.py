@@ -1,8 +1,10 @@
 """Config parsing, preset arithmetic, dispatch, determinism, exit codes."""
 
+import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -118,7 +120,7 @@ def test_q_preset_is_the_least_q_of_its_definition():
 def test_parse_config_example():
     cfg = parse_config(
         """
-        experiment = "correlate"
+        experiment = "arc-scan"
         spec = "one_star_chi4"
         X = 100000
         H = "X^0.8"
@@ -318,6 +320,13 @@ def test_exit_code_resource_error(capsys):
     assert code == 3
 
 
+# Documents valid on their own, one per experiment that a bad line goes to.
+_BASE_DOCS = {
+    "correlate": 'experiment = "correlate"\nX = 100\n',
+    "main-term-trend": 'experiment = "main-term-trend"\nspec = "divisor1"\n',
+}
+
+
 @pytest.mark.parametrize(
     "line",
     ["X = abc", "X_list = [1,a]", "epsilon = 1/0x", "X_list = 5", "X_list = []",
@@ -325,11 +334,18 @@ def test_exit_code_resource_error(capsys):
      "N = 5000.5", '{"X": 100}'],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, line):
+    # Each bad line goes onto a valid document of an experiment that reads
+    # its key, and the error names that key (a line without one, its line).
+    key = line.partition("=")[0].strip() if "=" in line else None
+    experiment = "correlate" if key in (None, "X", "H") else "main-term-trend"
+    assert key is None or harness._reads(key, experiment)
+    parse_config(_BASE_DOCS[experiment])
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f'experiment = "main-term-trend"\nX = 100\n{line}\n')
-    assert main(["main-term-trend", "--config", str(cfg)]) == 2
+    cfg.write_text(f"{_BASE_DOCS[experiment]}{line}\n")
+    assert main([experiment, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert re.search(rf"\b{key}\b" if key else "line 3", err), err
 
 
 @pytest.mark.parametrize("kind", ["not-utf8", "missing", "directory"])
@@ -584,17 +600,162 @@ def test_option_samples_cover_the_table():
     assert set(_SAMPLES) == {opt.key for opt in harness.OPTIONS}
 
 
+def _words(experiment):
+    return list(harness.COMMANDS[experiment].words or (experiment,))
+
+
+def _scoped(tmp_path, experiment, opt):
+    """(argv with the option's flag, argv with it in a document), each giving
+    X = 1000 where the experiment needs X."""
+    flag_text, doc_text = _SAMPLES[opt.key]
+    needs_x = harness.COMMANDS[experiment].uses_xh and harness._reads("X", experiment)
+    doc = tmp_path / "run.cfg"
+    doc.write_text(f'experiment = "{experiment}"\n' + "X = 1000\n" * needs_x
+                   + f"{opt.key} = {doc_text}\n")
+    by_flag = _words(experiment) + ["--X", "1000"] * needs_x
+    by_flag += [opt.flag or f"--{opt.key}", flag_text]
+    return by_flag, _words(experiment) + ["--config", str(doc)]
+
+
 @pytest.mark.parametrize("opt", harness.OPTIONS, ids=lambda opt: opt.key)
 def test_flag_and_document_key_agree(tmp_path, opt):
-    flag_text, doc_text = _SAMPLES[opt.key]
-    experiment = opt.commands[0] if opt.commands else "correlate"
-    words = list(harness.COMMANDS[experiment].words or (experiment,))
+    # Every experiment that reads the option takes it alike as a flag and as
+    # a document key.
+    readers = [e for e in harness.COMMANDS if harness._reads(opt.key, e)]
+    assert readers
+    for experiment in readers:
+        by_flag, by_doc = _scoped(tmp_path, experiment, opt)
+        from_flag, from_doc = _config(by_flag), _config(by_doc)
+        assert from_flag == from_doc, experiment
+        default = getattr(ExperimentConfig(experiment), opt.attr)
+        assert getattr(from_flag, opt.attr) != default, experiment
+
+
+_OUT_OF_SCOPE = [(e, opt) for e in harness.COMMANDS for opt in harness.OPTIONS
+                 if not harness._reads(opt.key, e)]
+
+
+@pytest.mark.parametrize("experiment, opt", _OUT_OF_SCOPE,
+                         ids=[f"{e}-{opt.key}" for e, opt in _OUT_OF_SCOPE])
+def test_option_out_of_scope_is_refused(tmp_path, capsys, experiment, opt):
+    # A setting the experiment does not read exits 2, as a flag and as a
+    # document key, and is never accepted and then ignored.
+    by_flag, by_doc = _scoped(tmp_path, experiment, opt)
+    with pytest.raises(SystemExit) as exc:
+        main(by_flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(by_doc) == 2
+    err = capsys.readouterr().err
+    assert f"experiment {experiment!r} does not read {opt.key!r}" in err
+
+
+# The flags each subcommand takes besides --config and --help: 55 in all.
+_FLAGS = {
+    "sieve": "spec out coeff-cache lo hi q0",
+    "singular-series": "spec out coeff-cache X H Q eps N threads",
+    "correlate": "spec out coeff-cache X H eps method series",
+    "arc-scan": "spec out coeff-cache X H Q eps eta kind x L",
+    "main-term-trend": "spec out coeff-cache H Q eps N threads X-list",
+    "count-triples": "spec out coeff-cache X H c",
+    "identity-check": "spec out coeff-cache X H seed",
+}
+
+
+@pytest.mark.parametrize("experiment", harness.COMMANDS)
+def test_help_lists_only_the_settings_read(capsys, experiment):
+    with pytest.raises(SystemExit):
+        main(_words(experiment) + ["--help"])
+    listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    want = {f"--{word}" for word in _FLAGS[experiment].split()}
+    assert listed - {"--help", "--config"} == want
+    assert sum(len(words.split()) for words in _FLAGS.values()) == 55
+
+
+def test_spec_count_is_checked(tmp_path, capsys):
+    # Single-spec experiments take one id; correlate and identity-check take
+    # one or three.  None is accepted and then ignored.
+    assert main(["sieve", "--spec", "divisor2,moebius,tau", "--lo", "1", "--hi", "5"]) == 2
+    assert main(["correlate", "--spec", "divisor1,divisor2", "--X", "100"]) == 2
+    assert main(["identity-check", "--spec", "divisor1,divisor2", "--X", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "takes 1 spec id(s), got 3" in err
+    assert "takes 1 or 3 spec id(s), got 2" in err
+    # spec1..spec3 only where a triple is read
     doc = tmp_path / "run.cfg"
-    doc.write_text(f'experiment = "{experiment}"\nX = 1000\n{opt.key} = {doc_text}\n')
-    from_flag = _config(words + ["--X", "1000", opt.flag or f"--{opt.key}", flag_text])
-    from_doc = _config(words + ["--config", str(doc)])
-    assert from_flag == from_doc
-    assert getattr(from_flag, opt.attr) != getattr(ExperimentConfig(experiment), opt.attr)
+    doc.write_text('experiment = "sieve"\nspec1 = "moebius"\n')
+    assert main(["sieve", "--config", str(doc)]) == 2
+    assert "experiment 'sieve' does not read 'spec1'" in capsys.readouterr().err
+    doc.write_text('experiment = "correlate"\nX = 100\nspec1 = "divisor1"\n'
+                   'spec2 = "moebius"\nspec3 = "divisor2"\n')
+    assert _config(["correlate", "--config", str(doc)]).spec_ids == (
+        "divisor1", "moebius", "divisor2")
+
+
+def test_identity_check_leads_only_with_an_exact_triple():
+    cfg = ExperimentConfig(experiment="identity-check", x_start=100, h_expr=5,
+                           spec_ids=("divisor2", "moebius", "divisor3"))
+    lead = run(cfg).payload["cases"][0]
+    assert (lead["spec"], lead["X"], lead["H"]) == (list(cfg.spec_ids), 100, 5)
+    # tau is not exact: every case is a random draw of the seed
+    cases = run(replace(cfg, spec_ids=("divisor2", "tau", "divisor3"))).payload["cases"]
+    draws = harness.random_exact_cases(cfg.seed, 20, 100)
+    assert [(c["spec"], c["X"], c["H"]) for c in cases] == draws
+
+
+def test_bad_inputs_exit_before_any_work(tmp_path, monkeypatch, capsys):
+    # A bad --series record or a bad document method or kind exits 2
+    # before any window is built or any correlation route runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the inputs were checked")
+
+    monkeypatch.setattr(harness.correlate, "ternary_direct", refuse)
+    monkeypatch.setattr(harness.correlate, "ternary_convolution", refuse)
+    monkeypatch.setattr(harness.multfunc.WindowCache, "window", refuse)
+    record = tmp_path / "series.json"
+    argv = ["correlate", "--spec", "one_star_chi4", "--X", "100000", "--H", "10000",
+            "--series", str(record)]
+    for doc in ('{"spec": "one_star_chi4", "series_value": "x"}',
+                '{"spec": "divisor1", "series_value": 1.0}'):
+        record.write_text(doc)
+        assert main(argv) == 2
+        assert main(argv[:2] + ["one_star_chi4,one_star_chi4,tau"] + argv[3:]) == 2
+    doc = tmp_path / "run.cfg"
+    for experiment, line in (("arc-scan", 'kind = "bogus"'),
+                             ("correlate", 'method = "bogus"')):
+        doc.write_text(f'experiment = "{experiment}"\nspec = "tau"\nX = 100000\n'
+                       f"H = 3000\n{line}\n")
+        assert main(_words(experiment) + ["--config", str(doc)]) == 2
+        assert "bad value for " + repr(line.split()[0]) in capsys.readouterr().err
+
+
+def test_trend_document_without_x_runs(tmp_path, capsys):
+    doc = tmp_path / "trend.cfg"
+    doc.write_text('experiment = "main-term-trend"\nspec = "divisor1"\n'
+                   'X_list = [400, 1000]\nH = "X^0.5"\nQ = 4\nN = 10000\n')
+    assert main(["main-term-trend", "--config", str(doc)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert [p["X"] for p in record["payload"]["points"]] == [400, 1000]
+    assert "X" not in record["config"]
+    # H >= 2 is checked at each X of X_list, not at an X the trend never reads
+    assert main(["main-term-trend", "--X-list", "1000", "--H", "1"]) == 2
+    assert "H = 1 at X = 1000 must be >= 2" in capsys.readouterr().err
+
+
+def test_benchmark_jobs_parse(tmp_path, monkeypatch):
+    # Every job of the benchmark's workloads is a command line that the
+    # parser and the option scope accept; the workloads file is only read.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    argvs = [job.argv for name, w in workloads.WORKLOADS.items()
+             for job in w.jobs(1, tmp_path / name)]
+    assert len(argvs) == 12
+    for argv in argvs:
+        assert _config(list(argv)).experiment in harness.COMMANDS, argv
 
 
 _ECHO = {"spec": ["one_star_chi4"], "X": 100000, "H": "X^0.8", "Q": "preset:thm13",
@@ -625,12 +786,14 @@ _ECHO = {"spec": ["one_star_chi4"], "X": 100000, "H": "X^0.8", "Q": "preset:thm1
     ],
 )
 def test_benchmark_argv_echo_keeps_its_keys(argv, echo):
-    # The eleven keys the config echo had before it listed every option keep
-    # their values and formats for the benchmark's jobs.
+    # Of the eleven keys the config echo had before it listed every option,
+    # each that a benchmark job's experiment reads keeps its value and format.
     want = {**_ECHO, **echo}
     got = harness._echo_config(_config(argv))
-    assert {key: got[key] for key in want} == want
-    assert set(got) == {"experiment"} | {opt.key for opt in harness.OPTIONS}
+    kept = {key: value for key, value in want.items() if key in got}
+    assert {key: got[key] for key in kept} == kept
+    read = {opt.key for opt in harness.OPTIONS if harness._reads(opt.key, got["experiment"])}
+    assert set(got) == {"experiment"} | read
 
 
 def test_flags_override_config_document(tmp_path, capsys):
