@@ -31,13 +31,22 @@ rounding bound (`_square_error`, built on `rounding.fft_error`) kept below
 1/2, with digits narrow enough for it (`_band_digit_bits`); K(r) is
 accumulated in int64, since it can pass 2^53, and its products with f2
 are summed by `rounding.exact_sum`.
+
+Both routes split their work over `threads` workers, the calling thread
+among them (`_in_order`): direct its tiles of n, the band its `_triangles`
+batches.  The pieces are fixed by the request, and their results are added
+in the order one thread adds them, so every sum, float or exact, has the
+same bits for every thread count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 import time
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -124,6 +133,7 @@ def ternary_direct(
     windows: tuple[CoefficientWindow, ...] | None = None,
     cache: WindowCache | None = None,
     h_order: str = "forward",
+    threads: int = 1,
 ) -> CorrelationResult:
     """S(X, H) straight from its definition, O(X H).
 
@@ -134,7 +144,8 @@ def ternary_direct(
     tiles in float64 or complex128 and take a Kahan-compensated sum over
     lags; h_order ("forward" | "reverse") only orders that sum, so
     reproducibility under reordering can be measured.  Exact results do
-    not depend on it.
+    not depend on it.  threads workers share the tiles of n; no result
+    depends on their number.
     """
     t0 = time.perf_counter()
     w1, w2, w3 = windows or correlation_windows(req, cache)
@@ -154,7 +165,7 @@ def ternary_direct(
         numerator = 0
         for (s2, u2), (s3, u3) in product(d2, d3):
             sums = _lag_sums(u1, u2.astype(np.float64), u3.astype(np.float64),
-                             np.int64)
+                             np.int64, threads)
             for (s1, _), t in zip(d1, sums.T):
                 numerator += int(np.dot(weights, t.astype(object))) << (s1 + s2 + s3)
         value = numerator / h
@@ -163,7 +174,7 @@ def ternary_direct(
         # can wrap (divisor40 values pass 2^44 at X = 8192).
         dtype = np.result_type(f1, f2, f3, np.float64)
         sums = _lag_sums(f1.astype(dtype)[:, None], f2.astype(dtype),
-                         f3.astype(dtype), dtype)[:, 0]
+                         f3.astype(dtype), dtype, threads)[:, 0]
         lags = range(2 * h + 1) if h_order == "forward" else range(2 * h, -1, -1)
         total = 0.0 + 0.0j
         comp = 0.0 + 0.0j  # Kahan carry over the mixed-sign h-accumulation
@@ -218,7 +229,7 @@ def _digit_count(m: int, bits: int) -> int:
     return count
 
 
-def _lag_sums(u1, u2, u3, dtype) -> np.ndarray:
+def _lag_sums(u1, u2, u3, dtype, threads: int = 1) -> np.ndarray:
     """T[j, c] = sum_n u1[n, c] u2[n + j] u3[n + 2j] for the lags j = h + H.
 
     u1 is (X + 1, k), the digits of f1 side by side (k = 1 for float
@@ -229,7 +240,9 @@ def _lag_sums(u1, u2, u3, dtype) -> np.ndarray:
     the matching rows of u1 with one matmul, so the windows pass through
     the cache once per tile of n instead of once per lag.
 
-    Tile results add up per lag in dtype: int64 for exact digits, where
+    Each tile of n is one piece of `_in_order`: a worker forms all its lags
+    in a buffer and a partial-sum array of its own, and the partials add up
+    per lag in tile order, in dtype: int64 for exact digits, where
     _TILE_TERMS * D1 D2 D3 <= 2^53 makes every partial sum of a tile, in
     any order, an integer that float64 holds, and (X + 1) D1 D2 D3 < 2^63
     keeps every lag sum within int64; else the tile dtype.
@@ -238,18 +251,78 @@ def _lag_sums(u1, u2, u3, dtype) -> np.ndarray:
     lags = len(u2) - n + 1
     v2 = sliding_window_view(u2, n)  # v2[j, i] = u2[j + i]
     v3 = sliding_window_view(u3, n)[::2]  # v3[j, i] = u3[2j + i]
-    buf = _cache_aligned((_LAG_BLOCK, _TILE_TERMS), u1.dtype)
-    part = np.empty((lags, k), dtype=u1.dtype)
     sums = np.zeros((lags, k), dtype=dtype)
-    for i0 in range(0, n, _TILE_TERMS):
-        i1 = min(i0 + _TILE_TERMS, n)
-        for j0 in range(0, lags, _LAG_BLOCK):
-            j1 = min(j0 + _LAG_BLOCK, lags)
-            tile = np.multiply(v2[j0:j1, i0:i1], v3[j0:j1, i0:i1],
-                               out=buf[: j1 - j0, : i1 - i0])
-            np.matmul(tile, u1[i0:i1], out=part[j0:j1])
-        sums += part.astype(dtype, copy=False)
+
+    def worker():
+        buf = _cache_aligned((_LAG_BLOCK, _TILE_TERMS), u1.dtype)
+        part = np.empty((lags, k), dtype=u1.dtype)
+
+        def tile(i0: int) -> Callable[[], None]:
+            i1 = min(i0 + _TILE_TERMS, n)
+            for j0 in range(0, lags, _LAG_BLOCK):
+                j1 = min(j0 + _LAG_BLOCK, lags)
+                prod = np.multiply(v2[j0:j1, i0:i1], v3[j0:j1, i0:i1],
+                                   out=buf[: j1 - j0, : i1 - i0])
+                np.matmul(prod, u1[i0:i1], out=part[j0:j1])
+            return lambda: np.add(sums, part.astype(dtype, copy=False), out=sums)
+
+        return tile
+
+    _in_order(range(0, n, _TILE_TERMS), threads, worker)
     return sums
+
+
+def _in_order(items, threads: int, worker: Callable) -> None:
+    """Compute the items on up to threads threads; add their results in order.
+
+    worker() makes one worker's step, with buffers of its own; step(item)
+    computes the item's result and returns the function that adds it in.
+    min(threads, len(items)) workers, the calling thread among them, take
+    the items in turn.  Each adds its result once every earlier item's is
+    added, and only then takes another, so at most one result per worker
+    is alive, and the sums are made in the order one thread makes them:
+    their bits do not depend on threads.  One item or one thread starts no
+    thread.
+    """
+    items = list(items)
+    workers = min(threads, len(items))
+    if workers <= 1:
+        step = worker()
+        for item in items:
+            step(item)()
+        return
+    claims = iter(enumerate(items))
+    turn = threading.Condition()
+    added, failed = 0, False
+
+    def run():
+        nonlocal added, failed
+        try:
+            step = worker()
+            while True:
+                with turn:
+                    i, item = next(claims, (None, None))
+                if i is None or failed:
+                    return
+                add = step(item)
+                with turn:
+                    turn.wait_for(lambda: added == i or failed)
+                    if failed:
+                        return
+                    add()
+                    added += 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(run) for _ in range(workers - 1)]
+        run()
+        for helper in helpers:
+            helper.result()
 
 
 def _cache_aligned(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -269,6 +342,7 @@ def ternary_convolution(
     req: CorrelationRequest,
     windows: tuple[CoefficientWindow, ...] | None = None,
     cache: WindowCache | None = None,
+    threads: int = 1,
 ) -> CorrelationResult:
     """S(X, H) by a banded Fejer contraction in O(X log^2 H) operations.
 
@@ -282,7 +356,8 @@ def ternary_convolution(
     bound `_square_error` (below 1/2, splitting f1 and f3 into digits when
     needed), so the numerator is exact; `error_bound` is that bound.  Float
     and complex families keep the transform output; `error_bound` then
-    bounds |S - computed S|.
+    bounds |S - computed S|.  threads workers share the band's batches; no
+    result depends on their number.
     """
     t0 = time.perf_counter()
     w1, w2, w3 = windows or correlation_windows(req, cache)
@@ -301,14 +376,14 @@ def ternary_convolution(
         digits = (len(d1), len(d2), len(d3))
         numerator = 0
         for (s1, u1), (s3, u3) in product(d1, d3):
-            band = _fejer_band(u1, u3, h, np.int64)
+            band = _fejer_band(u1, u3, h, np.int64, threads)
             bound = b2 * max(max_abs(band), 1)  # |K| <= H^2 b1 b3: int64-safe
             for s2, u2 in d2:
                 numerator += exact_sum(u2 * band, bound) << (s1 + s2 + s3)
         value = numerator / h
         error_bound = b1 * b3 * fmax
     else:
-        band = _fejer_band(f1, f3, h, np.result_type(f1, f3, np.float64))
+        band = _fejer_band(f1, f3, h, np.result_type(f1, f3, np.float64), threads)
         value = complex(np.dot(f2, band)) / h
         if all(s.is_real for s in (req.spec1, req.spec2, req.spec3)):
             value = value.real
@@ -361,7 +436,8 @@ def _band_digit_bits(m1: int, m3: int, b2: int, h: int, fmax: float) -> int:
     raise BudgetError(f"H = {h} is too large for an exact banded contraction")
 
 
-def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype) -> np.ndarray:
+def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype,
+                threads: int = 1) -> np.ndarray:
     """K(r) for r in [X - H, 2X + H], from f1 on [X, 2X] and f3 on [X - 2H, 2X + 2H].
 
     n and k = n + 2j share parity; with n = X + 2a + e and k = X + 2b + e
@@ -375,6 +451,11 @@ def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype) -> np.ndarray:
     Each `_triangles` call takes the rows of 1, 2 or 4 whole kinds, about
     _GROUP_TERMS terms of rows (at least one row), which bounds its
     transform buffers.
+
+    The diagonals and the calls are the pieces of `_in_order`, so the
+    workers hold at most `threads` batches at a time and add them into K
+    in the order of one thread.  A band with one call per parity (every
+    request with X <= 2000) runs on the calling thread.
     """
     size = 1 << (h - 1).bit_length()
     n2 = len(f1) + 2 * h
@@ -382,34 +463,47 @@ def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype) -> np.ndarray:
     per_call = max(1, _GROUP_TERMS // size)  # rows per `_triangles` call
     step = max(1, per_call // 4)  # blocks per batch
     kinds = min(4, per_call)  # kinds per `_triangles` call
+    pieces = []  # (e, j0, nb, k0), j0 None for the diagonal
     for e in (0, 1):
-        g, y = f1[e::2], f3[e::2]
-        base = e + 2 * h  # acc index of s = 0
-        acc[base : base + 2 * len(g) : 2] += h * np.multiply(
-            g, y[h : h + len(g)], dtype=dtype
-        )
-        nblocks = -(-len(g) // h)
+        nblocks = -(-len(f1[e::2]) // h)
+        pieces.append((e, None, 0, 0))
         for j0 in range(-1, nblocks, step):
             nb = min(step, nblocks - j0)
-            blocks = np.zeros((2 * nb + 2, size), dtype=dtype)
-            _blocks(g, j0, h, blocks[: nb + 1])
-            _blocks(y, j0 + 1, h, blocks[nb + 1 :])
-            # rows of kind 0..3 for blocks j0 + i, i < nb (see above)
-            gi, yi = np.arange(nb), np.arange(nb + 1, 2 * nb + 1)
-            ix = np.concatenate((gi, yi, yi + 1, gi + 1))
-            iy = np.concatenate((yi, gi, gi, yi))
-            c = np.repeat([h, h, 0, 0], nb)[:, None, None]
-            sign = np.repeat([1, 1, -1, -1], nb)[:, None, None]
-            for k0 in range(0, 4, kinds):
-                r = slice(k0 * nb, (k0 + kinds) * nb)
-                rows = _triangles(blocks[ix[r]], blocks[iy[r]], c[r], sign[r])
-                # Row i of a kind lands at acc[start + 2Hi : start + 2H(i+1)]
-                # (p + q <= 2H - 2, so the rest of the row is zero).
-                rows = rows[:, : 2 * h].reshape(kinds, nb, 2 * h)
-                for k in range(kinds):
-                    start = base + (2 * j0 + (k0 + k) // 2) * h
-                    dst = acc[start : start + 2 * h * nb]
-                    dst.reshape(nb, 2 * h)[:] += rows[k]
+            pieces += [(e, j0, nb, k0) for k0 in range(0, 4, kinds)]
+
+    def piece(where) -> Callable[[], None]:
+        e, j0, nb, k0 = where
+        g, y = f1[e::2], f3[e::2]
+        base = e + 2 * h  # acc index of s = 0
+        if j0 is None:
+            diag = h * np.multiply(g, y[h : h + len(g)], dtype=dtype)
+            dst = acc[base : base + 2 * len(g) : 2]
+            return lambda: np.add(dst, diag, out=dst)
+        blocks = np.zeros((2 * nb + 2, size), dtype=dtype)
+        _blocks(g, j0, h, blocks[: nb + 1])
+        _blocks(y, j0 + 1, h, blocks[nb + 1 :])
+        # rows of kind 0..3 for blocks j0 + i, i < nb (see above)
+        gi, yi = np.arange(nb), np.arange(nb + 1, 2 * nb + 1)
+        r = slice(k0 * nb, (k0 + kinds) * nb)
+        ix = np.concatenate((gi, yi, yi + 1, gi + 1))[r]
+        iy = np.concatenate((yi, gi, gi, yi))[r]
+        c = np.repeat([h, h, 0, 0], nb)[r, None, None]
+        sign = np.repeat([1, 1, -1, -1], nb)[r, None, None]
+        rows = _triangles(blocks[ix], blocks[iy], c, sign)
+        # Row i of a kind lands at acc[start + 2Hi : start + 2H(i+1)]
+        # (p + q <= 2H - 2, so the rest of the row is zero).
+        rows = rows[:, : 2 * h].reshape(kinds, nb, 2 * h)
+
+        def add():
+            for k in range(kinds):
+                start = base + (2 * j0 + (k0 + k) // 2) * h
+                dst = acc[start : start + 2 * h * nb]
+                dst.reshape(nb, 2 * h)[:] += rows[k]
+
+        return add
+
+    one_call = len(pieces) == 4  # per parity, the diagonal and one batch
+    _in_order(pieces, 1 if one_call else threads, lambda: piece)
     return acc[h : h + n2]
 
 

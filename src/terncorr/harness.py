@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -35,6 +36,15 @@ from .errors import (
     TerncorrError,
 )
 
+
+def cpu_count() -> int:
+    """The CPUs this process may run on: the default of `threads`."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -46,7 +56,7 @@ class ExperimentConfig:
     eta: Fraction | None = None  # default 1 - 7 epsilon
     n_terms: int = 10**6
     out: str | None = None
-    threads: int = 1
+    threads: int = field(default_factory=cpu_count)
     seed: int = 20260808
     method: str = "direct"
     c_threshold: float = 1e-3
@@ -308,7 +318,9 @@ OPTIONS = (
     Option("eta", "eta", _fraction, commands=("arc-scan",)),
     Option("N", "n_terms", commands=("singular-series", "main-term-trend")),
     Option("out", "out", str),
-    Option("threads", "threads", commands=("singular-series", "main-term-trend")),
+    Option("threads", "threads", commands=("singular-series", "correlate",
+                                           "main-term-trend", "identity-check"),
+           help="worker threads (default: the CPUs this process may use)"),
     Option("seed", "seed", commands=("identity-check",)),
     Option("coeff_cache", "coeff_cache", str, flag="--coeff-cache"),
     Option("lo", "lo", commands=("sieve",)),
@@ -447,15 +459,19 @@ def _validate(cfg: ExperimentConfig):
         )
     for sid in cfg.spec_ids:
         multfunc.spec_from_id(sid)  # raises DomainError on unknown ids
-    # X before H, which a small X cannot give; a trend reads each X_list entry
+    # X before H, which a small X cannot give; a trend reads each X_list
+    # entry.  Both are checked wherever H is a setting, so a series with an
+    # integer Q, which reads neither, still refuses bad ones.
     xs = cfg.x_list if cfg.experiment == "main-term-trend" else (cfg.x_start,)
-    for x in xs if COMMANDS[cfg.experiment].uses_xh else ():
+    for x in xs if _reads("H", cfg.experiment) else ():
         if cfg.experiment == "identity-check" and x < 50:
             raise ConfigurationError(
                 f"identity-check draws X from [50, min(2000, X)], so needs X >= 50, "
                 f"got {x}"
             )
-        if x < 5 and cfg.experiment != "arc-scan":
+        if x < 1:
+            raise ConfigurationError(f"X = {x} must be >= 1")
+        if x < 5 and cfg.experiment not in ("singular-series", "arc-scan"):
             raise ConfigurationError(
                 f"X = {x} must be >= 5, since X - 2H >= 1 with H >= 2"
             )
@@ -543,7 +559,7 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
             )
     req = correlate.CorrelationRequest(s1, s2, s3, cfg.x_start, h)
     route = {"direct": correlate.ternary_direct, "conv": correlate.ternary_convolution}
-    result = route[cfg.method](req, cache=cache)
+    result = route[cfg.method](req, cache=cache, threads=cfg.threads)
     main_term = rel_gap = None
     if cfg.series_path:
         main_term, rel_gap = dirichlet.main_term_gap(
@@ -705,7 +721,7 @@ def _run_trend(cfg, specs, cache, warnings) -> dict:
                 spec, q_use, cfg.n_terms, cache=cache, threads=cfg.threads
             ).series_value
         req = correlate.CorrelationRequest(spec, spec, spec, x, h)
-        result = correlate.ternary_direct(req, cache=cache)
+        result = correlate.ternary_direct(req, cache=cache, threads=cfg.threads)
         main_term, rel_gap = dirichlet.main_term_gap(
             spec, result.value, x, h, float(cfg.epsilon), series_value
         )
@@ -769,8 +785,8 @@ def _run_identity(cfg, specs, cache, warnings) -> dict:
         req = correlate.CorrelationRequest(
             *(multfunc.spec_from_id(i) for i in ids), x, h
         )
-        a = correlate.ternary_direct(req, cache=cache)
-        b = correlate.ternary_convolution(req, cache=cache)
+        a = correlate.ternary_direct(req, cache=cache, threads=cfg.threads)
+        b = correlate.ternary_convolution(req, cache=cache, threads=cfg.threads)
         same = a.exact_numerator == b.exact_numerator
         exact_match &= same
         cases.append({
@@ -806,9 +822,9 @@ def _run_sieve(cfg, specs, cache, warnings) -> dict:
 @dataclass(frozen=True)
 class Command:
     """One experiment: the handler that runs it, its help, its subcommand
-    words (default: its name), and whether it reads H at its X (at each
-    X_list entry, for a trend), in which case H must be >= 2 there and a
-    document must give X where X is a setting of the experiment."""
+    words (default: its name), and whether it always reads H at its X (at
+    each X_list entry, for a trend), in which case a document must give X
+    where X is a setting of the experiment."""
 
     handler: Callable
     help: str

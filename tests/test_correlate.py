@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import operator
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -629,3 +633,155 @@ def test_weighted_squares_bits_match_scipy_fft(monkeypatch, dtype, rows, nodes, 
             mp.setattr(np.fft, name, getattr(scipy.fft, name))
         want = _weighted_squares(u, v, c, sign)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Threads: both routes split their work, and no result depends on how
+
+
+def _euler_unit(top: int) -> MultSpec:
+    """A complex unimodular family with a rule for every prime power to top."""
+    sieve = np.ones(top + 1, dtype=bool)
+    for p in range(2, math.isqrt(top) + 1):
+        sieve[p * p :: p] = False
+    return MultSpec.user_euler(
+        {(int(p), e): cmath.exp(1j * p * e)
+         for p in np.flatnonzero(sieve)[2:] for e in range(1, top.bit_length())},
+        k_bound=1,
+    )
+
+
+def _by_threads(req, threads=(1, 2, 3)):
+    """{(route, threads): (value, exact numerator, error bound, digits)}."""
+    out = {}
+    for route, t in product((ternary_direct, ternary_convolution), threads):
+        res = route(req, cache=CACHE, threads=t)
+        out[route.__name__, t] = (res.value, res.exact_numerator, res.error_bound,
+                                  res.digits)
+    return out
+
+
+def _thread_case(case):
+    """(specs, X, H): X = 2*10^4 gives three tiles of n and 4 band batches
+    per parity; divisor40 at X = 9000 two tiles on several digit passes."""
+    chi4, tau = MultSpec.one_star_chi4(), MultSpec.ramanujan_tau_norm()
+    if case == "euler":
+        unit = _euler_unit(44001)
+        return (unit, tau, unit), 20000, 2000
+    spec = {"chi4": chi4, "divisor40": MultSpec.divisor_k(40), "tau": tau}[case]
+    return (spec,) * 3, *((9000, 300) if case == "divisor40" else (20000, 2000))
+
+
+@pytest.mark.parametrize("case", ["chi4", "divisor40", "tau", "euler"])
+def test_results_do_not_depend_on_threads(case):
+    specs, x, h = _thread_case(case)
+    assert -(-(x + 1) // _TILE_TERMS) > 1
+    got = _by_threads(CorrelationRequest(*specs, x, h))
+    for route in ("ternary_direct", "ternary_convolution"):
+        one = got[route, 1]
+        for t in (2, 3):
+            value, numerator, bound, digits = got[route, t]
+            # same bits: == on floats, and the same type (float or complex)
+            assert (type(value), value, numerator, bound, digits) == (
+                type(one[0]), *one), (route, t)
+    direct, conv = got["ternary_direct", 1], got["ternary_convolution", 1]
+    if case in ("chi4", "divisor40"):
+        assert direct[1] == conv[1] is not None
+        if case == "divisor40":
+            assert direct[3][0] > 1 and conv[3][0] > 1  # several digit passes
+    else:
+        assert direct[1] is None
+        assert abs(complex(direct[0]) - complex(conv[0])) <= conv[2]
+        assert isinstance(direct[0], complex) == (case == "euler")
+
+
+def test_small_requests_start_no_thread(monkeypatch, capsys):
+    # identity-check at X = 2000 has one tile of n and one band batch per
+    # parity in every case, so it runs on the calling thread alone.
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert harness.main(["identity-check", "--X", "2000", "--threads", "2"]) == 0
+    assert '"exact_match": true' in capsys.readouterr().out
+    req = CorrelationRequest(ONE, ONE, ONE, 20000, 2000)
+    for route in (ternary_direct, ternary_convolution):
+        assert route(req, cache=CACHE, threads=1).exact_numerator
+        with pytest.raises(AssertionError, match="a thread was started"):
+            route(req, cache=CACHE, threads=2)
+
+
+def _within(seconds, fn, *args):
+    """fn(*args) on a thread that must end within seconds; its exception, if any."""
+    outcome = []
+
+    def call():
+        try:
+            fn(*args)
+        except Exception as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "deadlock"
+    return outcome[0] if outcome else None
+
+
+def test_in_order_adds_in_item_order_and_raises():
+    # Items that finish out of order, on more workers than cores and with a
+    # short switch interval, are still added in order, each once; an error
+    # in any worker reaches the caller and ends every worker.
+    items = list(range(40))
+    delays = random.Random(5).choices([0, 0.001, 0.004], k=len(items))
+    added, seen = [], set()
+
+    def worker():
+        def step(i):
+            seen.add(threading.get_ident())
+            time.sleep(delays[i])
+            return lambda: added.append(i)
+        return step
+
+    def failing():
+        def step(i):
+            if i == 7:
+                raise ZeroDivisionError(i)
+            time.sleep(delays[i])
+            return lambda: None
+        return step
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _within(30, correlate._in_order, items, 3, worker) is None
+        assert added == items and 1 <= len(seen) <= 3
+        for threads in (1, 2, 3):
+            error = _within(30, correlate._in_order, items, threads, failing)
+            assert isinstance(error, ZeroDivisionError), threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threaded_band_matches_python_int_sums_at_a_million():
+    # At X = 10^6 the direct route is out of reach, so sampled K(r) of the
+    # threaded band (H = X^0.8) are checked against their definition in
+    # Python ints, K(r) = sum_{|j| < H} (H - |j|) f1(r - j) f3(r + j), O(H)
+    # per r.
+    x = 10**6
+    h = harness.eval_power_expr("X^0.8", x)
+    chi4 = MultSpec.one_star_chi4()
+    cache = WindowCache()
+    f1 = cache.window(chi4, 1, x, 2 * x).values
+    f3 = cache.window(chi4, 1, x - 2 * h, 2 * x + 2 * h).values
+    band = correlate._fejer_band(f1, f3, h, np.int64, threads=2)
+    assert len(band) == x + 1 + 2 * h  # K(r) for r = X - H + i
+    g = [0] * 2 * h + f1.tolist() + [0] * 2 * h  # g[k] = f1(X - 2H + k)
+    y = f3.tolist()  # y[k] = f3(X - 2H + k)
+    weights = [h - abs(j) for j in range(1 - h, h)]
+    rng = random.Random(2026)
+    samples = [0, 1, 2 * h, len(band) - 2, len(band) - 1]
+    for i in samples + rng.sample(range(len(band)), 64):
+        # f1(r - j) = g[i + H - j] and f3(r + j) = y[i + H + j], j = 1 - H .. H - 1
+        pairs = map(operator.mul, g[i + 2 * h - 1 : i : -1], y[i + 1 : i + 2 * h])
+        assert int(band[i]) == sum(map(operator.mul, weights, pairs)), i

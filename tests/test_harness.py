@@ -348,6 +348,32 @@ def test_bad_config_value_exits_2(tmp_path, capsys, line):
     assert re.search(rf"\b{key}\b" if key else "line 3", err), err
 
 
+@pytest.mark.parametrize("q", ["5", "preset:thm13"])
+@pytest.mark.parametrize("setting, message", [
+    (("H", "bogus"), "cannot parse H value 'bogus'"),
+    (("H", "1"), "H = 1 at X = 100000 must be >= 2"),
+    (("X", "bogus"), "bad value for 'X'"),
+    (("X", "-7"), "X = -7 must be >= 1"),
+])
+def test_series_refuses_bad_x_and_h_whatever_q(tmp_path, monkeypatch, capsys, q,
+                                               setting, message):
+    # singular-series reads X and H only for a Q preset, but a bad one exits
+    # 2 with an integer Q too, as a flag and as a document key, before the
+    # series is summed.
+    key, text = setting
+    base = ["singular-series", "--spec", "divisor1", "--Q", q, "--N", "1000"]
+    doc = tmp_path / "series.cfg"
+    value = text if text.lstrip("-").isdigit() else f'"{text}"'
+    doc.write_text(f'experiment = "singular-series"\n{key} = {value}\n')
+    with monkeypatch.context() as mp:
+        mp.setattr(harness.dirichlet, "singular_series_sum", None)  # not reached
+        for argv in (base + [f"--{key}", text], base + ["--config", str(doc)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, err
+    assert main(base) == 0
+
+
 @pytest.mark.parametrize("kind", ["not-utf8", "missing", "directory"])
 def test_unreadable_config_exits_2(tmp_path, capsys, kind):
     path = tmp_path / "run.cfg"
@@ -571,6 +597,7 @@ def _config(argv):
 
 
 # One sample per option, as (flag text, document text); neither is a default.
+_MORE_THREADS = str(harness.cpu_count() + 1)
 _SAMPLES = {
     "spec": ("moebius", '"moebius"'),
     "X": ("5000", "5000"),
@@ -580,7 +607,7 @@ _SAMPLES = {
     "eta": ("0.5", "0.5"),
     "N": ("5000", "5000"),
     "out": ("r.json", '"r.json"'),
-    "threads": ("2", "2"),
+    "threads": (_MORE_THREADS, _MORE_THREADS),
     "seed": ("9", "9"),
     "coeff_cache": ("d", '"d"'),
     "lo": ("4", "4"),
@@ -650,15 +677,15 @@ def test_option_out_of_scope_is_refused(tmp_path, capsys, experiment, opt):
     assert f"experiment {experiment!r} does not read {opt.key!r}" in err
 
 
-# The flags each subcommand takes besides --config and --help: 55 in all.
+# The flags each subcommand takes besides --config and --help: 57 in all.
 _FLAGS = {
     "sieve": "spec out coeff-cache lo hi q0",
     "singular-series": "spec out coeff-cache X H Q eps N threads",
-    "correlate": "spec out coeff-cache X H eps method series",
+    "correlate": "spec out coeff-cache X H eps threads method series",
     "arc-scan": "spec out coeff-cache X H Q eps eta kind x L",
     "main-term-trend": "spec out coeff-cache H Q eps N threads X-list",
     "count-triples": "spec out coeff-cache X H c",
-    "identity-check": "spec out coeff-cache X H seed",
+    "identity-check": "spec out coeff-cache X H threads seed",
 }
 
 
@@ -669,7 +696,7 @@ def test_help_lists_only_the_settings_read(capsys, experiment):
     listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
     want = {f"--{word}" for word in _FLAGS[experiment].split()}
     assert listed - {"--help", "--config"} == want
-    assert sum(len(words.split()) for words in _FLAGS.values()) == 55
+    assert sum(len(words.split()) for words in _FLAGS.values()) == 57
 
 
 def test_spec_count_is_checked(tmp_path, capsys):
@@ -760,7 +787,7 @@ def test_benchmark_jobs_parse(tmp_path, monkeypatch):
 
 _ECHO = {"spec": ["one_star_chi4"], "X": 100000, "H": "X^0.8", "Q": "preset:thm13",
          "epsilon": "1/20", "eta": None, "N": 1000000, "seed": 20260808,
-         "threads": 1, "method": "direct"}
+         "threads": harness.cpu_count(), "method": "direct"}
 
 
 @pytest.mark.parametrize(
@@ -787,9 +814,11 @@ _ECHO = {"spec": ["one_star_chi4"], "X": 100000, "H": "X^0.8", "Q": "preset:thm1
 )
 def test_benchmark_argv_echo_keeps_its_keys(argv, echo):
     # Of the eleven keys the config echo had before it listed every option,
-    # each that a benchmark job's experiment reads keeps its value and format.
+    # each that a benchmark job's experiment reads keeps its value and format,
+    # except that threads defaults to the CPU count, echoed as a number.
     want = {**_ECHO, **echo}
     got = harness._echo_config(_config(argv))
+    assert type(got.get("threads", 0)) is int
     kept = {key: value for key, value in want.items() if key in got}
     assert {key: got[key] for key in kept} == kept
     read = {opt.key for opt in harness.OPTIONS if harness._reads(opt.key, got["experiment"])}
