@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy
 
 from .errors import BudgetError, ConfigurationError, DomainError
 from .multfunc import CoefficientWindow, Kind, MultSpec, as_float, sieve_window
@@ -38,6 +37,27 @@ MAX_DECOMPOSE_Q = 2000
 # for margins 0, 4, 8, 12, 16 and 24: every margin from 4 up passes, and 12
 # is where the measured worst ratio was least.
 DUAL_MARGIN = 12
+
+
+def __getattr__(name: str):
+    """`arcs.scipy`, imported the first time it is read.
+
+    Most commands never need scipy, and its import is a large part of a
+    short job's start-up.  Once read, the module is a global of arcs, where
+    a tracer or a test may replace it; arcs' own code reads it through
+    `_scipy`, the same lookup.
+    """
+    if name != "scipy":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy
+
+    globals()["scipy"] = scipy
+    return scipy
+
+
+def _scipy():
+    """scipy as `arcs.scipy` gives it."""
+    return sys.modules[__name__].scipy
 
 
 @dataclass(frozen=True)
@@ -374,9 +394,10 @@ def sup_scan(
             f"{kind} arc set is empty at Q = {dec.q_cut}, beta = {dec.beta:.3g}"
         )
 
-    # scipy.fft (via `scipy`, where a tracer may wrap it) only once loaded, as
-    # its import costs 0.3 s; numpy.fft is the same pocketfft, bit for bit.
-    fft = scipy.fft if "scipy.fft" in sys.modules else np.fft
+    # scipy.fft (via `arcs.scipy`, where a tracer may wrap it) only once
+    # loaded, as its import costs 0.3 s; numpy.fft is the same pocketfft,
+    # bit for bit.
+    fft = _scipy().fft if "scipy.fft" in sys.modules else np.fft
 
     def magnitudes(v):
         if is_real:
@@ -578,6 +599,6 @@ def _witness_dual_terms(
     root_t = 2.0 * np.pi * np.sqrt(t) / q
     total = 0.0 + 0.0j
     for i in range(0, len(m), 64):  # bounds the J0 block to 64 rows
-        block = scipy.special.j0(np.sqrt(m[i : i + 64, None]) * root_t)
+        block = _scipy().special.j0(np.sqrt(m[i : i + 64, None]) * root_t)
         total += complex(c_m[i : i + 64] @ (block @ weights))
     return math.pi / (4 * q * q) * total

@@ -450,7 +450,8 @@ def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype,
       2, 3: (y_(j+1), g_j) and (g_(j+1), y_j): next block, weight q - p.
     Each `_triangles` call takes the rows of 1, 2 or 4 whole kinds, about
     _GROUP_TERMS terms of rows (at least one row), which bounds its
-    transform buffers.
+    transform buffers.  Rows with an all-zero block, such as kinds 0-2 at
+    j = -1, are zero and left out.
 
     The diagonals and the calls are the pieces of `_in_order`, so the
     workers hold at most `threads` batches at a time and add them into K
@@ -489,16 +490,22 @@ def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype,
         iy = np.concatenate((yi, gi, gi, yi))[r]
         c = np.repeat([h, h, 0, 0], nb)[r, None, None]
         sign = np.repeat([1, 1, -1, -1], nb)[r, None, None]
-        rows = _triangles(blocks[ix], blocks[iy], c, sign)
+        # A row with an all-zero block is zero: the edge blocks past g, and
+        # blocks of zeros in the data.  Adding it would leave K's bits as
+        # they are, so it is left out.
+        live = blocks.any(axis=1)
+        keep = live[ix] & live[iy]
+        rows = _triangles(blocks[ix[keep]], blocks[iy[keep]], c[keep], sign[keep])
         # Row i of a kind lands at acc[start + 2Hi : start + 2H(i+1)]
         # (p + q <= 2H - 2, so the rest of the row is zero).
-        rows = rows[:, : 2 * h].reshape(kinds, nb, 2 * h)
+        keep = keep.reshape(kinds, nb)
+        parts = np.split(rows[:, : 2 * h], np.cumsum(keep.sum(axis=1))[:-1])
 
         def add():
-            for k in range(kinds):
+            for k, part in enumerate(parts):
                 start = base + (2 * j0 + (k0 + k) // 2) * h
-                dst = acc[start : start + 2 * h * nb]
-                dst.reshape(nb, 2 * h)[:] += rows[k]
+                dst = acc[start : start + 2 * h * nb].reshape(nb, 2 * h)
+                dst[keep[k]] += part
 
         return add
 

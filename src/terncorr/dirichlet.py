@@ -459,6 +459,20 @@ class SingularSeries:
     fit_delta: float
     n_used: int
 
+    def value_below(self, q_cut: int) -> float:
+        """series_value of the table cut at q_cut <= Q: its first q_cut - 1
+        entries, summed as a series summed to q_cut would sum them."""
+        if not 2 <= q_cut <= self.q_cut:
+            raise DomainError(f"q_cut = {q_cut} is not in [2, {self.q_cut}]")
+        return _main_factor(self.c_table[: q_cut - 1]).real
+
+
+def _main_factor(c_table: np.ndarray) -> complex:
+    """sum phi(q) C_q^3 over the table of C_q, q = 1, 2, ..."""
+    phis = np.array([euler_phi(q) for q in range(1, len(c_table) + 1)],
+                    dtype=np.float64)
+    return complex((phis * c_table**3).sum())
+
 
 def main_term_gap(
     spec: MultSpec,
@@ -519,10 +533,8 @@ def singular_series_sum(
         c_table[q - 1] = c
         c_err[q - 1] = e
 
+    series = _main_factor(c_table)
     qs = np.arange(1, q_cut, dtype=np.float64)
-    phis = np.array([euler_phi(int(q)) for q in range(1, q_cut)], dtype=np.float64)
-    series = complex((phis * c_table**3).sum())
-
     fit_c, fit_delta, tail = _fit_tail(qs, c_table, c_err, q_cut)
     return SingularSeries(
         spec_id=spec.spec_id,

@@ -7,6 +7,10 @@ a RunRecord: config echo, payload, versions, wall time and every warning
 that altered parameters (such as an arc-count clamp).  Power expressions
 like "X^0.8" are evaluated in exact rational arithmetic so pinned examples
 land on exact integers.
+
+Only multfunc and correlate load with this module.  arcs, dirichlet and
+tau are imported by the handlers that call them, so a command loads only
+the subsystems it runs, and none but `accept` loads scipy.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy
 
-from . import __version__, arcs, correlate, dirichlet, multfunc, tau
+from . import __version__, correlate, multfunc
 from .errors import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -35,6 +39,9 @@ from .errors import (
     DomainError,
     TerncorrError,
 )
+
+if TYPE_CHECKING:
+    from . import arcs, dirichlet
 
 
 def cpu_count() -> int:
@@ -520,7 +527,10 @@ def run(cfg: ExperimentConfig) -> RunRecord:
         versions={
             "terncorr": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            # scipy's version once this process has loaded it (of the
+            # commands only `accept` does), else None; read without an
+            # import, as importlib.metadata alone costs about 30 ms
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
             "python": sys.version.split()[0],
         },
         wall_time_s=time.perf_counter() - t0,
@@ -562,6 +572,8 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
     result = route[cfg.method](req, cache=cache, threads=cfg.threads)
     main_term = rel_gap = None
     if cfg.series_path:
+        from . import dirichlet
+
         main_term, rel_gap = dirichlet.main_term_gap(
             s1, result.value, cfg.x_start, h, float(cfg.epsilon), series_value
         )
@@ -586,6 +598,8 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
 def _tau_table(specs) -> dict:
     """{"tau_table": tau.table_info()} when a spec reads the tau table."""
     if any(s.kind is multfunc.Kind.RAMANUJAN_TAU_NORM for s in specs):
+        from . import tau
+
         return {"tau_table": tau.table_info()}
     return {}
 
@@ -609,6 +623,8 @@ def load_series_record(path: str) -> tuple[str, float]:
 
 def _clamped_q(cfg, spec, h, warnings) -> tuple[int, int]:
     """Q from its source, and the largest Q' <= Q whose major arcs are disjoint."""
+    from . import arcs
+
     q_pre = resolve_q(cfg.q_source, cfg.x_start, h, cfg.epsilon, spec.alpha)
     q_use = arcs.largest_disjoint_q(q_pre, h, float(cfg.epsilon))
     if q_use != q_pre:
@@ -619,6 +635,8 @@ def _clamped_q(cfg, spec, h, warnings) -> tuple[int, int]:
 
 
 def _run_series(cfg, specs, cache, warnings) -> dict:
+    from . import dirichlet
+
     spec = specs[0]
     q_cut = cfg.q_source
     if not isinstance(q_cut, int):  # a preset reads X and H
@@ -660,6 +678,8 @@ def _write_series_csv(series: dirichlet.SingularSeries, path: str):
 
 
 def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
+    from . import arcs
+
     spec = specs[0]
     h = cfg.resolved_h()
     q_pre, q_use = _clamped_q(cfg, spec, h, warnings)
@@ -709,17 +729,24 @@ def _write_scan_csv(report: arcs.SupScanReport, path: str):
 
 
 def _run_trend(cfg, specs, cache, warnings) -> dict:
+    from . import dirichlet
+
     spec = specs[0]
-    gaps = []
+    points = []  # (X, H, clamped Q) of each X
     for x in cfg.x_list:
         sub = replace(cfg, x_start=x)
         h = sub.resolved_h()
-        _, q_use = _clamped_q(sub, spec, h, warnings)
-        series_value = None
-        if spec.has_pole:  # a pole-free spec has no main term to compare
-            series_value = dirichlet.singular_series_sum(
-                spec, q_use, cfg.n_terms, cache=cache, threads=cfg.threads
-            ).series_value
+        points.append((x, h, _clamped_q(sub, spec, h, warnings)[1]))
+    series = None
+    if spec.has_pole:  # a pole-free spec has no main term to compare
+        # one C_q table, at the largest Q; each point reads a prefix of it
+        series = dirichlet.singular_series_sum(
+            spec, max(q for _, _, q in points), cfg.n_terms, cache=cache,
+            threads=cfg.threads,
+        )
+    gaps = []
+    for x, h, q_use in points:
+        series_value = None if series is None else series.value_below(q_use)
         req = correlate.CorrelationRequest(spec, spec, spec, x, h)
         result = correlate.ternary_direct(req, cache=cache, threads=cfg.threads)
         main_term, rel_gap = dirichlet.main_term_gap(

@@ -37,7 +37,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import tau as _tau
 from .errors import BudgetError, DomainError, SpecificationError
 
 MAX_WINDOW_LEN = 1 << 26
@@ -348,7 +347,9 @@ def local_factor(spec: MultSpec, p, e) -> np.ndarray:
         out = np.where(r == 1, ee + 1, np.where(r == 3, 1 - ee % 2, 1))
     elif spec.kind is Kind.RAMANUJAN_TAU_NORM:
         # lambda(p^(j+1)) = lambda(p) lambda(p^j) - lambda(p^(j-1))
-        lam = _tau.tau_normalized_values(int(p.max(initial=1)))[p - 1]
+        from . import tau  # only tau specs load the tau engine
+
+        lam = tau.tau_normalized_values(int(p.max(initial=1)))[p - 1]
         prev, cur = np.ones_like(lam), lam
         out = np.where(ee == 0, 1.0, lam)
         for j in range(2, emax + 1):
@@ -504,7 +505,9 @@ def _build_windows(
         return []
 
     if spec.kind is Kind.RAMANUJAN_TAU_NORM:
-        lam = _tau.tau_normalized_values(max(q0s) * hi)
+        from . import tau
+
+        lam = tau.tau_normalized_values(max(q0s) * hi)
         d2 = _build_windows(MultSpec.divisor_k(2), q0s, lo, hi, mapper)
         wins = []
         for q0, bound in zip(q0s, d2):
@@ -618,7 +621,9 @@ def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:
         with tmp.open("wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<QQQQ", tag, win.q0, win.lo, win.hi))
-            fh.write(win.values.astype(_block_dtype(win.spec), copy=False).tobytes())
+            # the block's own buffer: no bytes copy of a window that is
+            # already contiguous little-endian
+            fh.write(np.ascontiguousarray(win.values, dtype=_block_dtype(win.spec)))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

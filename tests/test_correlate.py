@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -507,6 +508,36 @@ def test_banded_route_rows_split_across_calls(group, monkeypatch):
     wins = correlation_windows(req, CACHE)
     res = ternary_convolution(req, windows=wins)
     assert res.exact_numerator == object_reference(wins, x, h)
+
+
+@pytest.mark.parametrize("gap", [False, True])
+def test_banded_route_leaves_out_zero_rows(monkeypatch, gap):
+    # X = 333, H = 40: 5 blocks of g per parity, so 4 kinds x 6 blocks
+    # (j = -1 .. 4) x 2 parities = 48 rows.  Kinds 0-2 at j = -1 and kind 3
+    # at j = 4 have an all-zero block of g and are left out: 40 rows.  With
+    # f1 = 0 on [X, X + 200), g's blocks 0 and 1 are zero as well, which
+    # drops kind 3 at j = -1, all four at j = 0 and kinds 0-2 at j = 1 on
+    # each parity: 24.
+    h, x = 40, 333
+    specs = (MultSpec.moebius(), MultSpec.divisor_k(3), MultSpec.one_star_chi4())
+    req = CorrelationRequest(*specs, x, h)
+    w1, w2, w3 = correlation_windows(req, CACHE)
+    if gap:
+        vals = w1.values.copy()
+        vals[:200] = 0
+        w1 = replace(w1, values=vals)
+    rows = []
+    triangles = correlate._triangles
+
+    def checked(xb, yb, c, sign):
+        assert xb.any(axis=1).all() and yb.any(axis=1).all()
+        rows.append(len(xb))
+        return triangles(xb, yb, c, sign)
+
+    monkeypatch.setattr(correlate, "_triangles", checked)
+    res = ternary_convolution(req, windows=(w1, w2, w3))
+    assert res.exact_numerator == object_reference((w1, w2, w3), x, h)
+    assert sum(rows) == (24 if gap else 40)
 
 
 def test_square_error_bounds_max_magnitude_products():

@@ -445,6 +445,17 @@ def test_series_builds_each_window_once(monkeypatch, threads):
     assert series.series_value == reference.series_value
 
 
+def test_series_value_below_is_a_shorter_series():
+    # A prefix of one table gives, bit for bit, the series summed to that Q.
+    whole = singular_series_sum(OSC, 20, 5000, cache=CACHE)
+    for q in (2, 7, 9, 20):
+        part = singular_series_sum(OSC, q, 5000, cache=CACHE)
+        assert whole.value_below(q) == part.series_value
+    for q in (1, 21):
+        with pytest.raises(DomainError):
+            whole.value_below(q)
+
+
 def test_series_builds_no_character_table(monkeypatch):
     def refuse(q):
         raise AssertionError(f"characters_mod({q}) called")

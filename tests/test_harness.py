@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from terncorr import harness, tau
+from terncorr import dirichlet, harness, tau
 from terncorr.errors import ConfigurationError
 from terncorr.harness import (
     ExperimentConfig,
@@ -258,6 +258,28 @@ def test_run_trend_constant_function_gaps_decrease():
     assert gaps[0] == pytest.approx(1 / 400, rel=0.05)
 
 
+def test_trend_sums_one_series_table(monkeypatch):
+    # X = 10^4 and 3*10^4 clamp Q to 7 and 9.  The trend sums the C_q table
+    # once, at Q = 9, and each point's main term is the one a series summed
+    # to its own Q gives.
+    calls = []
+    series_sum = dirichlet.singular_series_sum
+
+    def counting(spec, q_cut, *args, **kwargs):
+        calls.append(q_cut)
+        return series_sum(spec, q_cut, *args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "singular_series_sum", counting)
+    cfg = ExperimentConfig(experiment="main-term-trend", spec_ids=("one_star_chi4",),
+                           n_terms=10**4, x_list=(10**4, 3 * 10**4), threads=1)
+    points = run(cfg).payload["points"]
+    assert [p["Q"] for p in points] == [7, 9] and calls == [9]
+    spec = harness.multfunc.spec_from_id("one_star_chi4")
+    for p in points:
+        value = series_sum(spec, p["Q"], 10**4).series_value
+        assert p["main_term"] == p["X"] * p["H"] * value
+
+
 def test_series_roundtrip_via_record(tmp_path):
     out = tmp_path / "series.json"
     cfg = ExperimentConfig(
@@ -366,7 +388,7 @@ def test_series_refuses_bad_x_and_h_whatever_q(tmp_path, monkeypatch, capsys, q,
     value = text if text.lstrip("-").isdigit() else f'"{text}"'
     doc.write_text(f'experiment = "singular-series"\n{key} = {value}\n')
     with monkeypatch.context() as mp:
-        mp.setattr(harness.dirichlet, "singular_series_sum", None)  # not reached
+        mp.setattr(dirichlet, "singular_series_sum", None)  # not reached
         for argv in (base + [f"--{key}", text], base + ["--config", str(doc)]):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
@@ -531,6 +553,62 @@ def test_correlate_import_leaves_dirichlet_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_LOADS_SCRIPT = """
+import contextlib, io, json, sys
+from terncorr import harness
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = harness.main(sys.argv[1:])
+watched = ("terncorr.arcs", "terncorr.dirichlet", "terncorr.tau", "scipy")
+print(json.dumps({
+    "code": code,
+    "loaded": [m for m in watched if m in sys.modules],
+    "scipy_version": json.loads(out.getvalue())["versions"]["scipy"],
+}))
+"""
+
+_SERIES_RECORD = '{"payload": {"spec": "divisor1", "series_value": 1.0}}'
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ("correlate --spec divisor2 --X 2000 --H 50 --method conv", []),
+    ("identity-check --X 300", []),
+    ("count-triples --spec divisor2 --X 1000 --H 20", []),
+    ("sieve --spec divisor3 --lo 1 --hi 500", []),
+    ("sieve --spec tau --lo 1 --hi 500", ["terncorr.tau"]),
+    ("correlate --spec tau --X 2000 --H 50", ["terncorr.tau"]),
+    ("correlate --spec divisor1 --X 2000 --H 50 --series {series}",
+     ["terncorr.dirichlet"]),
+    ("singular-series --spec divisor1 --Q 4 --N 1000", ["terncorr.dirichlet"]),
+    ("arcs scan --spec divisor1 --X 1000 --H 40 --Q 2", ["terncorr.arcs"]),
+    ("main-term-trend --spec divisor1 --X-list 1000,2000 --N 1000",
+     ["terncorr.arcs", "terncorr.dirichlet"]),
+])
+def test_each_command_loads_only_its_subsystems(tmp_path, argv, loaded):
+    # A fresh process imports only what its command runs: the correlation
+    # commands and sieve start without arcs, dirichlet, tau or scipy, and no
+    # command here loads scipy, so its version is recorded as null.
+    series = tmp_path / "series.json"
+    series.write_text(_SERIES_RECORD)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    args = argv.format(series=series).split()
+    proc = subprocess.run([sys.executable, "-c", _LOADS_SCRIPT, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {"code": 0, "loaded": loaded, "scipy_version": None}
+
+
+def test_record_names_scipy_version_once_loaded(capsys):
+    import scipy
+
+    assert main(["correlate", "--spec", "divisor1", "--X", "100", "--H", "10"]) == 0
+    versions = json.loads(capsys.readouterr().out)["versions"]
+    assert versions["scipy"] == scipy.__version__
 
 
 def test_sieve_beyond_int64_exits_3(capsys):

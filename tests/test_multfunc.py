@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from terncorr import multfunc
+from terncorr import multfunc, tau
 from terncorr.errors import BudgetError, DomainError, SpecificationError
 from terncorr.multfunc import (
     MultSpec,
@@ -389,7 +389,7 @@ def test_budget_errors():
         )
     with pytest.raises(BudgetError):
         sieve_window(
-            MultSpec.ramanujan_tau_norm(), 1, multfunc._tau.MAX_TAU_INDEX + 1
+            MultSpec.ramanujan_tau_norm(), 1, tau.MAX_TAU_INDEX + 1
         )
 
 
@@ -459,6 +459,8 @@ def test_window_cache_roundtrip(tmp_path):
         win = window_on_progression(spec, 3, 2, 200)
         path = tmp_path / f"{spec.spec_id}.bin"
         write_window_cache(win, path)
+        block = win.values.astype("<i8" if spec.is_exact else "<f8").tobytes()
+        assert path.read_bytes()[36:] == block
         back = read_window_cache(path)
         assert back.lo == win.lo and back.hi == win.hi and back.q0 == win.q0
         assert back.spec == win.spec
