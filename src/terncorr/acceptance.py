@@ -185,10 +185,10 @@ def criterion_9() -> tuple[bool, str, list[str]]:
     window = _CACHE.window(osc, 1, x, x + 2 * h)
     failures = []
     worst, worst_case = 0.0, ""
+    sums = {}
     for q in (1, 2, 3, 4):
-        units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-        for a in units:
-            density, _ = dirichlet.local_density(osc, q, a, 10**6, _CACHE)
+        units, densities, _ = dirichlet.local_densities(osc, q, 10**6, _CACHE, sums)
+        for a, density in zip(units.tolist(), densities.tolist()):
             for gamma in (0.0, beta / 10, -beta / 10, beta, -beta):
                 r = arcs.major_arc_model(osc, density, q, a, gamma, x, h, window=window)
                 allowance = 0.05 * max(abs(r.actual), math.sqrt(x))

@@ -8,7 +8,7 @@ grid at once through FFTs of the zero-padded window, whose Taylor bounds
 certify the sup scans cell by cell.
 
 The major-arc model of S(a/q + gamma; x) over [x, x+2H] is the local
-density C(a, q) (dirichlet.local_density) times the integral of e(gamma y).
+density C(a, q) (dirichlet.local_densities) times the integral of e(gamma y).
 For the 1*chi4 witness, r_2(n) = 4 (1*chi4)(n) turns S into a lattice-point
 sum whose Poisson dual terms are added as well, cut off at |k| <= K with K
 past the stationary point of the oscillation.
@@ -529,7 +529,7 @@ def major_arc_model(
 ) -> MajorArcModel:
     """Compare S(a/q + gamma; x) over [x, x+2H] with its major-arc model.
 
-    The main term is the local density C(a, q) (dirichlet.local_density)
+    The main term is the local density C(a, q) (dirichlet.local_densities)
     times the integral of e(gamma y) over the same range (closed form,
     gamma -> 0 safe).  For the one_star_chi4 witness the model adds the
     Poisson dual terms 0 < |k| <= K of the exact identity

@@ -3,16 +3,15 @@
 Characters mod q are assembled by CRT from cyclic components: a primitive
 root for each odd prime power, and the {-1, 5} generating pair for powers
 of two.  The residue of sum f(q0 n) chi(n) n^(-s) at s=1 is realised as the
-two-scale Richardson extrapolation of partial means, which is all the
-downstream singular-series assembly needs.  Each window f(q0 n) is reduced
-once to its residue-class sums mod q1 (`_class_sums`, exact for integer
-families), and each character mod q1 is one dot product with them.  For
-the principal character the partial sums come instead from the identity
-sum_{n <= M, (n, q1) = 1} f(q0 n) = sum_{d | q1} mu(d) sum_{m <= M/d} f(q0 d m),
-as signed prefixes of the windows f(k n), k = q0 d, that the series holds
-anyway; exact families sum them exactly with `rounding.exact_sum`.  The
-singular series needs only these.  The local density C(a, q) and the
-twisted-progression check share one expansion (`_character_expansion`).
+two-scale Richardson extrapolation of partial means.  Each window f(q0 n)
+is reduced once to its residue-class sums mod q1 (`_class_sums`, exact for
+integer families), and each character mod q1 is one dot product with them.
+A principal character instead sums by Moebius inversion over gcd(n, q1):
+signed prefixes of the windows f(q0 d n), d | q1, that the series holds
+anyway, exact for exact families (`rounding.exact_sum`).  The singular
+series needs only these.  `local_densities` gives C(a, q) for every unit a
+of q from one set of character densities, through the expansion
+(`_character_expansion`) that the twisted-progression check also reads.
 `main_term_gap` is the one place that decides whether a correlation has
 the main term X*H*sum phi(q) C_q^3 (a pole at s = 1) or none.
 """
@@ -31,6 +30,7 @@ from .rounding import INT64_MAX, exact_sum
 
 MAX_CHARACTER_MODULUS = 1_000_000
 MAX_TABLE_ENTRIES = 1 << 25  # phi(q) * q guard for full group tables
+MAX_SERIES_BYTES = 1 << 32  # the progression windows a series holds at once
 
 # Memoised window reductions of one spec (see mean_density).
 Sums = dict[tuple, int | complex | list[np.ndarray]]
@@ -364,20 +364,20 @@ def _class_sums(win: CoefficientWindow, q1: int, m: int) -> np.ndarray:
     return np.roll(cols, 1)
 
 
-def _character_expansion(q: int, a: int):
-    """Yield (q0, q1, group, w) for q = q0*q1, with w[j] the weight
-    tau(conj chi_j) chi_j(a) / phi(q1) of group.characters[j].
+def _character_expansion(q: int, units: np.ndarray):
+    """Yield (q0, q1, group, w) for q = q0*q1: w[j, i] = tau(conj chi_j)
+    chi_j(a) / phi(q1) for group.characters[j] and a = units[i].
 
-    For n = q0 m with (m, q1) = 1, e(an/q) = e(am/q1) = sum_j w[j] chi_j(m),
-    the Gauss-sum expansion of an additive character on units; a is a unit
-    mod q (or 0 for q = 1).
+    For n = q0 m with (m, q1) = 1, e(an/q) = e(am/q1) = sum_j w[j, i] chi_j(m),
+    the Gauss-sum expansion of an additive character on units; each a is a
+    unit mod q (or 0 for q = 1).
     """
     for q1 in (d for d in range(1, q + 1) if q % d == 0):
         group = characters_mod(q1)
         # tau(conj chi) = chi(-1) conj(tau(chi))
         taus = np.array([chi(-1) * gauss_sum(chi).conjugate()
-                         for chi in group.characters])
-        yield q // q1, q1, group, taus * group.table[:, a % q1] / euler_phi(q1)
+                         for chi in group.characters])[:, None]
+        yield q // q1, q1, group, taus * group.table[:, units % q1] / euler_phi(q1)
 
 
 def singular_coefficient(
@@ -406,37 +406,33 @@ def singular_coefficient(
     return total, err
 
 
-def local_density(
+def local_densities(
     spec: MultSpec,
     q: int,
-    a: int,
     n_terms: int,
     cache: WindowCache | None = None,
-) -> tuple[complex, float]:
-    """C(a, q) = lim mean of f(n) e(an/q), with its propagated error gap.
+    sums: Sums | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(units, C, gaps): the units 1 <= a <= q of q in increasing order, with
+    C(a, q) = lim mean of f(n) e(an/q) and its error gap for each.
 
-    The expansion of `_character_expansion`: over q = q0*q1 and every chi
-    mod q1, the weight w / q0 times the mean density of f(q0 n) chi(n).  Its
-    principal terms are C_q, so the mean over the units a is
-    singular_coefficient; the other characters carry the poles of the
-    twisted series (+-i pi/8 at q = 4 for the 1*chi4 witness).  The error
-    gap is the weighted sum of the density gaps, an error scale rather than
-    a bound.
+    One mean density of f(q0 n) chi(n) per q = q0*q1 and chi mod q1, times
+    the weights w / q0 of `_character_expansion` for all units at once: the
+    principal terms give C_q, the others the twisted poles (+-i pi/8 at q = 4
+    for 1*chi4).  Gaps are error scales, not bounds.
     """
     if q < 1:
         raise DomainError("q must be >= 1")
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"need gcd(a, q) = 1, got a={a}, q={q}")
     cache = cache or WindowCache()
-    total = 0.0 + 0.0j
-    err = 0.0
-    sums: Sums = {}
-    for q0, q1, group, w in _character_expansion(q, a):
-        for chi, wj in zip(group.characters, w / q0):
-            dens = mean_density(spec, q0, q1, chi, n_terms, cache, sums)
-            total += wj * dens.estimate
-            err += abs(wj) * dens.error_gap
-    return total, err
+    sums = {} if sums is None else sums
+    units = np.array([a for a in range(1, q + 1) if math.gcd(a, q) == 1])
+    total = err = 0.0  # arrays over the units after the first q1
+    for q0, q1, group, w in _character_expansion(q, units):
+        dens = [mean_density(spec, q0, q1, chi, n_terms, cache, sums)
+                for chi in group.characters]
+        total += np.array([d.estimate for d in dens]) @ (w / q0)
+        err += np.array([d.error_gap for d in dens]) @ np.abs(w / q0)
+    return units, total, err
 
 
 @dataclass(frozen=True)
@@ -523,6 +519,10 @@ def singular_series_sum(
         {q // q1 for q in range(1, q_cut) for q1 in range(1, q + 1)
          if q % q1 == 0 and moebius(q1) != 0}
     )
+    size = len(q0_set) * n_terms * (8 if spec.is_real else 16)
+    if size > MAX_SERIES_BYTES:
+        raise BudgetError(f"{len(q0_set)} series windows of N = {n_terms} terms take "
+                          f"{size} bytes, over budget {MAX_SERIES_BYTES}")
     held = WindowCache.holding(
         cache.windows(spec, q0_set, 1, n_terms, threads=threads)
     )
@@ -602,10 +602,10 @@ def twisted_progression_check(
     additive = complex(np.dot(win.values, np.exp(2j * np.pi * ((a * n) % q) / q)))
 
     char_side = 0.0 + 0.0j
-    for q0, q1, group, w in _character_expansion(q, a):
+    for q0, q1, group, w in _character_expansion(q, np.array([a])):
         m_cut = n_terms // q0
         if m_cut < 1:
             continue
         r = _class_sums(cache.window(spec, q0, 1, m_cut), q1, m_cut)
-        char_side += w @ (group.table @ np.asarray(r, np.complex128))
+        char_side += w[:, 0] @ (group.table @ np.asarray(r, np.complex128))
     return abs(additive - char_side)

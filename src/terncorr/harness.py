@@ -485,6 +485,8 @@ def _validate(cfg: ExperimentConfig):
         h = replace(cfg, x_start=x).resolved_h()
         if h < 2:
             raise ConfigurationError(f"H = {h} at X = {x} must be >= 2")
+    if _reads("N", cfg.experiment) and cfg.n_terms < 2:
+        raise ConfigurationError(f"N = {cfg.n_terms} must be >= 2")
     if isinstance(cfg.q_source, int) and cfg.q_source < 2:
         raise ConfigurationError(f"Q = {cfg.q_source} must be >= 2")
     if not cfg.x_list:

@@ -21,7 +21,7 @@ from terncorr.arcs import (
     sup_scan,
     unit_phases,
 )
-from terncorr.dirichlet import local_density
+from terncorr.dirichlet import local_densities
 from terncorr.errors import BudgetError, ConfigurationError, DomainError
 from terncorr.harness import resolve_q
 from terncorr.multfunc import MultSpec, WindowCache, sieve_window
@@ -452,7 +452,8 @@ def test_witness_dual_terms_converge_past_stationary_point(q, a):
     x, h = 2 * 10**4, 2000
     beta = h**-0.6
     resonance = 10 / (2 * q * math.sqrt(x + h))
-    density, _ = local_density(osc, q, a, 2 * 10**5, WindowCache())
+    units, dens, _ = local_densities(osc, q, 2 * 10**5, WindowCache())
+    density = complex(dens[units.tolist().index(a)])
     win = sieve_window(osc, x, x + 2 * h)
 
     for gamma in (0.0, beta, -beta, resonance, -resonance):

@@ -10,7 +10,7 @@ from terncorr.dirichlet import (
     characters_mod,
     euler_phi,
     gauss_sum,
-    local_density,
+    local_densities,
     mean_density,
     moebius,
     singular_coefficient,
@@ -237,7 +237,7 @@ N_ODD = 20001  # odd, so that n_terms // 2 // d and n_terms // d both round down
 
 
 def _divisor_pairs(q):
-    """Every (q0, q1) with q0 * q1 = q, as local_density visits them."""
+    """Every (q0, q1) with q0 * q1 = q, as local_densities visits them."""
     return [(q // q1, q1) for q1 in range(1, q + 1) if q % q1 == 0]
 
 
@@ -251,7 +251,7 @@ def _means(s_half, s_full, n_terms):
 def test_principal_density_matches_object_sums(sid):
     # Exact sums over the n coprime to q1, in Python ints, against the
     # Moebius prefix route; q1 runs over every divisor of q, squarefree or
-    # not, as local_density uses them.
+    # not, as local_densities uses them.
     spec = spec_from_id(sid)
     sums = {}  # shared across q, as singular_series_sum shares it
     n = np.arange(1, N_ODD + 1)
@@ -370,37 +370,53 @@ def test_witness_coefficients_match_progression_densities():
 
 
 @pytest.mark.parametrize("sid", ["divisor2", "moebius", "one_star_chi4"])
-def test_local_density_unit_mean_is_singular_coefficient(sid):
+def test_local_densities_unit_mean_is_singular_coefficient(sid):
     # the non-principal terms cancel in the mean over the units a
     spec = spec_from_id(sid)
     for q in range(1, 13):
-        units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-        mean = sum(local_density(spec, q, a, N_FAST, CACHE)[0] for a in units) / len(units)
-        assert abs(mean - singular_coefficient(spec, q, N_FAST, CACHE)[0]) < 1e-12, q
+        units, dens, _ = local_densities(spec, q, N_FAST, CACHE)
+        assert units.tolist() == [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+        c_q, _ = singular_coefficient(spec, q, N_FAST, CACHE)
+        assert abs(dens.mean() - c_q) < 1e-12, q
 
 
-def test_witness_local_density_closed_form():
+def test_witness_local_densities_closed_form():
     # r_2 = 4 (1*chi4) counts lattice points, so the density of f(n) e(an/q)
     # is pi G(a,0;q)^2 / (4 q^2), G(a,0;q) = sum_{r mod q} e(a r^2 / q).
     # The gap |m(N) - m(N/2)| of the partial means is an error scale, not a
     # bound: the estimate 2 m(N) - m(N/2) carries 2 e(N) - e(N/2).  The
     # measured worst |error|/gap was 1.10 at N = 2e5 and 1.74 at N = 1e6.
     for q in range(1, 13):
-        for a in range(1, q + 1):
-            if math.gcd(a, q) != 1:
-                continue
+        units, dens, gaps = local_densities(OSC, q, N_FAST, CACHE)
+        for a, got, gap in zip(units, dens, gaps):
             gauss = sum(np.exp(2j * np.pi * (a * r * r % q) / q) for r in range(q))
-            got, gap = local_density(OSC, q, a, N_FAST, CACHE)
             assert abs(got - math.pi * gauss**2 / (4 * q * q)) <= 3.0 * gap, (q, a)
     # the chi4-twisted pole: +-i pi/8 at q = 4, where C_4 = 0
-    for a, sign in ((1, 1), (3, -1)):
-        got, gap = local_density(OSC, 4, a, 10**6, CACHE)
-        assert abs(got - sign * 1j * math.pi / 8) <= 3.0 * gap
+    units, dens, gaps = local_densities(OSC, 4, 10**6, CACHE)
+    assert units.tolist() == [1, 3]
+    assert np.all(np.abs(dens - np.array([1j, -1j]) * math.pi / 8) <= 3.0 * gaps)
 
 
-def test_local_density_gcd_guard():
-    with pytest.raises(DomainError):
-        local_density(ONE, 6, 3, 100, CACHE)
+@pytest.mark.parametrize("sid", ["divisor3", "one_star_chi4", "moebius", "tau"])
+def test_local_densities_match_character_free_sums(sid):
+    # The estimate is linear in the partial sums, so with no characters
+    # C(a, q) = sum_{q0 | q} (2 B(N)/N - B(N/2)/(N/2)) / q0, where
+    # B(M) = sum_{m <= M, (m, q/q0) = 1} f(q0 m) e(a m q0 / q).
+    spec = spec_from_id(sid)
+    m = np.arange(1, N_ODD + 1)
+    half = N_ODD // 2
+    scale = np.abs(CACHE.window(spec, 1, 1, N_ODD).values).mean()
+    sums = {}  # shared across q, as the table's callers share it
+    for q in range(1, 13):
+        units, dens, _ = local_densities(spec, q, N_ODD, CACHE, sums)
+        for a, got in zip(units, dens):
+            expect = 0j
+            for q0, q1 in _divisor_pairs(q):
+                terms = CACHE.window(spec, q0, 1, N_ODD).values * np.where(
+                    np.gcd(m, q1) == 1, np.exp(2j * np.pi * (a * m % q1) / q1), 0)
+                b_half, b_full = terms[:half].sum(), terms.sum()
+                expect += (2 * b_full / N_ODD - b_half / half) / q0
+            assert abs(got - expect) <= 1e-13 * scale, (q, a)
 
 
 def test_series_constant_function():
@@ -469,18 +485,30 @@ def test_twisted_terms_match_principal_series():
     # The ternary singular series with every character term,
     # sum_q sum_a C(a, q)^2 C(-2a/q) over the units a mod q, against the
     # principal-only sum phi(q) C_q^3 that singular_series_sum reports.
+    # The series' one joint sieve warms every window the tables read.
     q_cut, n_terms, cache = 50, 2 * 10**5, WindowCache(max_items=96)
-    dens = {}
+    series = singular_series_sum(OSC, q_cut, n_terms, cache=cache)
+    dens, sums = {}, {}
     for q in range(1, q_cut):
-        for a in range(1, q + 1):
-            if math.gcd(a, q) == 1:
-                dens[(q, a % q)] = local_density(OSC, q, a, n_terms, cache)[0]
+        units, c, _ = local_densities(OSC, q, n_terms, cache, sums)
+        dens.update(((q, a % q), x) for a, x in zip(units.tolist(), c.tolist()))
     total = 0j
     for (q, a), c in dens.items():
         g = math.gcd(2, q)  # -2a/q in lowest terms
         total += c * c * dens[(q // g, (-2 * a // g) % (q // g))]
-    series = singular_series_sum(OSC, q_cut, n_terms, cache=cache)
     assert abs(total - series.series_value) <= 1e-4
+
+
+def test_series_byte_budget_is_checked_before_any_window(monkeypatch):
+    # 49 windows of 1000 int64 values take 392000 bytes: admitted at that
+    # budget, refused one byte below it, before any window is built.
+    monkeypatch.setattr(dirichlet, "MAX_SERIES_BYTES", 49 * 1000 * 8)
+    singular_series_sum(OSC, 50, 1000, cache=WindowCache())
+    monkeypatch.setattr(dirichlet, "MAX_SERIES_BYTES", 49 * 1000 * 8 - 1)
+    cache = WindowCache()
+    with pytest.raises(BudgetError, match="49 series windows of N = 1000 terms"):
+        singular_series_sum(OSC, 50, 1000, cache=cache)
+    assert cache.counts()["builds"] == 0
 
 
 def test_series_tail_handles_all_zero():

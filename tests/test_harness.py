@@ -342,6 +342,23 @@ def test_exit_code_resource_error(capsys):
     assert code == 3
 
 
+def test_oversized_series_exits_3_before_any_window(tmp_path, monkeypatch, capsys):
+    # 2999 windows of 10^6 int64 values would take 24 GB: the series refuses
+    # them before any window is sieved or read from disk, and so does a
+    # trend, whose series holds windows of N = 10^9 terms.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window was sieved or read")
+
+    monkeypatch.setattr(harness.multfunc, "_sieve_segment", refuse)
+    monkeypatch.setattr(harness.multfunc, "read_window_cache", refuse)
+    common = ["--spec", "one_star_chi4", "--coeff-cache", str(tmp_path)]
+    assert main(["singular-series", *common, "--Q", "3000", "--N", "1000000"]) == 3
+    assert main(["main-term-trend", *common, "--X-list", "1000", "--N", str(10**9)]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"over budget {dirichlet.MAX_SERIES_BYTES}") == 2, err
+    assert "Traceback" not in err
+
+
 # Documents valid on their own, one per experiment that a bad line goes to.
 _BASE_DOCS = {
     "correlate": 'experiment = "correlate"\nX = 100\n',
@@ -832,6 +849,15 @@ def test_bad_inputs_exit_before_any_work(tmp_path, monkeypatch, capsys):
                        f"H = 3000\n{line}\n")
         assert main(_words(experiment) + ["--config", str(doc)]) == 2
         assert "bad value for " + repr(line.split()[0]) in capsys.readouterr().err
+    # N < 2 gives no two-scale mean; it is refused before any window
+    series = ["singular-series", "--spec", "one_star_chi4", "--Q", "5"]
+    doc.write_text('experiment = "singular-series"\nspec = "one_star_chi4"\n'
+                   "Q = 5\nN = 1\n")
+    for argv, n in ((series + ["--N", "0"], 0), (series + ["--N", "1"], 1),
+                    (["singular-series", "--config", str(doc)], 1)):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"N = {n} must be >= 2" in err and "Traceback" not in err, err
 
 
 def test_trend_document_without_x_runs(tmp_path, capsys):
