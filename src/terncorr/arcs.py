@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigurationError, DomainError
 from .multfunc import CoefficientWindow, Kind, MultSpec, as_float, sieve_window
-from .rounding import ULP, fft_bin_error
+from .rounding import ULP, certified_norm, fft_bin_error
 
 _RESYNC_BLOCK = 1 << 14
 _PHASE_SPLIT = 1 << 26
@@ -106,16 +106,18 @@ def decompose(q_cut: int, h_span: int, epsilon: float) -> ArcDecomposition:
         raise DomainError("epsilon must lie in (0, 1/8)")
     beta = float(h_span) ** (-1.0 + 8.0 * epsilon)
 
+    def check(left: Fraction, right: Fraction) -> None:
+        if float(right - left) < 2.0 * beta:
+            raise ConfigurationError(
+                f"major arcs around {left} and {right} overlap "
+                f"(gap {float(right - left):.3g} < 2*beta = {2 * beta:.3g}); "
+                f"Q = {q_cut} too large for H = {h_span}"
+            )
+
     # Adjacent Farey fractions at denominators Q-1, Q-2 realise the minimum
     # gap 1/((Q-1)(Q-2)); reject without enumerating when it already fails.
     if q_cut >= 4:
-        tight = Fraction(1, (q_cut - 1) * (q_cut - 2))
-        if float(tight) < 2.0 * beta:
-            raise ConfigurationError(
-                f"major arcs around 1/{q_cut - 1} and 1/{q_cut - 2} overlap "
-                f"(gap {float(tight):.3g} < 2*beta = {2 * beta:.3g}); "
-                f"Q = {q_cut} too large for H = {h_span}"
-            )
+        check(Fraction(1, q_cut - 1), Fraction(1, q_cut - 2))
     if q_cut > MAX_DECOMPOSE_Q:
         raise BudgetError(f"Q = {q_cut} exceeds arc budget {MAX_DECOMPOSE_Q}")
 
@@ -126,12 +128,7 @@ def decompose(q_cut: int, h_span: int, epsilon: float) -> ArcDecomposition:
         if math.gcd(a, q) == 1
     )
     for left, right in zip(fracs, fracs[1:]):
-        if float(right - left) < 2.0 * beta:
-            raise ConfigurationError(
-                f"major arcs around {left} and {right} overlap "
-                f"(gap {float(right - left):.3g} < 2*beta = {2 * beta:.3g}); "
-                f"Q = {q_cut} too large for H = {h_span}"
-            )
+        check(left, right)
     arcs = tuple(
         MajorArc(a=f.numerator, q=f.denominator, center=f, radius=beta) for f in fracs
     )
@@ -327,13 +324,8 @@ def _refine(
     current = list(seeds)
     for _ in range(rounds):
         step /= 10.0
-        nxt = []
-        for s in current:
-            for t in np.linspace(s - 5 * step, s + 5 * step, 11):
-                t = clamp(float(t))
-                if t is None:
-                    continue
-                nxt.append(t)
+        grids = (np.linspace(s - 5 * step, s + 5 * step, 11).tolist() for s in current)
+        nxt = [t for grid in grids for t in map(clamp, grid) if t is not None]
         vals = [abs(short_exp_sum(window, x, length, t).value) for t in nxt]
         if vals:
             i = int(np.argmax(vals))
@@ -365,10 +357,10 @@ def sup_scan(
 
         B_k = |S(k/M)| + pi |T(k/M)| / M + pi^2 sum_j (j-c)^2 |f_j| / (2 M^2)
 
-    plus `rounding.fft_bin_error` per transform and 8 * 2^-53 sum|f| for
-    the float64 arithmetic outside them.  sup_upper is the largest B_k over
-    the cells meeting the arc set; sup_abs refines the best five grid
-    points in it by three rounds of tenfold local grids.
+    plus `rounding.fft_bin_error` per transform, from certified norms, and
+    8 * 2^-53 sum|f| for the float64 arithmetic outside them.  sup_upper is
+    the largest B_k over the cells meeting the arc set; sup_abs refines the
+    best five grid points in it by three rounds of tenfold local grids.
     """
     if kind not in ("major", "minor"):
         raise DomainError("kind must be 'major' or 'minor'")
@@ -410,8 +402,8 @@ def sup_scan(
     upper *= math.pi / m_grid
     mags = magnitudes(vals)
     upper += mags
-    rounding = (fft_bin_error(m_grid, float(np.linalg.norm(vals))) + 8 * ULP * trivial
-                + math.pi / m_grid * fft_bin_error(m_grid, float(np.linalg.norm(ramp))))
+    rounding = (fft_bin_error(m_grid, certified_norm(vals)) + 8 * ULP * trivial
+                + math.pi / m_grid * fft_bin_error(m_grid, certified_norm(ramp)))
     taylor = math.pi**2 * float(offsets**2 @ size) / (2.0 * m_grid**2)
     sup_upper = float(upper.max(where=cells, initial=0.0)) + taylor + rounding
     del upper

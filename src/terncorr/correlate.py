@@ -45,6 +45,7 @@ import enum
 import math
 import threading
 import time
+from bisect import bisect_right
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,9 +55,10 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError
 from .multfunc import CoefficientWindow, MultSpec, WindowCache, as_float
-from .rounding import INT64_MAX, ULP, exact_sum, fft_error, max_abs, split_digits
+from .rounding import INT64_MAX, digit_shape, exact_sum, fft_error, gamma, max_abs
+from .rounding import split_digits, widest_width
 
 _DIGIT_BITS = 17  # digits of the middle window on the banded route
 _LAG_BLOCK = 16  # lags per direct tile
@@ -202,31 +204,18 @@ def _direct_digit_bits(m1: int, m2: int, m3: int, limit: int) -> tuple[int, int,
     widths give the least passes * (_PASS_COLUMNS + digits of f1), then
     the fewest passes.
     """
-    def width(m: int, room: int) -> int | None:
-        """The widest digits of |values| <= m with bound <= room, if any."""
-        if m <= room:
-            return m.bit_length()
-        return (room - 1).bit_length() - 1 if room >= 3 else None
-
     best = None
+    d1s = [digit_shape(m1, b)[0] for b in range(1, m1.bit_length() + 1)]  # sorted
     widths = (range(1, m.bit_length() + 1) for m in (m2, m3))
     for b2, b3 in product(*widths):
-        d23 = min(m2, (1 << b2) + 1) * min(m3, (1 << b3) + 1)  # `split_digits`' D
-        b1 = width(m1, limit // d23)
-        if b1 is not None:
-            passes = _digit_count(m2, b2) * _digit_count(m3, b3)
-            cost = (passes * (_PASS_COLUMNS + _digit_count(m1, b1)), passes)
+        (d2, n2), (d3, n3) = digit_shape(m2, b2), digit_shape(m3, b3)
+        b1 = bisect_right(d1s, limit // (d2 * d3))  # widest f1 digits that fit, or 0
+        if b1:
+            passes = n2 * n3
+            cost = (passes * (_PASS_COLUMNS + digit_shape(m1, b1)[1]), passes)
             if best is None or cost < best[0]:
                 best = cost, (b1, b2, b3)
     return best[1]
-
-
-def _digit_count(m: int, bits: int) -> int:
-    """How many digits `split_digits` cuts |values| <= m into."""
-    count = 1
-    while m >> (bits * (count - 1)) > 1 << bits:
-        count += 1
-    return count
 
 
 def _lag_sums(u1, u2, u3, dtype, threads: int = 1) -> np.ndarray:
@@ -377,7 +366,7 @@ def ternary_convolution(
         numerator = 0
         for (s1, u1), (s3, u3) in product(d1, d3):
             band = _fejer_band(u1, u3, h, np.int64, threads)
-            bound = b2 * max(max_abs(band), 1)  # |K| <= H^2 b1 b3: int64-safe
+            bound = b2 * max_abs(band)  # |K| <= H^2 b1 b3: int64-safe
             for s2, u2 in d2:
                 numerator += exact_sum(u2 * band, bound) << (s1 + s2 + s3)
         value = numerator / h
@@ -425,15 +414,17 @@ def _square_error(m: int, c: int) -> float:
 def _band_digit_bits(m1: int, m3: int, b2: int, h: int, fmax: float) -> int:
     """Digit width for f1 and f3 (max |f1| = m1, max |f3| = m3).
 
-    The widest one with D1 D3 fmax < 1/2, so every rounded level is exact,
-    and D1 D3 b2 H^2 <= 2^63 - 1, so K(r) (at most H^2 D1 D3) and its
-    products with the digits of f2 (at most b2) stay within int64.
+    The widest one, of at most 62 bits, with D1 D3 fmax < 1/2, so every
+    rounded level is exact, and D1 D3 b2 H^2 <= 2^63 - 1 (else the bound is
+    infinite), so K(r) (at most H^2 D1 D3) and its products with the digits
+    of f2 (at most b2) stay within int64.
     """
-    for bits in range(62, 0, -1):
-        d = min(m1, (1 << bits) + 1) * min(m3, (1 << bits) + 1)
-        if d * fmax < 0.5 and d * b2 * h * h <= INT64_MAX:
-            return bits
-    raise BudgetError(f"H = {h} is too large for an exact banded contraction")
+    def bound(bits: int) -> tuple[float, None]:
+        d = digit_shape(m1, bits)[0] * digit_shape(m3, bits)[0]
+        return (d * fmax if d * b2 * h * h <= INT64_MAX else math.inf), None
+
+    refusal = f"H = {h} is too large for an exact banded contraction"
+    return widest_width(bound, min(62, max(m1, m3).bit_length()), 1, refusal)[0]
 
 
 def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype,
@@ -600,17 +591,10 @@ def _float_error(f1, f2, f3, band, h: int, levels: list[float]) -> float:
     sum |terms| <= H^2 D1 D3, and the final dot gamma(2 len(f2)) sum |f2 K|.
     """
     d13 = float(np.abs(f1).max(initial=0)) * float(np.abs(f3).max(initial=0))
-    per_r = d13 * (
-        8 * sum(levels)
-        + _gamma(_LEAF + len(levels) + 24) * h * h
-    )
+    per_r = d13 * (8 * sum(levels) + gamma(_LEAF + len(levels) + 24) * h * h)
     a2 = np.abs(as_float(f2))
     dot = float(np.dot(a2, np.abs(band)))
-    return (float(a2.sum()) * per_r + _gamma(2 * len(f2)) * dot) / h
-
-
-def _gamma(n: int) -> float:
-    return n * ULP / (1 - n * ULP)
+    return (float(a2.sum()) * per_r + gamma(2 * len(f2)) * dot) / h
 
 
 def fejer_overlap_weight(h: int, h_span: int) -> int:

@@ -8,11 +8,11 @@ its input is cut into balanced digits d_i of w bits, and each digit-weight
 class C_k = sum_{i+j=k} d_i * d_j is formed in the frequency domain and
 rounded to int64 by one inverse transform.  The width w is the widest whose
 a priori bound, `rounding.fft_error` times sum_{i+j=k} |d_i| |d_j|
-(Euclidean norms), stays below 1/2 for every class, so every rounded class
-is exact.  J^2 and J^4 are sum_k C_k 2^(wk) in int64, refused (BudgetError)
-when the class maxima allow 2^62; tau is joined from the last squaring's
-classes through carry-normalised int64 limbs.  tau(1) = 1 and tau(2) = -24
-are checked on every build.
+(certified norms), stays below 1/2 for every class, so every rounded class
+is exact (`rounding.widest_width`).  J^2 and J^4 are sum_k C_k 2^(wk) in
+int64, refused (BudgetError) when the class maxima allow 2^62; tau is
+joined from the last squaring's classes through carry-normalised int64
+limbs.  tau(1) = 1 and tau(2) = -24 are checked on every build.
 
 A request for tau up to n builds a table of capacity 2^ceil(log2 n) (every
 term that its transforms of length 2^ceil(log2 2n) pay for), with
@@ -22,14 +22,13 @@ are slices of the same table.  `table_info` reports what was built.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError
-from .rounding import ULP, fft_error, max_abs, split_digits
+from .rounding import certified_norm, fft_error, max_abs, split_digits, widest_width
 
 # Largest supported n: at capacity 2^21 the squarings certify 13-, 13- and
 # 12-bit digits (largest bound 0.48) and J^4 stays below 2^58.
@@ -67,60 +66,35 @@ def _eta_cube(n_terms: int) -> np.ndarray:
     return c
 
 
-def _split(a: np.ndarray, bits: int, factor: float):
-    """(bound, float64 digits) of a's balanced digits of this width.
-
-    bound = factor * max_k sum_{i+j=k} |d_i| |d_j|.  A float dot of n
-    squares is within gamma_(n+1) <= 2 (n+1) e of their sum, so the norms
-    are inflated by that much.  Digits convert to float64 exactly below
-    2^53; a wider digit has |d|^2 >= 2^106 and never certifies.
-    """
-    _, pieces = split_digits(a, bits, balanced=True)
-    floats = [d.astype(np.float64) for _, d in pieces]
-    inflate = 1 + 2 * (a.size + 1) * ULP
-    norms = [math.sqrt(float(np.dot(f, f)) * inflate) for f in floats]
-    n = len(norms)
-    worst = max(
-        sum(norms[i] * norms[k - i] for i in range(n) if 0 <= k - i < n)
-        for k in range(2 * n - 1)
-    )
-    return factor * worst, floats
-
-
 def _square(a: np.ndarray, size: int) -> tuple[int, float, Iterator[np.ndarray]]:
     """(w, bound, classes): a^2 truncated to len(a) terms as digit classes.
 
     a^2 = sum_k classes[k] << (w k), every class exact in int64, since each
-    is rounded from one inverse transform of length size under bound < 1/2.
+    is rounded from one inverse transform of length size under bound < 1/2:
+    bound = fft_error(size) max_k sum_{i+j=k} |d_i| |d_j| over the certified
+    norms of the balanced digits d_i of width w.  Digits convert to float64
+    exactly below 2^53; a wider digit has |d|^2 >= 2^106 and never certifies.
     """
-    bits, bound, floats = _widest(a, fft_error(size))
+    factor = fft_error(size)
+
+    def split(bits: int) -> tuple[float, list[np.ndarray]]:
+        _, pieces = split_digits(a, bits, balanced=True)
+        floats = [d.astype(np.float64) for _, d in pieces]
+        norms = [certified_norm(f) for f in floats]
+        n = len(norms)
+        worst = max(
+            sum(norms[i] * norms[k - i] for i in range(n) if 0 <= k - i < n)
+            for k in range(2 * n - 1)
+        )
+        return factor * worst, floats
+
+    top = max_abs(a).bit_length() + 1  # a is one balanced digit
+    refusal = f"no digit width certifies a squaring of {a.size} terms"
+    bits, bound, floats = widest_width(split, top, _MIN_BITS, refusal)
     spectra = []
     while floats:  # free each digit once it is transformed
         spectra.append(np.fft.rfft(floats.pop(0), size))
     return bits, bound, _classes(spectra, size, a.size)
-
-
-def _widest(a: np.ndarray, factor: float):
-    """(w, bound, float64 digits) at the widest certified width.
-
-    The search starts at the one-digit width and steps down by the bits
-    the bound is over 1/2, at about 4x of bound per bit, then widens while
-    the next width still certifies.
-    """
-    top = max_abs(a).bit_length() + 1  # a is one balanced digit
-    bits = top
-    bound, floats = _split(a, bits, factor)
-    while bound >= 0.5:
-        bits -= max(1, math.ceil(math.log2(2 * bound) / 2))
-        if bits < _MIN_BITS:
-            raise BudgetError(f"no digit width certifies a squaring of {a.size} terms")
-        bound, floats = _split(a, bits, factor)
-    while bits < top:
-        wider, wider_floats = _split(a, bits + 1, factor)
-        if wider >= 0.5:
-            break
-        bits, bound, floats = bits + 1, wider, wider_floats
-    return bits, bound, floats
 
 
 def _classes(spectra: list, size: int, n_terms: int) -> Iterator[np.ndarray]:

@@ -37,8 +37,8 @@ from terncorr.correlate import (
 )
 from terncorr import harness
 from terncorr.dirichlet import main_term_gap, singular_series_sum
-from terncorr.errors import DomainError
-from terncorr.rounding import INT64_MAX, max_abs, split_digits
+from terncorr.errors import BudgetError, DomainError
+from terncorr.rounding import INT64_MAX, digit_shape, max_abs, split_digits
 from terncorr.multfunc import (
     CoefficientWindow,
     MultSpec,
@@ -577,7 +577,34 @@ def test_banded_route_splits_when_one_digit_bound_fails():
     req = CorrelationRequest(d2, d2, d2, x, h)
     res = ternary_convolution(req, windows=wins)
     assert res.digits[0] > 1 and res.digits[2] > 1 and res.error_bound < 0.5
+    assert res.digits == (2, 1, 2) and res.error_bound == 0.1839008913305679
     assert res.exact_numerator == object_reference(wins, x, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, INT64_MAX), st.integers(1, 2**62), st.integers(1, 2**17 + 1),
+       st.integers(1, 2**20), st.floats(-70, 0))
+@example(INT64_MAX, 1, 1, 1, -70.0)  # one 63-bit digit would fit: 62 bits at most
+@example(2**17, 2**17, 2**10, 300, math.log2(max(_level_errors(300))))
+@example(2**20, 2**20, 2**17, 2**30, -60.0)  # no width leaves int64 room
+@example(2**20, 2**20, 1, 1, 0.0)  # fmax = 1: no width rounds
+def test_band_digits_match_a_scan_of_every_width(m1, m3, b2, h, log_fmax):
+    # The scan from 62 bits down that the band used before the shared
+    # search: the same digit bounds and digit counts, or the same refusal.
+    fmax = 2.0**log_fmax
+    scan = None
+    for bits in range(62, 0, -1):
+        d = digit_shape(m1, bits)[0] * digit_shape(m3, bits)[0]
+        if d * fmax < 0.5 and d * b2 * h * h <= INT64_MAX:
+            scan = bits
+            break
+    if scan is None:
+        with pytest.raises(BudgetError, match=f"^H = {h} is too large"):
+            _band_digit_bits(m1, m3, b2, h, fmax)
+        return
+    bits = _band_digit_bits(m1, m3, b2, h, fmax)
+    for m in (m1, m3):
+        assert digit_shape(m, bits) == digit_shape(m, scan)
 
 
 def test_float_routes_agree_within_recorded_bound():

@@ -549,9 +549,3 @@ def test_twisted_random_suite():
 def test_twisted_gcd_guard():
     with pytest.raises(DomainError):
         twisted_progression_check(ONE, 6, 3, 100, CACHE)
-
-
-def test_density_stability_trend():
-    gap_small = mean_density(OSC, 1, 1, characters_mod(1).principal, 10**6, CACHE).error_gap
-    gap_large = mean_density(OSC, 1, 1, characters_mod(1).principal, 4 * 10**6).error_gap
-    assert gap_small <= 4.0 * gap_large

@@ -1,5 +1,8 @@
-"""Exact int64 sums, the balanced digit split shared by the tau squarings,
-and the per-bin rounding bound of one transform."""
+"""Exact int64 sums, the digit split and its shape, certified norms, the one
+digit-width search, and the per-bin rounding bound of one transform."""
+
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,7 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from terncorr.rounding import INT64_MAX, exact_sum, fft_bin_error, split_digits
+from terncorr.errors import BudgetError
+from terncorr.rounding import (
+    INT64_MAX,
+    certified_norm,
+    digit_shape,
+    exact_sum,
+    fft_bin_error,
+    split_digits,
+    widest_width,
+)
 
 ROOT_INT64 = 3037000499  # floor(sqrt(2^63 - 1)): products of two stay in int64
 
@@ -70,6 +82,111 @@ def test_balanced_digits_reconstruct_within_half(values, bits):
         total = [t + (v << shift) for t, v in zip(total, d.tolist())]
     assert total == values
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**62 - 1), st.integers(1, 62), st.booleans())
+@example(2**62 - 1, 1, False)
+@example(2**62 - 1, 62, True)
+@example(2**17, 17, False)  # one unsigned digit exactly at R
+@example(2**16 + 1, 17, True)  # one past one balanced digit
+def test_digit_shape_is_split_digits_shape(m, bits, balanced):
+    # One digit up to R = 2^bits (2^(bits-1) balanced), else D = R + 1 and
+    # a digit for each j >= 0 with m >= (R + 1) 2^(bits j).
+    r = 1 << (bits - 1) if balanced else 1 << bits
+    count = 1 if m <= r else 2 + ((m // (r + 1)).bit_length() - 1) // bits
+    a = np.array([m, -m], dtype=np.int64)
+    bound, pieces = split_digits(a, bits, balanced)
+    assert digit_shape(m, bits, balanced) == (bound, len(pieces)) == (min(m, r + 1), count)
+    assert sum(d.astype(object) << s for s, d in pieces).tolist() == [m, -m]
+    assert all(np.abs(d).max() <= bound for _, d in pieces)
+
+
+def _exact_square_sum(k: np.ndarray) -> int:
+    """sum k^2 for 0 <= k < 2^31, from 16-bit halves whose int64 sums of
+    squares and products cannot wrap below 2^21 terms."""
+    hi, lo = k >> 16, k & 0xFFFF
+    return ((int((hi * hi).sum()) << 32) + (int((hi * lo).sum()) << 17)
+            + int((lo * lo).sum()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 1 << 20])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_certified_norm_bounds_the_exact_norm(n, complex_):
+    # Dyadic values k 2^-s with integer k < 2^31: the exact sum of squares
+    # is a Python int over 4^s.  Squares past 2^53 round, so the float dot
+    # falls short of it for some of these arrays; the certified norm never
+    # does.
+    rng = np.random.default_rng(n + complex_)
+    shortfalls = 0
+    for s in (0, 9, 40):
+        for k in (rng.integers(2**26, 2**31, size=(n, 2)),
+                  np.full((n, 2), 2**31 - 1, dtype=np.int64)):
+            k = k if complex_ else k[:, 0]
+            x = np.ldexp(k.astype(np.float64), -s)
+            x = x[:, 0] + 1j * x[:, 1] if complex_ else x
+            exact = Fraction(_exact_square_sum(k.ravel()), 1 << (2 * s))
+            assert Fraction(certified_norm(x)) ** 2 >= exact
+            parts = np.ravel(np.column_stack((x.real, x.imag)) if complex_ else x)
+            shortfalls += Fraction(float(np.dot(parts, parts))) < exact
+    assert shortfalls > 0  # the float sum of squares alone is no bound
+
+
+def _brute_widest(bounds: dict, least: int, top: int):
+    fits = [w for w in range(least, top + 1) if bounds[w] < 0.5]
+    return max(fits) if fits else None
+
+
+@st.composite
+def monotone_bounds(draw):
+    """Bounds over widths least..top that grow with the width, by up to 4^3
+    per bit or by steep steps past it, infinite from some width up (the
+    band's int64 room) or at no width, and sometimes 1/2 or more at all."""
+    top = draw(st.integers(1, 62))
+    least = draw(st.integers(1, top))
+    value = 2.0 ** draw(st.floats(-40, 40))
+    bounds = {}
+    for w in range(least, top + 1):
+        bounds[w] = value
+        value *= 4.0 ** draw(st.floats(0, 3) | st.floats(3, 40))  # some steep
+    cut = draw(st.integers(least, top + 1))
+    bounds.update({w: math.inf for w in range(cut, top + 1)})
+    return least, top, bounds
+
+
+@settings(max_examples=400, deadline=None)
+@given(monotone_bounds())
+@example((1, 3, {1: 0.25, 2: 0.5, 3: 1.0}))  # exactly 1/2 does not certify
+@example((4, 62, {w: math.inf for w in range(4, 63)}))
+@example((10, 12, {10: 0.1, 11: 0.2, 12: 2.0**20}))  # a jump past least
+def test_widest_width_matches_a_brute_force_scan(case):
+    least, top, bounds = case
+    seen = []
+
+    def evaluate(w):
+        seen.append(w)
+        return bounds[w], f"value at {w}"
+
+    expect = _brute_widest(bounds, least, top)
+    if expect is None:
+        with pytest.raises(BudgetError, match="^nothing fits$"):
+            widest_width(evaluate, top, least, "nothing fits")
+        return
+    assert widest_width(evaluate, top, least, "nothing fits") == (
+        expect, bounds[expect], f"value at {expect}")
+    assert len(seen) == len(set(seen))  # no width is evaluated twice
+
+
+def test_widest_width_skips_down_by_the_excess():
+    # A bound of 4^(w - 20) / 4 first certifies at w = 20; from w = 60 the
+    # search steps down by half the excess bits, not one bit at a time.
+    seen = []
+
+    def evaluate(w):
+        seen.append(w)
+        return 4.0 ** (w - 20) / 4, None
+
+    assert widest_width(evaluate, 60, 1, "none")[0] == 20
+    assert len(seen) <= 4
 
 
 def _exact_dft(x, bins, sign):

@@ -54,6 +54,21 @@ def test_tau_table_digest_and_prime_counts(monkeypatch):
                           / n ** 5.5)
 
 
+@pytest.mark.parametrize("capacity, bits, bound", [
+    (1 << 14, [10, 17, 16], 0.3257042604793391),
+    (1 << 15, [10, 16, 15], 0.18291770260044624),
+    (1 << 16, [11, 16, 15], 0.38765159999238813),
+    (1 << 17, [11, 15, 14], 0.27485269467747314),
+])
+def test_squaring_widths_and_bounds_are_pinned(monkeypatch, capacity, bits, bound):
+    # The widest certified width of each squaring, and the largest bound,
+    # to the last bit: the width search and the certified norms.
+    monkeypatch.setattr(tau, "_table", tau._EMPTY)
+    tau.tau_values(capacity)
+    info = tau.table_info()
+    assert info["digit_bits"] == bits and info["rounding_bound"] == bound
+
+
 def test_ramanujan_congruence_mod_691(taus):
     # tau(n) = sigma_11(n) (mod 691) for every n in the table.
     sigma = np.zeros(N_TABLE + 1, dtype=np.int64)
