@@ -78,9 +78,7 @@ class ExperimentConfig:
     series_path: str | None = None
 
     def resolved_h(self) -> int:
-        """H at X; the thm14 preset reads the first spec's declared alpha."""
-        alpha = multfunc.spec_from_id(self.spec_ids[0]).alpha
-        return eval_power_expr(self.h_expr, self.x_start, alpha)
+        return eval_power_expr(self.h_expr, self.x_start)
 
 
 @dataclass
@@ -155,11 +153,10 @@ def ceil_rational_power(x: int, theta: Fraction) -> int:
     return r if r**q == a else r + 1
 
 
-def eval_power_expr(expr: str | int, x: int, alpha: Fraction | float = 0) -> int:
+def eval_power_expr(expr: str | int, x: int) -> int:
     """Evaluate H from an integer, an "X^theta" expression, or a theta preset.
 
-    preset:thm13 uses theta = 10/13; preset:thm14 uses
-    theta = (1+alpha)^2 / ((1+alpha)^2 + 1) with the spec's declared alpha.
+    preset:thm13 uses theta = 10/13 and preset:thm14 theta = 1/2.
     """
     if isinstance(expr, int):
         return expr
@@ -168,8 +165,7 @@ def eval_power_expr(expr: str | int, x: int, alpha: Fraction | float = 0) -> int
     if text.lower() == "preset:thm13":
         theta = Fraction(10, 13)
     elif text.lower() == "preset:thm14":
-        a = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-        theta = (1 + a) ** 2 / ((1 + a) ** 2 + 1)
+        theta = Fraction(1, 2)
     elif text.lower().startswith("preset:"):
         raise ConfigurationError(f"unknown H preset {text!r}")
     elif text.upper().startswith("X^"):
@@ -200,13 +196,7 @@ def _parse_fraction(text: str) -> Fraction:
         raise ConfigurationError(f"cannot parse exponent {text!r}") from None
 
 
-def resolve_q(
-    q_source: str | int,
-    x: int,
-    h: int,
-    epsilon: Fraction,
-    alpha: Fraction | float = 0,
-) -> int:
+def resolve_q(q_source: str | int, x: int, h: int, epsilon: Fraction) -> int:
     """Q from an explicit integer or a named preset (before any clamping)."""
     if isinstance(q_source, int):
         return q_source
@@ -217,16 +207,9 @@ def resolve_q(
         except ValueError:
             raise ConfigurationError(f"cannot parse Q value {q_source!r}") from None
     name = text[len("preset:"):]
-    if name == "thm13":
+    if name in ("thm13", "thm14"):
         # Q = ceil(X * H^(5 eps - 1)) = ceil(X / H^(1 - 5 eps))
-        expo = 1 - 5 * epsilon
-        return _ceil_div_power(x, h, Fraction(expo))
-    if name == "thm14":
-        a = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-        expo = Fraction(1, 1) / (1 + a) - 5 * epsilon
-        if expo <= 0:
-            raise ConfigurationError("thm14 preset needs 1/(1+alpha) > 5*epsilon")
-        return _ceil_div_power(x, h, expo)
+        return _ceil_div_power(x, h, Fraction(1 - 5 * epsilon))
     raise ConfigurationError(f"unknown Q preset {q_source!r}")
 
 
@@ -623,11 +606,11 @@ def load_series_record(path: str) -> tuple[str, float]:
     return spec_id, float(value)
 
 
-def _clamped_q(cfg, spec, h, warnings) -> tuple[int, int]:
+def _clamped_q(cfg, h, warnings) -> tuple[int, int]:
     """Q from its source, and the largest Q' <= Q whose major arcs are disjoint."""
     from . import arcs
 
-    q_pre = resolve_q(cfg.q_source, cfg.x_start, h, cfg.epsilon, spec.alpha)
+    q_pre = resolve_q(cfg.q_source, cfg.x_start, h, cfg.epsilon)
     q_use = arcs.largest_disjoint_q(q_pre, h, float(cfg.epsilon))
     if q_use != q_pre:
         warnings.append(
@@ -642,7 +625,7 @@ def _run_series(cfg, specs, cache, warnings) -> dict:
     spec = specs[0]
     q_cut = cfg.q_source
     if not isinstance(q_cut, int):  # a preset reads X and H
-        q_cut = resolve_q(q_cut, cfg.x_start, cfg.resolved_h(), cfg.epsilon, spec.alpha)
+        q_cut = resolve_q(q_cut, cfg.x_start, cfg.resolved_h(), cfg.epsilon)
     series = dirichlet.singular_series_sum(
         spec, q_cut, cfg.n_terms, cache=cache, threads=cfg.threads
     )
@@ -684,7 +667,7 @@ def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
 
     spec = specs[0]
     h = cfg.resolved_h()
-    q_pre, q_use = _clamped_q(cfg, spec, h, warnings)
+    q_pre, q_use = _clamped_q(cfg, h, warnings)
     dec = arcs.decompose(q_use, h, float(cfg.epsilon))
     x = cfg.x_start if cfg.scan_x is None else cfg.scan_x
     length = 2 * h if cfg.scan_len is None else cfg.scan_len
@@ -738,7 +721,7 @@ def _run_trend(cfg, specs, cache, warnings) -> dict:
     for x in cfg.x_list:
         sub = replace(cfg, x_start=x)
         h = sub.resolved_h()
-        points.append((x, h, _clamped_q(sub, spec, h, warnings)[1]))
+        points.append((x, h, _clamped_q(sub, h, warnings)[1]))
     series = None
     if spec.has_pole:  # a pole-free spec has no main term to compare
         # one C_q table, at the largest Q; each point reads a prefix of it

@@ -70,22 +70,17 @@ _KIND_TAGS = {
 class MultSpec:
     """A multiplicative function given by its prime-power rule plus metadata.
 
-    k_bound is the divisor-bound order: |f(n)| <= d_{k_bound}(n).  alpha is
-    the declared second-moment growth exponent (metadata only, never
-    computed).  has_pole declares whether the principal-character Dirichlet
-    series of f has a simple pole at s=1; pole-free specs get a zero main
-    term downstream.  continuation_declared records the (untestable)
-    analytic-continuation attribute for user-supplied rules.
+    k_bound is the divisor-bound order: |f(n)| <= d_{k_bound}(n).  has_pole
+    declares whether the principal-character Dirichlet series of f has a
+    simple pole at s=1; pole-free specs get a zero main term downstream.
     """
 
     kind: Kind
     k: int = 1
     rule: Mapping[tuple[int, int], complex] | None = None
     k_bound: int = 1
-    alpha: float = 0.0
     has_pole: bool = False
     hypothesis_conditional: bool = False
-    continuation_declared: bool = True
 
     # -- factories ---------------------------------------------------------
 
@@ -113,19 +108,10 @@ class MultSpec:
 
     @staticmethod
     def user_euler(
-        rule: Mapping[tuple[int, int], complex],
-        k_bound: int,
-        alpha: float = 0.0,
-        has_pole: bool = False,
-        continuation_declared: bool = True,
+        rule: Mapping[tuple[int, int], complex], k_bound: int, has_pole: bool = False
     ) -> "MultSpec":
         return MultSpec(
-            kind=Kind.USER_EULER,
-            rule=dict(rule),
-            k_bound=k_bound,
-            alpha=alpha,
-            has_pole=has_pole,
-            continuation_declared=continuation_declared,
+            kind=Kind.USER_EULER, rule=dict(rule), k_bound=k_bound, has_pole=has_pole
         )
 
     # -- metadata ----------------------------------------------------------
@@ -349,7 +335,7 @@ def local_factor(spec: MultSpec, p, e) -> np.ndarray:
         # lambda(p^(j+1)) = lambda(p) lambda(p^j) - lambda(p^(j-1))
         from . import tau  # only tau specs load the tau engine
 
-        lam = tau.tau_normalized_values(int(p.max(initial=1)))[p - 1]
+        lam = tau.tau_values(int(p.max(initial=1)))[p - 1]
         prev, cur = np.ones_like(lam), lam
         out = np.where(ee == 0, 1.0, lam)
         for j in range(2, emax + 1):
@@ -507,7 +493,7 @@ def _build_windows(
     if spec.kind is Kind.RAMANUJAN_TAU_NORM:
         from . import tau
 
-        lam = tau.tau_normalized_values(max(q0s) * hi)
+        lam = tau.tau_values(max(q0s) * hi)
         d2 = _build_windows(MultSpec.divisor_k(2), q0s, lo, hi, mapper)
         wins = []
         for q0, bound in zip(q0s, d2):

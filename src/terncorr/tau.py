@@ -14,10 +14,12 @@ int64, refused (BudgetError) when the class maxima allow 2^62; tau is
 joined from the last squaring's classes through carry-normalised int64
 limbs.  tau(1) = 1 and tau(2) = -24 are checked on every build.
 
-A request for tau up to n builds a table of capacity 2^ceil(log2 n) (every
-term that its transforms of length 2^ceil(log2 2n) pay for), with
-tau(n) / n^(11/2) in float64 alongside; later requests up to that capacity
-are slices of the same table.  `table_info` reports what was built.
+A request for lambda(n) = tau(n) / n^(11/2) up to n builds a table of
+capacity 2^ceil(log2 n) (every term that its transforms of length
+2^ceil(log2 2n) pay for); later requests up to that capacity are slices of
+the same table.  The table keeps only the float64 column: the exact ints
+belong to the build and are dropped once each is rounded to float64.
+`table_info` reports what was built.
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ _MIN_BITS = 4
 
 
 class _Table(NamedTuple):
-    taus: np.ndarray  # tau(1..capacity), read-only object array
-    normalized: np.ndarray  # tau(n) / n^(11/2), read-only float64
+    normalized: np.ndarray  # tau(n) / n^(11/2) for n = 1..capacity, read-only
     squarings: tuple[tuple[int, float], ...]  # (digit bits, bound) per squaring
     builds: int
 
 
-_EMPTY = _Table(np.empty(0, dtype=object), np.empty(0, dtype=np.float64), (), 0)
+_EMPTY = _Table(np.empty(0, dtype=np.float64), (), 0)
 _lock = threading.Lock()
 _table = _EMPTY
 
@@ -176,10 +177,11 @@ def _compute_tau(n_terms: int) -> tuple[np.ndarray, tuple[tuple[int, float], ...
 
 
 def tau_values(n_max: int) -> np.ndarray:
-    """Exact tau(1..n_max) as a read-only object array of Python ints.
+    """tau(n) / n^(11/2) for n = 1..n_max as a read-only float64 array.
 
     Builds (and certifies) the table on the first request beyond its
-    capacity; requests within it are slices.
+    capacity; requests within it are slices.  float(tau(n)) is correctly
+    rounded, as Python converts ints.
     """
     global _table
     if n_max < 1:
@@ -187,20 +189,13 @@ def tau_values(n_max: int) -> np.ndarray:
     if n_max > MAX_TAU_INDEX:
         raise BudgetError(f"tau table up to {n_max} exceeds budget {MAX_TAU_INDEX}")
     with _lock:
-        if _table.taus.size < n_max:
+        if _table.normalized.size < n_max:
             taus, squarings = _compute_tau(_transform_size(n_max) // 2)
             n = np.arange(1, taus.size + 1, dtype=np.float64)
             normalized = taus.astype(np.float64) / n ** 5.5
-            taus.setflags(write=False)
             normalized.setflags(write=False)
-            _table = _Table(taus, normalized, squarings, _table.builds + 1)
-        return _table.taus[:n_max]
-
-
-def tau_normalized_values(n_max: int) -> np.ndarray:
-    """tau(n) / n^(11/2) for n = 1..n_max as a read-only float64 array."""
-    tau_values(n_max)  # the table only grows, so it now holds n_max terms
-    return _table.normalized[:n_max]
+            _table = _Table(normalized, squarings, _table.builds + 1)
+        return _table.normalized[:n_max]
 
 
 def table_info() -> dict:
@@ -212,7 +207,7 @@ def table_info() -> dict:
     """
     t = _table
     return {
-        "capacity": int(t.taus.size),
+        "capacity": int(t.normalized.size),
         "builds": t.builds,
         "digit_bits": [bits for bits, _ in t.squarings],
         "rounding_bound": max((b for _, b in t.squarings), default=None),

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import random
 import re
@@ -45,12 +46,10 @@ def test_h_expression_exact():
 
 
 def test_h_theta_presets():
-    # theta = 10/13 and theta = (1+alpha)^2/((1+alpha)^2+1)
+    # theta = 10/13 and theta = 1/2
     assert eval_power_expr("preset:thm13", 10**13) == 10**10
-    assert eval_power_expr("preset:thm14", 2**10, alpha=0) == 2**5  # theta = 1/2
-    assert eval_power_expr("preset:thm14", 3**13, alpha=Fraction(1, 2)) == pytest.approx(
-        3 ** (13 * 9 / 13), abs=1.0
-    )
+    assert eval_power_expr("preset:thm14", 2**10) == 2**5
+    assert eval_power_expr("preset:thm14", 3**13) == math.isqrt(3**13) + 1  # ceil
     with pytest.raises(ConfigurationError):
         eval_power_expr("preset:nope", 100)
 
@@ -95,8 +94,8 @@ def test_q_presets():
     assert resolve_q("preset:thm13", 10**5, 10**4, Fraction(1, 20)) == 100
     assert resolve_q(64, 10**5, 10**4, Fraction(1, 20)) == 64
     assert resolve_q("64", 10**5, 10**4, Fraction(1, 20)) == 64
-    # alpha = 0: thm14 exponent is 1 - 5 eps = 3/4, same value here
-    assert resolve_q("preset:thm14", 10**5, 10**4, Fraction(1, 20), alpha=0) == 100
+    # thm14 takes thm13's exponent 1 - 5 eps = 3/4
+    assert resolve_q("preset:thm14", 10**5, 10**4, Fraction(1, 20)) == 100
     with pytest.raises(ConfigurationError):
         resolve_q("preset:unknown", 10**5, 10**4, Fraction(1, 20))
 
@@ -944,12 +943,3 @@ def test_flags_override_config_document(tmp_path, capsys):
     assert _config(["correlate", "--X", "100", "--config", str(doc)]).x_start == 100
     with pytest.raises(ConfigurationError, match="X"):
         _config(["correlate", "--config", str(doc)])
-
-
-def test_thm14_h_preset_reads_the_spec_alpha(monkeypatch):
-    spec = replace(harness.multfunc.spec_from_id("divisor1"), alpha=0.5)
-    monkeypatch.setattr(harness.multfunc, "spec_from_id", lambda sid: spec)
-    cfg = ExperimentConfig(experiment="correlate", x_start=3**13,
-                           h_expr="preset:thm14")
-    assert cfg.resolved_h() == eval_power_expr("preset:thm14", 3**13, alpha=0.5)
-    assert cfg.resolved_h() != eval_power_expr("preset:thm14", 3**13, alpha=0)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from terncorr import tau
+from terncorr import multfunc, tau
 from terncorr.errors import BudgetError
 
 # sha256 of "tau(1),tau(2),...,tau(131072)" in decimal, pinned from the
@@ -32,13 +32,14 @@ def primes_up_to(n: int) -> list[int]:
     return [int(p) for p in np.flatnonzero(sieve)]
 
 
-def test_tau_table_digest_and_prime_counts(monkeypatch):
-    """A fresh table up to 131072 equals the pinned one, and each of its
-    three squarings ran at a width whose recorded bound is below 1/2."""
-    monkeypatch.setattr(tau, "_table", tau._EMPTY)
-    taus = tau.tau_values(N_TABLE)
+def test_tau_table_digest_and_prime_counts(monkeypatch, taus):
+    """A fresh build up to 131072 equals the pinned one, each of its three
+    squarings ran at a width whose recorded bound is below 1/2, and the
+    table holds float(tau(n)) / n^(11/2)."""
     text = ",".join(str(t) for t in taus)
     assert hashlib.sha256(text.encode()).hexdigest() == TAU_131072_SHA256
+    monkeypatch.setattr(tau, "_table", tau._EMPTY)
+    lam = tau.tau_values(N_TABLE)
     squarings = tau._table.squarings
     assert len(squarings) == 3
     assert all(bits >= 1 and 0 < bound < 0.5 for bits, bound in squarings)
@@ -48,7 +49,6 @@ def test_tau_table_digest_and_prime_counts(monkeypatch):
         "digit_bits": [bits for bits, _ in squarings],
         "rounding_bound": max(bound for _, bound in squarings),
     }
-    lam = tau.tau_normalized_values(N_TABLE)
     n = np.arange(1, N_TABLE + 1, dtype=np.float64)
     assert np.array_equal(lam, np.array(list(taus), dtype=object).astype(np.float64)
                           / n ** 5.5)
@@ -106,8 +106,9 @@ def test_requests_within_capacity_reuse_one_build(monkeypatch):
 
     monkeypatch.setattr(tau, "_compute_tau", fake_compute)
     for n in (100_000, 102_000, 131_072):
-        assert len(tau.tau_normalized_values(n)) == n
-        assert list(tau.tau_values(n)[-2:]) == [n - 1, n]
+        assert len(tau.tau_values(n)) == n
+        top = np.array([n - 1, n], dtype=np.float64)
+        assert np.array_equal(tau.tau_values(n)[-2:], top / top ** 5.5)
     assert builds == [131_072]
     tau.tau_values(131_073)
     assert builds == [131_072, 262_144]
@@ -144,7 +145,7 @@ def test_too_few_primes_fail_the_crt_certificate(monkeypatch):
     monkeypatch.setattr(tau, "fft_error", lambda length: 1.0)
     with pytest.raises(BudgetError, match="no digit width"):
         tau.tau_values(1 << 14)
-    assert tau._table.taus.size == 0
+    assert tau._table is tau._EMPTY
     assert tau.table_info()["builds"] == 0
 
 
@@ -154,7 +155,7 @@ def test_int64_powers_refused_past_the_limit(monkeypatch):
     monkeypatch.setattr(tau, "_EXACT_LIMIT", 1 << 20)
     with pytest.raises(BudgetError, match="2\\^62"):
         tau.tau_values(1 << 14)
-    assert tau._table.taus.size == 0
+    assert tau._table is tau._EMPTY
 
 
 @pytest.mark.parametrize("bits", [1, 5, 12, 20])
@@ -173,10 +174,41 @@ def test_class_joins_match_python_ints(bits):
 
 
 def test_small_tables_and_self_check():
-    assert list(tau.tau_values(5)) == [1, -24, 252, -1472, 4830]
+    want = [1, -24, 252, -1472, 4830]
+    assert tau._compute_tau(8)[0][:5].tolist() == want
+    n = np.arange(1, 6, dtype=np.float64)
+    assert np.array_equal(tau.tau_values(5), np.array(want, dtype=np.float64) / n ** 5.5)
     assert tau.tau_values(1)[0] == 1
     with pytest.raises(ValueError):
         tau.tau_values(0)
+
+
+def test_table_keeps_only_the_float_column(monkeypatch):
+    # The exact ints belong to the build: every array the table holds is
+    # the float64 column, one value per n up to the capacity.
+    monkeypatch.setattr(tau, "_table", tau._EMPTY)
+    tau.tau_values(1 << 14)
+    arrays = [v for v in tau._table if isinstance(v, np.ndarray)]
+    assert arrays and all(
+        a.dtype == np.float64 and a.size == 1 << 14 for a in arrays
+    )
+
+
+def test_tau_windows_and_points_build_through_tau_values(monkeypatch):
+    # Both multfunc readers look up the module attribute, so a wrapper set
+    # on `tau.tau_values` sees every request.
+    calls = []
+    original = tau.tau_values
+
+    def counting(n_max):
+        calls.append(n_max)
+        return original(n_max)
+
+    monkeypatch.setattr(tau, "tau_values", counting)
+    spec = multfunc.MultSpec.ramanujan_tau_norm()
+    win = multfunc.sieve_window(spec, 1, 100)
+    assert multfunc.eval_at(spec, 97) == win.values[96]
+    assert calls == [100, 97]
 
 
 # ---------------------------------------------------------------------------
