@@ -147,7 +147,7 @@ def widest_width(evaluate: Callable, top: int, least: int, refusal: str) -> tupl
     while bound >= 0.5:
         if bits == least:
             raise BudgetError(refusal)
-        step = math.ceil(math.log2(2 * bound) / 2) if bound < math.inf else 1
+        step = math.ceil((math.log2(bound) + 1) / 2) if bound < math.inf else 1
         bits, fails = max(least, bits - max(1, step)), bits
         bound, value = evaluate(bits)
     while bits + 1 < fails:

@@ -158,6 +158,7 @@ def monotone_bounds(draw):
 @example((1, 3, {1: 0.25, 2: 0.5, 3: 1.0}))  # exactly 1/2 does not certify
 @example((4, 62, {w: math.inf for w in range(4, 63)}))
 @example((10, 12, {10: 0.1, 11: 0.2, 12: 2.0**20}))  # a jump past least
+@example((1, 2, {1: 0.25, 2: 2.0**1023}))  # a finite bound whose double overflows
 def test_widest_width_matches_a_brute_force_scan(case):
     least, top, bounds = case
     seen = []
