@@ -78,6 +78,7 @@ class ExperimentConfig:
     series_path: str | None = None
 
     def resolved_h(self) -> int:
+        """H at X from the H setting."""
         return eval_power_expr(self.h_expr, self.x_start)
 
 
