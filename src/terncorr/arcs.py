@@ -1,11 +1,22 @@
 """Farey arc decompositions, short exponential sums, and supremum scans.
 
 The circle [1/Q, 1+1/Q) is split into major arcs (a/q +- beta, q < Q,
-beta = H^(8 eps - 1)) and their complement.  Window sums
-S(alpha; x) = sum_{x <= n <= x+L} f(n) e(n alpha) are evaluated either
-pointwise (phase recurrence, resynchronised in blocks) or on a full uniform
-grid at once through FFTs of the zero-padded window, whose Taylor bounds
-certify the sup scans cell by cell.
+beta = H^(8 eps - 1)) and their complement, the minor set.  The arcs are
+disjoint when the least gap between two centres, that of 1/(Q-1) and
+1/(Q-2), is at least 2 beta: that one comparison decides `decompose` and
+`largest_disjoint_q`.  Where alpha lies relative to the arc set is read
+from one rule, `_nearest`: the centre nearest alpha on the circle, and
+alpha's signed distance g from it (|g| <= beta on the major arcs, >= beta
+on the minor set).  A scan's clamp and its report's (q, a, gamma) use it.
+
+Window sums S(alpha; x) = sum_{x <= n <= x+L} f(n) e(n alpha) are evaluated
+either pointwise (phase recurrence, resynchronised in blocks) or on a full
+uniform grid at once through FFTs of the zero-padded window, whose Taylor
+bounds certify the sup scans cell by cell.
+
+Budgets: Q <= MAX_DECOMPOSE_Q = 2000, and MAX_GRID_POINTS = 2^26 scan grid
+points (`scan_grid_points`), which `arcs scan` checks, like --eta in (0, 1),
+before it sieves any window.
 
 The major-arc model of S(a/q + gamma; x) over [x, x+2H] is the local
 density C(a, q) (dirichlet.local_densities) times the integral of e(gamma y).
@@ -20,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +77,6 @@ class MajorArc:
     a: int
     q: int
     center: Fraction
-    radius: float
 
 
 @dataclass(frozen=True)
@@ -73,71 +84,56 @@ class ArcDecomposition:
     q_cut: int
     h_span: int
     epsilon: float
-    beta: float
+    beta: float  # the radius of every major arc
     major: tuple[MajorArc, ...]
     domain: tuple[Fraction, Fraction]  # [1/Q, 1 + 1/Q)
 
-    def minor_intervals(self) -> list[tuple[float, float]]:
-        """Complement of the major arcs inside the domain, as float intervals."""
-        lo, hi = float(self.domain[0]), float(self.domain[1])
-        cuts = []
-        for arc in self.major:
-            c = float(arc.center)
-            cuts.append((max(lo, c - arc.radius), min(hi, c + arc.radius)))
-        cuts.sort()
-        out = []
-        cursor = lo
-        for a, b in cuts:
-            if a > cursor:
-                out.append((cursor, a))
-            cursor = max(cursor, b)
-        if cursor < hi:
-            out.append((cursor, hi))
-        return out
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """float(a/q) mod 1 for each arc, in the order of `major`."""
+        return np.array([float(arc.center) % 1.0 for arc in self.major])
+
+
+def _least_gap(q_cut: int) -> float:
+    """Least distance between two of the a/q with q < Q, for Q >= 3.
+
+    Consecutive Farey fractions b/d < b'/d' of order n are 1/(d d') apart
+    with d != d' (Hardy & Wright, Thm 28), so the least gap is 1/(n(n-1)),
+    that of 1/n and 1/(n-1), at n = Q-1.
+    """
+    return float(Fraction(1, q_cut - 2) - Fraction(1, q_cut - 1))
+
+
+def _beta(h_span: int, epsilon: float) -> float:
+    """beta = H^(8 eps - 1), the radius of every major arc."""
+    if h_span < 2:
+        raise DomainError("H must be >= 2")
+    if not (0.0 < epsilon < 0.125):
+        raise DomainError("epsilon must lie in (0, 1/8)")
+    return float(h_span) ** (-1.0 + 8.0 * epsilon)
 
 
 def decompose(q_cut: int, h_span: int, epsilon: float) -> ArcDecomposition:
     """Major arcs around all a/q with q < Q; rejects overlapping arcs."""
     if q_cut < 2:
         raise DomainError("Q must be >= 2")
-    if h_span < 2:
-        raise DomainError("H must be >= 2")
-    if not (0.0 < epsilon < 0.125):
-        raise DomainError("epsilon must lie in (0, 1/8)")
-    beta = float(h_span) ** (-1.0 + 8.0 * epsilon)
-
-    def check(left: Fraction, right: Fraction) -> None:
-        if float(right - left) < 2.0 * beta:
-            raise ConfigurationError(
-                f"major arcs around {left} and {right} overlap "
-                f"(gap {float(right - left):.3g} < 2*beta = {2 * beta:.3g}); "
-                f"Q = {q_cut} too large for H = {h_span}"
-            )
-
-    # Adjacent Farey fractions at denominators Q-1, Q-2 realise the minimum
-    # gap 1/((Q-1)(Q-2)); reject without enumerating when it already fails.
-    if q_cut >= 4:
-        check(Fraction(1, q_cut - 1), Fraction(1, q_cut - 2))
+    beta = _beta(h_span, epsilon)
+    if q_cut >= 3 and (gap := _least_gap(q_cut)) < 2.0 * beta:
+        raise ConfigurationError(
+            f"major arcs around {Fraction(1, q_cut - 1)} and {Fraction(1, q_cut - 2)} "
+            f"overlap (gap {gap:.3g} < 2*beta = {2 * beta:.3g}); "
+            f"Q = {q_cut} too large for H = {h_span}"
+        )
     if q_cut > MAX_DECOMPOSE_Q:
         raise BudgetError(f"Q = {q_cut} exceeds arc budget {MAX_DECOMPOSE_Q}")
-
-    fracs = sorted(
-        Fraction(a, q)
-        for q in range(1, q_cut)
-        for a in range(1, q + 1)
-        if math.gcd(a, q) == 1
-    )
-    for left, right in zip(fracs, fracs[1:]):
-        check(left, right)
-    arcs = tuple(
-        MajorArc(a=f.numerator, q=f.denominator, center=f, radius=beta) for f in fracs
-    )
+    fracs = sorted(Fraction(a, q) for q in range(1, q_cut)
+                   for a in range(1, q + 1) if math.gcd(a, q) == 1)
     return ArcDecomposition(
         q_cut=q_cut,
         h_span=h_span,
         epsilon=epsilon,
         beta=beta,
-        major=arcs,
+        major=tuple(MajorArc(a=f.numerator, q=f.denominator, center=f) for f in fracs),
         domain=(Fraction(1, q_cut), 1 + Fraction(1, q_cut)),
     )
 
@@ -145,19 +141,17 @@ def decompose(q_cut: int, h_span: int, epsilon: float) -> ArcDecomposition:
 def largest_disjoint_q(q_cut: int, h_span: int, epsilon: float) -> int:
     """Largest Q' <= Q for which the decomposition has disjoint arcs.
 
-    Adjacent Farey fractions with denominators < Q are at least
-    1/((Q-1)(Q-2)) apart, which pins the answer near sqrt(1/(2 beta)).
+    The least gap 1/((Q-1)(Q-2)) pins the answer near sqrt(1/(2 beta));
+    from there Q counts down until that gap is at least 2 beta.
     """
-    beta = float(h_span) ** (-1.0 + 8.0 * epsilon)
+    beta = _beta(h_span, epsilon)
     analytic = 2 + math.isqrt(max(0, int(1.0 / (2.0 * beta))))
     q = min(max(2, q_cut), analytic + 2)
-    while q > 2:
-        try:
-            decompose(q, h_span, epsilon)
-            return q
-        except ConfigurationError:
-            q -= 1
-    return 2
+    while q > 2 and _least_gap(q) < 2.0 * beta:
+        q -= 1
+    if q > MAX_DECOMPOSE_Q:
+        raise BudgetError(f"Q = {q} exceeds arc budget {MAX_DECOMPOSE_Q}")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +212,6 @@ def short_exp_sum(
 # Bound shapes
 
 
-@dataclass(frozen=True)
-class ShortSumBound:
-    value: float
-    gamma_regime_large: bool  # |gamma| * H^(eta - eps/2) >= 10
-
-
 def short_sum_bound(
     q: int,
     gamma: float,
@@ -232,7 +220,7 @@ def short_sum_bound(
     eta: float,
     k: int,
     epsilon: float,
-) -> ShortSumBound:
+) -> float:
     """(q |gamma| X)^(1/2 + eps^2) H^(1/2) + H^eta (log X)^(k^2 - 1)."""
     if q < 1 or h_span < 2:
         raise DomainError("need q >= 1 and H >= 2")
@@ -240,8 +228,7 @@ def short_sum_bound(
         raise DomainError("eta must lie in (0, 1)")
     main = (q * abs(gamma) * x_scale) ** (0.5 + epsilon**2) * h_span**0.5
     tail = h_span**eta * math.log(x_scale) ** (k * k - 1)
-    flag = abs(gamma) * h_span ** (eta - epsilon / 2.0) >= 10.0
-    return ShortSumBound(value=main + tail, gamma_regime_large=flag)
+    return main + tail
 
 
 def geometric_minor_envelope(beta: float) -> float:
@@ -283,20 +270,27 @@ class SupScanReport:
     edge_sum: float
 
 
+def scan_grid_points(length: int) -> int:
+    """M, the least power of two >= 64 (L+1): the points of a scan's grid."""
+    m_grid = 1 << (64 * (length + 1) - 1).bit_length()
+    if m_grid > MAX_GRID_POINTS:
+        raise BudgetError(f"scan grid needs {m_grid} points, budget {MAX_GRID_POINTS}")
+    return m_grid
+
+
 def _major_bins(
     dec: ArcDecomposition, m_grid: int, half: int, pad: float, fold: bool
 ) -> np.ndarray:
-    """Mask of bins 0..half with |k/M - c| <= r + pad/M, mod 1, for a major
-    arc (c, r): pad = 0 marks the grid points in the arcs, +-_CELL_PAD the
-    cells |alpha - k/M| <= 1/(2M) that meet an arc (lie inside one).
-    fold=True (real windows) reflects bins above M/2: |S| and the arc set
-    are symmetric under alpha -> 1 - alpha.
+    """Mask of bins 0..half with |k/M - c| <= beta + pad/M, mod 1, for a
+    major arc centre c: pad = 0 marks the grid points in the arcs,
+    +-_CELL_PAD the cells |alpha - k/M| <= 1/(2M) that meet an arc (lie
+    inside one).  fold=True (real windows) reflects bins above M/2: |S| and
+    the arc set are symmetric under alpha -> 1 - alpha.
     """
     mask = np.zeros(half + 1, dtype=bool)
-    for arc in dec.major:
-        c = float(arc.center) % 1.0
-        i = math.ceil((c - arc.radius) * m_grid - pad)
-        j = math.floor((c + arc.radius) * m_grid + pad) + 1
+    for c in dec.centers.tolist():
+        i = math.ceil((c - dec.beta) * m_grid - pad)
+        j = math.floor((c + dec.beta) * m_grid + pad) + 1
         idx = np.arange(i, j, dtype=np.int64) % m_grid
         if fold:
             idx = np.minimum(idx, m_grid - idx)
@@ -325,14 +319,12 @@ def _refine(
     for _ in range(rounds):
         step /= 10.0
         grids = (np.linspace(s - 5 * step, s + 5 * step, 11).tolist() for s in current)
-        nxt = [t for grid in grids for t in map(clamp, grid) if t is not None]
+        nxt = [clamp(t) for grid in grids for t in grid]
         vals = [abs(short_exp_sum(window, x, length, t).value) for t in nxt]
-        if vals:
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best_alpha = vals[i], nxt[i]
-            order = np.argsort(vals)[::-1][:5]
-            current = [nxt[int(o)] for o in order]
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_alpha = vals[i], nxt[i]
+        current = [nxt[int(o)] for o in np.argsort(vals)[::-1][:5]]
         round_sups.append(best_val)
     return best_val, best_alpha, round_sups
 
@@ -364,11 +356,7 @@ def sup_scan(
     """
     if kind not in ("major", "minor"):
         raise DomainError("kind must be 'major' or 'minor'")
-    m_grid = 1 << (64 * (length + 1) - 1).bit_length()
-    if m_grid > MAX_GRID_POINTS:
-        raise BudgetError(
-            f"scan grid needs {m_grid} points, budget {MAX_GRID_POINTS}"
-        )
+    m_grid = scan_grid_points(length)
     vals = as_float(window.segment(x, x + length))  # int64 sums can wrap
     size = np.abs(vals)
     trivial = float(size.sum())
@@ -414,24 +402,21 @@ def sup_scan(
     if scanned.size > 5:
         scanned = scanned[np.argpartition(mags[scanned], -5)[-5:]]
     clamp = _make_clamp(dec, kind)
-    seeds = [float(t) / m_grid for t in scanned]
-    seeds = [s for s in (clamp(s) for s in seeds) if s is not None]
-    sup, arg, round_sups = _refine(
-        window, x, length, seeds, 1.0 / m_grid, rounds=3, clamp=clamp
-    )
+    seeds = [clamp(float(t) / m_grid) for t in scanned]
+    sup, arg, round_sups = _refine(window, x, length, seeds, 1.0 / m_grid, 3, clamp)
 
-    near_q, near_a, gamma = _nearest_center(dec, arg)
-    bound = short_sum_bound(near_q, gamma, x, max(2, length), eta, k, epsilon)
+    near, gamma = _nearest(dec, arg)
+    bound = short_sum_bound(near.q, gamma, x, max(2, length), eta, k, epsilon)
     return SupScanReport(
         kind=kind,
         sup_abs=sup,
         sup_upper=sup_upper,
         argmax_x=x,
         argmax_alpha=arg,
-        bound_value=bound.value,
-        ratio=sup / bound.value if bound.value > 0 else math.inf,
-        nearest_q=near_q,
-        nearest_a=near_a,
+        bound_value=bound,
+        ratio=sup / bound if bound > 0 else math.inf,
+        nearest_q=near.q,
+        nearest_a=near.a,
         gamma=gamma,
         grid_spacing=1.0 / m_grid,
         refinement_depth=3,
@@ -441,60 +426,29 @@ def sup_scan(
     )
 
 
+def _nearest(dec: ArcDecomposition, alpha: float) -> tuple[MajorArc, float]:
+    """The major arc whose centre c is nearest alpha on the circle, and the
+    signed distance g = (alpha mod 1 + shift) - c, shift in {-1, 0, 1}, of
+    alpha from it; the first such arc, in the order of `major`, on a tie."""
+    g = (alpha % 1.0 + np.array([-1.0, 0.0, 1.0])) - dec.centers[:, None]
+    i = int(np.argmin(np.abs(g)))
+    return dec.major[i // 3], float(g.flat[i])
+
+
 def _make_clamp(dec: ArcDecomposition, kind: str):
-    """Return a function snapping alpha onto the requested arc set (mod 1)."""
-    if kind == "major":
-        arcs = [(float(a.center) % 1.0, a.radius) for a in dec.major]
+    """alpha -> the nearest point of the closed major arcs or minor set, mod 1.
 
-        def clamp(alpha: float):
-            al = alpha % 1.0
-            best, bdist = None, math.inf
-            for c, r in arcs:
-                d = _signed_diff(al, c)
-                if abs(d) <= r:
-                    return al
-                if abs(d) - r < bdist:
-                    bdist = abs(d) - r
-                    best = (c + math.copysign(r, d)) % 1.0
-            return best
-
-    else:
-        intervals = dec.minor_intervals()  # endpoints may exceed 1
-
-        def clamp(alpha: float):
-            al = alpha % 1.0
-            best, bdist = None, math.inf
-            for a, b in intervals:
-                for cand in (al, al + 1.0):
-                    if a <= cand <= b:
-                        return al
-                    t = min(max(cand, a), b)
-                    d = abs(t - cand)
-                    if d < bdist:
-                        bdist, best = d, t % 1.0
-            return best
+    alpha mod 1 stays when it lies in the set; else it moves to the edge of
+    its nearest arc on its side.  Disjoint arcs of one radius make that edge
+    the nearest point of either set.
+    """
+    def clamp(alpha: float) -> float:
+        arc, g = _nearest(dec, alpha)
+        if abs(g) <= dec.beta if kind == "major" else abs(g) >= dec.beta:
+            return alpha % 1.0
+        return (float(arc.center) % 1.0 + math.copysign(dec.beta, g)) % 1.0
 
     return clamp
-
-
-def _signed_diff(alpha: float, center: float) -> float:
-    d = alpha - center
-    if d > 0.5:
-        d -= 1.0
-    if d < -0.5:
-        d += 1.0
-    return d
-
-
-def _nearest_center(dec: ArcDecomposition, alpha: float) -> tuple[int, int, float]:
-    best = (1, 1, math.inf)
-    for arc in dec.major:
-        c = float(arc.center)
-        for shift in (-1.0, 0.0, 1.0):
-            g = (alpha % 1.0) + shift - (c % 1.0)
-            if abs(g) < abs(best[2]):
-                best = (arc.q, arc.a, g)
-    return best
 
 
 # ---------------------------------------------------------------------------

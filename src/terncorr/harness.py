@@ -478,6 +478,8 @@ def _validate(cfg: ExperimentConfig):
     if not (0 < cfg.epsilon < Fraction(1, 8)):
         raise ConfigurationError("epsilon must lie in (0, 1/8)")
     _exact_exponent(cfg.epsilon, f"epsilon = {cfg.epsilon}")
+    if cfg.eta is not None and not (0 < cfg.eta < 1):
+        raise ConfigurationError(f"eta = {cfg.eta} must lie in (0, 1)")
     if not math.isfinite(cfg.c_threshold):
         raise ConfigurationError(f"c = {cfg.c_threshold} must be finite")
     if cfg.threads < 1:
@@ -672,6 +674,7 @@ def _run_arc_scan(cfg, specs, cache, warnings) -> dict:
     dec = arcs.decompose(q_use, h, float(cfg.epsilon))
     x = cfg.x_start if cfg.scan_x is None else cfg.scan_x
     length = 2 * h if cfg.scan_len is None else cfg.scan_len
+    arcs.scan_grid_points(length)  # the grid budget, before the window is built
     window = cache.window(spec, 1, x, x + length)
     report = arcs.sup_scan(
         window, dec, x, length, cfg.kind,

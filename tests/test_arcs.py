@@ -74,12 +74,14 @@ def test_farey_arcs_reduced_and_sorted():
     )
 
 
-def test_minor_intervals_tile_complement():
+def test_minor_set_tiles_complement():
+    # Every bin of a fine grid is a major point or a minor one, and the
+    # minor share is 1 - 2 beta per arc, to a bin per arc end.
     dec = decompose(5, 10**4, 0.05)
-    intervals = dec.minor_intervals()
-    total = sum(b - a for a, b in intervals)
+    m = 1 << 22
+    minor = ~arcs._major_bins(dec, m, m - 1, 0.0, False)
     expect = 1.0 - 2 * dec.beta * len(dec.major)
-    assert total == pytest.approx(expect, abs=1e-12)
+    assert minor.sum() / m == pytest.approx(expect, abs=2 * len(dec.major) / m)
 
 
 def test_largest_disjoint_q():
@@ -88,6 +90,90 @@ def test_largest_disjoint_q():
     decompose(q, 10**4, 0.05)
     with pytest.raises(ConfigurationError):
         decompose(q + 1, 10**4, 0.05)
+
+
+def _reference_decompose(q_cut, h_span, epsilon):
+    """Every Farey neighbour pair checked, as arcs once did: (beta, centres),
+    or the error decompose must raise."""
+    if q_cut < 2:
+        raise DomainError("Q must be >= 2")
+    if h_span < 2:
+        raise DomainError("H must be >= 2")
+    if not (0.0 < epsilon < 0.125):
+        raise DomainError("epsilon must lie in (0, 1/8)")
+    beta = float(h_span) ** (-1.0 + 8.0 * epsilon)
+
+    def check(left, right):
+        if float(right - left) < 2.0 * beta:
+            raise ConfigurationError(
+                f"major arcs around {left} and {right} overlap "
+                f"(gap {float(right - left):.3g} < 2*beta = {2 * beta:.3g}); "
+                f"Q = {q_cut} too large for H = {h_span}"
+            )
+
+    if q_cut >= 4:
+        check(Fraction(1, q_cut - 1), Fraction(1, q_cut - 2))
+    if q_cut > arcs.MAX_DECOMPOSE_Q:
+        raise BudgetError(f"Q = {q_cut} exceeds arc budget {arcs.MAX_DECOMPOSE_Q}")
+    fracs = sorted(Fraction(a, q) for q in range(1, q_cut)
+                   for a in range(1, q + 1) if math.gcd(a, q) == 1)
+    for left, right in zip(fracs, fracs[1:]):
+        check(left, right)
+    return beta, fracs
+
+
+def _reference_largest_disjoint_q(q_cut, h_span, epsilon):
+    beta = float(h_span) ** (-1.0 + 8.0 * epsilon)
+    q = min(max(2, q_cut), 4 + math.isqrt(max(0, int(1.0 / (2.0 * beta)))))
+    while q > 2:
+        try:
+            _reference_decompose(q, h_span, epsilon)
+            return q
+        except ConfigurationError:
+            q -= 1
+    return 2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BudgetError, ConfigurationError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_decompositions(cases):
+    for q, h, eps in cases:
+        got = _outcome(decompose, q, h, eps)
+        want = _outcome(_reference_decompose, q, h, eps)
+        if isinstance(want, tuple) and isinstance(want[0], float):
+            assert (got.beta, [a.center for a in got.major]) == want, (q, h, eps)
+            assert all((a.a, a.q) == (a.center.numerator, a.center.denominator)
+                       for a in got.major)
+        else:
+            assert got == want, (q, h, eps)
+        assert (_outcome(largest_disjoint_q, q, h, eps)
+                == _outcome(_reference_largest_disjoint_q, q, h, eps)), (q, h, eps)
+
+
+def test_disjointness_matches_every_neighbour_pair():
+    # The least Farey gap, that of 1/(Q-1) and 1/(Q-2), decides what the
+    # check of every neighbour pair decides, with the same message.
+    _same_decompositions(
+        (q, h, eps) for q in range(2, 60)
+        for h in (2, 3, 10, 100, 3000, 10**5, 10**8) for eps in (0.01, 0.05, 0.124)
+    )
+
+
+def test_disjointness_at_the_arc_budget(monkeypatch):
+    # Past MAX_DECOMPOSE_Q: the overlap is reported first, then the budget.
+    _same_decompositions([(2001, 10**14, 0.01), (2001, 10**4, 0.05),
+                          (10**6, 10**12, 0.01), (10**9, 10**14, 0.01)])
+    with pytest.raises(BudgetError, match="exceeds arc budget 2000"):
+        largest_disjoint_q(10**6, 10**14, 0.01)
+    # Up to it, at a budget small enough for the reference to enumerate.
+    monkeypatch.setattr(arcs, "MAX_DECOMPOSE_Q", 12)
+    _same_decompositions((q, h, 0.05) for q in range(10, 16)
+                         for h in (3000, 10**4, 2 * 10**4, 10**8))
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +249,12 @@ def test_exp_sum_coverage_guard():
 
 def test_short_sum_bound_hand_values():
     b = short_sum_bound(1, 1e-3, 10**5, 3000, eta=0.65, k=1, epsilon=0.0)
-    assert b.value == pytest.approx(math.sqrt(100) * math.sqrt(3000) + 3000**0.65)
-    assert not b.gamma_regime_large  # 1e-3 * 3000^0.65 = 0.18 < 10
+    assert b == pytest.approx(math.sqrt(100) * math.sqrt(3000) + 3000**0.65)
     b = short_sum_bound(3, 0.0, 10**5, 3000, eta=0.65, k=2, epsilon=0.05)
-    assert b.value == pytest.approx(3000**0.65 * math.log(10**5) ** 3)
+    assert b == pytest.approx(3000**0.65 * math.log(10**5) ** 3)
     b = short_sum_bound(2, 0.5, 3, 100, eta=0.5, k=2, epsilon=0.0)
     # X = 3 ~ e: log X close to 1; just check the first-term shape
-    assert b.value == pytest.approx(
+    assert b == pytest.approx(
         (2 * 0.5 * 3) ** 0.5 * 10 + 100**0.5 * math.log(3) ** 3
     )
     with pytest.raises(DomainError):
@@ -283,10 +368,7 @@ def test_sup_scan_within_tolerance_of_dense_grid():
     alphas = np.arange(m) / m
     vals = win.segment(x, x + length)
     mags = np.abs(np.fft.fft(vals, m))  # |S(j/m; x)| at every j
-    minor = np.zeros(m, dtype=bool)
-    for a, b in dec.minor_intervals():
-        minor |= ((alphas >= a) & (alphas <= b)) | ((alphas + 1 >= a) & (alphas + 1 <= b))
-    dense = mags[minor].max()
+    dense = mags[_in_arc_set(dec, "minor", alphas)].max()
     assert rep.sup_abs >= dense - 0.01 * rep.trivial_bound
     assert rep.sup_abs <= dense + 0.01 * rep.trivial_bound
     assert rep.sup_upper >= dense
@@ -356,11 +438,92 @@ def test_scan_cells_that_meet_the_arc_set(m, kind, points, cells):
     assert [np.flatnonzero(g).tolist() for g in got] == [list(points), list(cells)]
 
 
-def _in_arc_set(dec, kind, alphas):
-    """Which alphas lie in the closed major arcs, or in the minor set."""
+def _in_arc_set(dec, kind, alphas, slack=0.0):
+    """Which alphas lie in the closed major arcs, or in the minor set, with
+    the arc ends moved out by slack."""
     centers = np.array([float(a.center) % 1.0 for a in dec.major])
     dist = np.abs((alphas[:, None] - centers + 0.5) % 1.0 - 0.5).min(axis=1)
-    return dist <= dec.beta if kind == "major" else dist >= dec.beta
+    return dist <= dec.beta + slack if kind == "major" else dist >= dec.beta - slack
+
+
+def _reference_minor_clamp(dec):
+    """The minor clamp as arcs once made it: the complement of the arcs in
+    [1/Q, 1 + 1/Q) as float intervals, trying alpha and alpha + 1 in each."""
+    lo, hi = float(dec.domain[0]), float(dec.domain[1])
+    cuts = sorted((max(lo, float(a.center) - dec.beta), min(hi, float(a.center) + dec.beta))
+                  for a in dec.major)
+    intervals, cursor = [], lo
+    for a, b in cuts:
+        if a > cursor:
+            intervals.append((cursor, a))
+        cursor = max(cursor, b)
+    if cursor < hi:
+        intervals.append((cursor, hi))
+
+    def clamp(alpha):
+        al = alpha % 1.0
+        best, bdist = None, math.inf
+        for a, b in intervals:
+            for cand in (al, al + 1.0):
+                if a <= cand <= b:
+                    return al
+                t = min(max(cand, a), b)
+                if abs(t - cand) < bdist:
+                    bdist, best = abs(t - cand), t % 1.0
+        return best
+
+    return clamp
+
+
+def _reference_nearest(dec, alpha):
+    """The nearest-centre loop, first of equal distances kept."""
+    best, best_g = None, math.inf
+    for arc in dec.major:
+        for shift in (-1.0, 0.0, 1.0):
+            g = (alpha % 1.0) + shift - (float(arc.center) % 1.0)
+            if abs(g) < abs(best_g):
+                best, best_g = arc, g
+    return best, best_g
+
+
+@pytest.mark.parametrize("q, h", [(2, 100), (3, 300), (9, 3000), (40, 10**8)])
+def test_nearest_center_matches_the_loop(q, h):
+    # Equal results, ties included: alpha halfway between two centres, and
+    # 1/4 at Q = 3, the midpoint of 1/2 and 1 that a grid k/M can hit.
+    dec = decompose(q, h, 0.05)
+    centers = [float(a.center) for a in dec.major]
+    mids = [(a + b) / 2 for a, b in zip(centers, centers[1:])]
+    draws = np.random.default_rng(q).uniform(-2.0, 3.0, 200).tolist()
+    for alpha in draws + mids + [0.25, 0.75, 0.0, 1.0, -0.5, 0.5]:
+        assert arcs._nearest(dec, alpha) == _reference_nearest(dec, alpha), alpha
+
+
+def _circle_distance(a, b):
+    return np.abs((np.asarray(a) - b + 0.5) % 1.0 - 0.5)
+
+
+@pytest.mark.parametrize("kind", ["major", "minor"])
+@pytest.mark.parametrize("q, h", [(2, 100), (3, 300), (5, 10**4), (9, 3000)])
+def test_clamp_moves_to_the_nearest_point_of_the_arc_set(kind, q, h):
+    dec = decompose(q, h, 0.05)
+    clamp = arcs._make_clamp(dec, kind)
+    draws = np.random.default_rng(q * h).uniform(-2.0, 3.0, 300)
+    edges = [float(a.center) + s * dec.beta for a in dec.major for s in (-1, 1)]
+    alphas = np.concatenate([draws, edges, np.array(edges) + 1.0])
+    got = np.array([clamp(a) for a in alphas])
+    # an arc end c + beta, and its distance from c, are float sums: a moved
+    # point can miss the closed set by rounding, as this measure of it can
+    assert _in_arc_set(dec, kind, got, slack=2.0**-50).all()
+    inside = _in_arc_set(dec, kind, draws % 1.0)
+    assert 0 < inside.sum() < len(draws)
+    assert (got[: len(draws)][inside] == draws[inside] % 1.0).all()
+    grid = np.arange(1 << 15) / (1 << 15)
+    sample = grid[_in_arc_set(dec, kind, grid)]
+    for alpha, t in zip(alphas, got):
+        assert _circle_distance(alpha, t) <= _circle_distance(alpha, sample).min() + 1e-15
+    if kind == "minor":
+        reference = _reference_minor_clamp(dec)
+        assert max(_circle_distance(reference(a), t) for a, t in zip(alphas, got)) <= 1e-15
 
 
 def _unit_euler(bound):
@@ -402,8 +565,11 @@ def test_benchmark_tau_scan_certificate_is_tight():
     dec = decompose(q, h, 0.05)
     win = sieve_window(MultSpec.ramanujan_tau_norm(), x, x + 2 * h)
     rep = sup_scan(win, dec, x, 2 * h, "minor")
+    assert q == 9 and (rep.nearest_q, rep.nearest_a) == (1, 1)
     assert rep.grid_spacing == 2.0**-19
     assert rep.sup_abs <= rep.sup_upper <= rep.sup_abs + 0.01 * rep.trivial_bound
+    assert rep.sup_abs == pytest.approx(127.83415195402858, rel=1e-12)
+    assert rep.argmax_alpha == pytest.approx(0.012844963073730469, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,21 @@ def test_oversized_series_exits_3_before_any_window(tmp_path, monkeypatch, capsy
     assert "Traceback" not in err
 
 
+def test_oversized_scan_grid_exits_3_before_any_window(monkeypatch, capsys):
+    # L = 2H = 1.2e6 needs a 2^27-point grid: the scan refuses it before it
+    # builds the window, and with it the 2^21 tau table.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(harness.multfunc.WindowCache, "window", refuse)
+    argv = ["arcs", "scan", "--spec", "tau", "--X", "100000", "--H", "600000",
+            "--Q", "5"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "scan grid needs 134217728 points, budget 67108864" in err, err
+    assert "Traceback" not in err
+
+
 # Documents valid on their own, one per experiment that a bad line goes to.
 _BASE_DOCS = {
     "correlate": 'experiment = "correlate"\nX = 100\n',
@@ -825,8 +840,8 @@ def test_identity_check_leads_only_with_an_exact_triple():
 
 
 def test_bad_inputs_exit_before_any_work(tmp_path, monkeypatch, capsys):
-    # A bad --series record or a bad document method or kind exits 2
-    # before any window is built or any correlation route runs.
+    # A bad --series record, a bad document method or kind, or a bad --eta
+    # exits 2 before any window is built or any correlation route runs.
     def refuse(*args, **kwargs):
         raise AssertionError("work began before the inputs were checked")
 
@@ -848,6 +863,11 @@ def test_bad_inputs_exit_before_any_work(tmp_path, monkeypatch, capsys):
                        f"H = 3000\n{line}\n")
         assert main(_words(experiment) + ["--config", str(doc)]) == 2
         assert "bad value for " + repr(line.split()[0]) in capsys.readouterr().err
+    # so is an eta outside (0, 1), which only the scan's bound would read
+    scan = ["arcs", "scan", "--spec", "tau", "--X", "100000", "--H", "3000"]
+    for eta in ("0", "1", "-1/2", "3/2"):
+        assert main(scan + [f"--eta={eta}"]) == 2, eta
+        assert f"eta = {Fraction(eta)} must lie in (0, 1)" in capsys.readouterr().err
     # N < 2 gives no two-scale mean; it is refused before any window
     series = ["singular-series", "--spec", "one_star_chi4", "--Q", "5"]
     doc.write_text('experiment = "singular-series"\nspec = "one_star_chi4"\n'
