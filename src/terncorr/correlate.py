@@ -117,13 +117,15 @@ class CorrelationResult:
 def correlation_windows(
     req: CorrelationRequest, cache: WindowCache | None = None
 ) -> tuple[CoefficientWindow, CoefficientWindow, CoefficientWindow]:
-    """The three padded windows needed by either evaluation method."""
+    """The windows of the three factors, each on [X - 2H, 2X + 2H].
+
+    That range holds every argument of every factor, so one window serves
+    all three places of a spec, and a symmetric triple is one cache key.
+    """
     x, h = req.x_start, req.h_span
     cache = cache or WindowCache()
-    w1 = cache.window(req.spec1, 1, x, 2 * x)
-    w2 = cache.window(req.spec2, 1, x - h, 2 * x + h)
-    w3 = cache.window(req.spec3, 1, x - 2 * h, 2 * x + 2 * h)
-    return w1, w2, w3
+    lo, hi = x - 2 * h, 2 * x + 2 * h
+    return tuple(cache.window(s, 1, lo, hi) for s in (req.spec1, req.spec2, req.spec3))
 
 
 def _use_exact(req: CorrelationRequest) -> bool:

@@ -17,8 +17,8 @@ is the one-q0 case.  Integer-valued families are sieved in exact int64
 arithmetic and their windows hold only those int64 values; a window in
 which some value could reach 2^62 is refused with BudgetError.
 
-WindowCache keeps windows in memory and, optionally, in MFW2 files, and
-builds all the windows one request misses with one sieve.
+WindowCache keeps windows in memory and, optionally, in MFW3 files named by
+spec id, and builds all the windows one request misses with one sieve.
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ _SEGMENT = 1 << 20
 # 2^63 absorbs the rounding of the float64 magnitude bound.
 _EXACT_LIMIT = 1 << 62
 
-_MAGIC = b"MFW2"
+_MAGIC = b"MFW3"
+# magic, NUL-padded ASCII spec id, q0, lo, hi
+_HEADER = struct.Struct("<4s32sQQQ")
 
 
 class Kind(enum.Enum):
@@ -58,14 +60,6 @@ class Kind(enum.Enum):
     USER_EULER = "user_euler"
 
 
-_KIND_TAGS = {
-    Kind.DIVISOR_K: 1,
-    Kind.MOEBIUS: 2,
-    Kind.ONE_STAR_CHI4: 3,
-    Kind.RAMANUJAN_TAU_NORM: 4,
-}
-
-
 @dataclass(frozen=True)
 class MultSpec:
     """A multiplicative function given by its prime-power rule plus metadata.
@@ -73,11 +67,12 @@ class MultSpec:
     k_bound is the divisor-bound order: |f(n)| <= d_{k_bound}(n).  has_pole
     declares whether the principal-character Dirichlet series of f has a
     simple pole at s=1; pole-free specs get a zero main term downstream.
+    A user rule is kept as the sorted items ((p, e), f(p^e)).
     """
 
     kind: Kind
     k: int = 1
-    rule: Mapping[tuple[int, int], complex] | None = None
+    rule: tuple[tuple[tuple[int, int], complex], ...] = ()
     k_bound: int = 1
     has_pole: bool = False
     hypothesis_conditional: bool = False
@@ -86,8 +81,10 @@ class MultSpec:
 
     @staticmethod
     def divisor_k(k: int) -> "MultSpec":
-        if k < 1:
-            raise DomainError("divisor order k must be >= 1")
+        # d_k(p) = k, so a larger k refuses every window holding a prime;
+        # the bound also keeps spec ids within the cache header's field.
+        if not 1 <= k < _EXACT_LIMIT:
+            raise DomainError("divisor order k must satisfy 1 <= k < 2^62")
         return MultSpec(kind=Kind.DIVISOR_K, k=k, k_bound=k, has_pole=True)
 
     @staticmethod
@@ -110,8 +107,9 @@ class MultSpec:
     def user_euler(
         rule: Mapping[tuple[int, int], complex], k_bound: int, has_pole: bool = False
     ) -> "MultSpec":
+        items = tuple(sorted((pe, complex(v)) for pe, v in rule.items()))
         return MultSpec(
-            kind=Kind.USER_EULER, rule=dict(rule), k_bound=k_bound, has_pole=has_pole
+            kind=Kind.USER_EULER, rule=items, k_bound=k_bound, has_pole=has_pole
         )
 
     # -- metadata ----------------------------------------------------------
@@ -130,23 +128,12 @@ class MultSpec:
     @property
     def is_real(self) -> bool:
         if self.kind is Kind.USER_EULER:
-            return all(complex(v).imag == 0.0 for v in self.rule.values())
+            return all(v.imag == 0.0 for _, v in self.rule)
         return True
 
-    def __eq__(self, other) -> bool:  # rule dicts break dataclass eq when frozen
-        if not isinstance(other, MultSpec):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.k == other.k
-            and (self.rule == other.rule)
-        )
-
-    def __hash__(self) -> int:
-        rule_key = None
-        if self.rule is not None:
-            rule_key = tuple(sorted((pk, complex(v)) for pk, v in self.rule.items()))
-        return hash((self.kind, self.k, rule_key))
+    @cached_property
+    def rule_table(self) -> dict[tuple[int, int], complex]:  # built once per spec
+        return dict(self.rule)
 
 
 def spec_from_id(spec_id: str) -> MultSpec:
@@ -300,14 +287,14 @@ def local_factor(spec: MultSpec, p, e) -> np.ndarray:
             axis=1, return_inverse=True,
         )
         pairs = [tuple(pe) for pe in pairs.T.tolist()]
-        missing = [pe for pe in pairs if pe[1] and pe not in spec.rule]
+        missing = [pe for pe in pairs if pe[1] and pe not in spec.rule_table]
         if missing:
             q, j = min(missing, key=lambda pe: pe[0] ** pe[1])
             raise SpecificationError(
                 f"user Euler rule has no value for prime power {q}^{j}"
             )
         table = np.array(
-            [complex(spec.rule[pe]) if pe[1] else 1 for pe in pairs],
+            [spec.rule_table[pe] if pe[1] else 1 for pe in pairs],
             dtype=np.complex128,
         )
         return table[inverse.ravel()].reshape(shape)
@@ -567,23 +554,7 @@ def eval_at(spec: MultSpec, n: int) -> int | float | complex:
 
 
 # ---------------------------------------------------------------------------
-# Window cache files (binary layout MFW2)
-
-
-def _kind_tag(spec: MultSpec) -> int:
-    try:
-        code = _KIND_TAGS[spec.kind]
-    except KeyError:
-        raise DomainError("user Euler windows cannot be cached") from None
-    return (code << 32) | (spec.k if spec.kind is Kind.DIVISOR_K else 0)
-
-
-def _spec_from_tag(tag: int) -> MultSpec:
-    code, param = tag >> 32, tag & 0xFFFFFFFF
-    kind = {c: kind for kind, c in _KIND_TAGS.items()}.get(code)
-    if kind is None:
-        raise DomainError(f"unknown kind tag {tag:#x} in cache file")
-    return spec_from_id(f"divisor{param}" if kind is Kind.DIVISOR_K else kind.value)
+# Window cache files (binary layout MFW3)
 
 
 def _block_dtype(spec: MultSpec) -> str:
@@ -591,22 +562,21 @@ def _block_dtype(spec: MultSpec) -> str:
 
 
 def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:
-    """Serialise a window: MFW2 header, then one block of its values.
+    """Serialise a window: MFW3 header, then one block of its values.
 
-    Only built-in families have a kind tag, and their values are real: the
-    block is <i8 for exact families and <f8 for tau.  The bytes go to a
-    per-thread temporary file that then replaces path in one step, so
-    concurrent writers of one key never leave a torn file behind.
+    Only built-in families are cached, each under its spec id, and their
+    values are real: the block is <i8 for exact families and <f8 for tau.
+    The bytes go to a per-thread temporary file that replaces path in one
+    step, so concurrent writers of one key never leave a torn file behind.
     """
-    if win.spec is None:
-        raise DomainError("window has no spec attached; cannot cache")
-    tag = _kind_tag(win.spec)
+    if win.spec is None or win.spec.kind is Kind.USER_EULER:
+        raise DomainError("only windows of a built-in family can be cached")
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<QQQQ", tag, win.q0, win.lo, win.hi))
+            sid = win.spec.spec_id.encode("ascii")
+            fh.write(_HEADER.pack(_MAGIC, sid, win.q0, win.lo, win.hi))
             # the block's own buffer: no bytes copy of a window that is
             # already contiguous little-endian
             fh.write(np.ascontiguousarray(win.values, dtype=_block_dtype(win.spec)))
@@ -616,14 +586,14 @@ def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:
 
 
 def read_window_cache(path: str | Path) -> CoefficientWindow:
-    """Load an MFW2 file; DomainError unless its length matches its header."""
+    """Load an MFW3 file; DomainError unless it names a family and fits its header."""
     path = Path(path)
     raw = path.read_bytes()
-    off = 4 + 32
+    off = _HEADER.size
     if len(raw) < off or raw[:4] != _MAGIC:
         raise DomainError(f"{path} is not a coefficient cache file")
-    tag, q0, lo, hi = struct.unpack_from("<QQQQ", raw, 4)
-    spec = _spec_from_tag(tag)
+    _, sid, q0, lo, hi = _HEADER.unpack_from(raw)
+    spec = spec_from_id(sid.rstrip(b"\0").decode("ascii", "replace"))
     size = hi - lo + 1
     expected = off + 8 * size
     if size < 1 or len(raw) != expected:
@@ -637,7 +607,7 @@ def read_window_cache(path: str | Path) -> CoefficientWindow:
 
 
 def cache_file_name(spec: MultSpec, q0: int, lo: int, hi: int) -> str:
-    return f"mfw_{_kind_tag(spec):012x}_{q0}_{lo}_{hi}.bin"
+    return f"mfw_{spec.spec_id}_{q0}_{lo}_{hi}.bin"
 
 
 def _read_checked(path: Path, key: tuple) -> CoefficientWindow | None:
@@ -663,6 +633,8 @@ class WindowCache:
     """
 
     def __init__(self, directory: str | Path | None = None, max_items: int = 64):
+        if max_items < 1:
+            raise DomainError(f"a window cache must hold >= 1 window, not {max_items}")
         self._dir = Path(directory) if directory else None
         self._max = max_items
         self._mem: dict[tuple, CoefficientWindow] = {}

@@ -269,6 +269,19 @@ def test_request_validation():
         CorrelationRequest(ONE, ONE, ONE, 10, 11)
 
 
+@pytest.mark.parametrize("mixed", [False, True])
+def test_correlation_windows_read_one_range(mixed):
+    # Every factor is read on [X - 2H, 2X + 2H], so a symmetric triple is
+    # one cache key: one build and two memory hits.
+    d3 = MultSpec.divisor_k(3)
+    specs = (MultSpec.moebius(), d3, MultSpec.one_star_chi4()) if mixed else (d3,) * 3
+    cache = WindowCache()
+    wins = correlation_windows(CorrelationRequest(*specs, 300, 40), cache)
+    assert [(w.lo, w.hi) for w in wins] == [(220, 680)] * 3
+    assert cache.counts() == {"memory_hits": 0 if mixed else 2, "disk_reads": 0,
+                              "builds": 3 if mixed else 1, "disk_writes": 0}
+
+
 def test_windows_are_shared_between_methods():
     d2 = MultSpec.divisor_k(2)
     req = CorrelationRequest(d2, d2, d2, 500, 20)
@@ -524,7 +537,7 @@ def test_banded_route_leaves_out_zero_rows(monkeypatch, gap):
     w1, w2, w3 = correlation_windows(req, CACHE)
     if gap:
         vals = w1.values.copy()
-        vals[:200] = 0
+        vals[x - w1.lo : x - w1.lo + 200] = 0
         w1 = replace(w1, values=vals)
     rows = []
     triangles = correlate._triangles

@@ -5,11 +5,13 @@ import itertools
 import math
 import random
 import struct
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from terncorr import multfunc, tau
+from terncorr import harness, multfunc, tau
 from terncorr.errors import BudgetError, DomainError, SpecificationError
 from terncorr.multfunc import (
     MultSpec,
@@ -341,7 +343,7 @@ def test_tau_eval_consistent_with_window():
 )
 def test_multiplicativity_exact(sid):
     spec = multfunc.spec_from_id(sid)
-    rng = random.Random(hash(sid) & 0xFFFF)
+    rng = random.Random(zlib.crc32(sid.encode()))  # hash(str) is salted per process
     done = 0
     while done < 200:
         m = rng.randint(2, 1000)
@@ -460,7 +462,11 @@ def test_window_cache_roundtrip(tmp_path):
         path = tmp_path / f"{spec.spec_id}.bin"
         write_window_cache(win, path)
         block = win.values.astype("<i8" if spec.is_exact else "<f8").tobytes()
-        assert path.read_bytes()[36:] == block
+        raw = path.read_bytes()
+        assert raw[: multfunc._HEADER.size] == struct.pack(
+            "<4s32sQQQ", b"MFW3", spec.spec_id.encode(), 3, 2, 200
+        )
+        assert raw[multfunc._HEADER.size :] == block
         back = read_window_cache(path)
         assert back.lo == win.lo and back.hi == win.hi and back.q0 == win.q0
         assert back.spec == win.spec
@@ -470,23 +476,80 @@ def test_window_cache_roundtrip(tmp_path):
             if spec.is_exact:
                 assert w.values.nbytes == 8 * len(w)
     raw = (tmp_path / "one_star_chi4.bin").read_bytes()
-    assert raw[:4] == b"MFW2"
+    assert raw[:4] == b"MFW3" and raw[4:36] == b"one_star_chi4".ljust(32, b"\0")
 
 
-def test_window_cache_rewrites_mfw1_file(tmp_path):
-    # The MFW1 layout: the same header, then a <f8 block and an <i8 block.
+def test_window_cache_rewrites_earlier_layouts(tmp_path):
+    # The earlier layouts' header: magic, then "<QQQQ" of the kind tag
+    # (code << 32) | k (one_star_chi4 had code 3), q0, lo, hi.  MFW1 then
+    # held an <f8 block and an <i8 block, MFW2 the <i8 block alone.
     spec = MultSpec.one_star_chi4()
     fresh = sieve_window(spec, 5, 300)
     path = tmp_path / multfunc.cache_file_name(spec, 1, 5, 300)
-    header = struct.pack("<QQQQ", multfunc._kind_tag(spec), 1, 5, 300)
+    header = struct.pack("<QQQQ", 3 << 32, 1, 5, 300)
     iv = fresh.values.astype("<i8")
-    path.write_bytes(b"MFW1" + header + iv.astype("<f8").tobytes() + iv.tobytes())
+    for old in (b"MFW1" + header + iv.astype("<f8").tobytes() + iv.tobytes(),
+                b"MFW2" + header + iv.tobytes()):
+        path.write_bytes(old)
+        with pytest.raises(DomainError):
+            read_window_cache(path)
+        cache = WindowCache(tmp_path)
+        win = cache.window(spec, 1, 5, 300)
+        assert cache.counts()["builds"] == 1 and cache.counts()["disk_writes"] == 1
+        assert win.values.dtype == np.int64 and (win.values == fresh.values).all()
+        raw = path.read_bytes()
+        assert raw[:4] == b"MFW3" and raw[4:36] == b"one_star_chi4".ljust(32, b"\0")
+        assert raw[36:60] == header[8:] and raw[60:] == iv.tobytes()
+
+
+def test_window_cache_keeps_divisor_orders_apart(tmp_path):
+    # An earlier kind tag ORed k into 32 bits, so divisor(2^32 + 2) and
+    # divisor2 shared one file name and one header.
+    big, d2 = MultSpec.divisor_k(2**32 + 2), MultSpec.divisor_k(2)
+    WindowCache(tmp_path).window(big, 1, 5, 5)
+    WindowCache(tmp_path).window(d2, 1, 5, 5)
+    assert len(list(tmp_path.iterdir())) == 2
+    for spec, value in ((big, 2**32 + 2), (d2, 2)):
+        cache = WindowCache(tmp_path)
+        assert cache.window(spec, 1, 5, 5).values.tolist() == [value]
+        assert cache.counts()["disk_reads"] == 1 and cache.counts()["builds"] == 0
+
+
+def test_window_cache_holds_the_largest_divisor_order(tmp_path):
+    # k < 2^62 keeps every spec id, at most 26 characters, in the header.
+    top = MultSpec.divisor_k(2**62 - 1)
+    assert len(top.spec_id) == 26
+    path = tmp_path / "top.bin"
+    write_window_cache(sieve_window(top, 1, 1), path)
+    back = read_window_cache(path)
+    assert back.spec == top and back.values.tolist() == [1]
     with pytest.raises(DomainError):
-        read_window_cache(path)
-    win = WindowCache(tmp_path).window(spec, 1, 5, 300)
-    assert win.values.dtype == np.int64 and (win.values == fresh.values).all()
-    raw = path.read_bytes()
-    assert raw[:4] == b"MFW2" and raw[4:36] == header and raw[36:] == iv.tobytes()
+        MultSpec.divisor_k(2**62)
+    assert harness.main(["sieve", "--spec", f"divisor{2**62}", "--lo", "5",
+                         "--hi", "5"]) == 2
+
+
+def test_window_cache_needs_room_for_one_window():
+    with pytest.raises(DomainError):
+        WindowCache(max_items=0)
+    assert WindowCache(max_items=1).window(MultSpec.moebius(), 1, 1, 6).values[5] == 1
+
+
+def test_spec_equality_is_field_equality():
+    assert multfunc.spec_from_id("mu") == MultSpec.moebius()
+    assert multfunc.spec_from_id("tau_norm") == MultSpec.ramanujan_tau_norm()
+    assert hash(multfunc.spec_from_id("mu")) == hash(MultSpec.moebius())
+    assert MultSpec.divisor_k(2) != MultSpec.divisor_k(3)
+    rule = {(3, 1): 2.0, (2, 1): 1j, (2, 2): -1}
+    a = MultSpec.user_euler(rule, k_bound=1)
+    b = MultSpec.user_euler(dict(reversed(rule.items())), k_bound=1)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a.rule == (((2, 1), 1j), ((2, 2), -1 + 0j), ((3, 1), 2 + 0j))
+    assert a != MultSpec.user_euler({**rule, (3, 1): 2.5}, k_bound=1)
+    assert a != MultSpec.user_euler({**rule, (5, 1): 0.0}, k_bound=1)
+    assert a != MultSpec.user_euler(rule, k_bound=2)
+    assert a != MultSpec.user_euler(rule, k_bound=1, has_pole=True)
+    assert a != replace(a, hypothesis_conditional=True)
 
 
 def test_window_cache_directory(tmp_path):
@@ -546,7 +609,7 @@ def test_window_cache_windows_reads_what_it_holds_and_builds_the_rest(tmp_path):
     assert held.counts()["builds"] == 0
 
 
-@pytest.mark.parametrize("size", [0, 3, 36])
+@pytest.mark.parametrize("size", [0, 3, 36, 60])
 def test_read_window_cache_rejects_short_files(tmp_path, size):
     ok = tmp_path / "ok.bin"
     write_window_cache(sieve_window(MultSpec.moebius(), 1, 10), ok)
