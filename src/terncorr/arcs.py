@@ -76,7 +76,10 @@ def _scipy():
 class MajorArc:
     a: int
     q: int
-    center: Fraction
+
+    @property
+    def center(self) -> Fraction:
+        return Fraction(self.a, self.q)
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,11 @@ class ArcDecomposition:
 
     @cached_property
     def centers(self) -> np.ndarray:
-        """float(a/q) mod 1 for each arc, in the order of `major`."""
-        return np.array([float(arc.center) % 1.0 for arc in self.major])
+        """a/q mod 1 for each arc, in the order of `major`: a float64 quotient
+        of integers below 2^53 is correctly rounded, float(Fraction(a, q))."""
+        a = np.array([arc.a for arc in self.major], dtype=np.float64)
+        q = np.array([arc.q for arc in self.major], dtype=np.float64)
+        return (a / q) % 1.0
 
 
 def _least_gap(q_cut: int) -> float:
@@ -126,16 +132,27 @@ def decompose(q_cut: int, h_span: int, epsilon: float) -> ArcDecomposition:
         )
     if q_cut > MAX_DECOMPOSE_Q:
         raise BudgetError(f"Q = {q_cut} exceeds arc budget {MAX_DECOMPOSE_Q}")
-    fracs = sorted(Fraction(a, q) for q in range(1, q_cut)
-                   for a in range(1, q + 1) if math.gcd(a, q) == 1)
     return ArcDecomposition(
         q_cut=q_cut,
         h_span=h_span,
         epsilon=epsilon,
         beta=beta,
-        major=tuple(MajorArc(a=f.numerator, q=f.denominator, center=f) for f in fracs),
+        major=tuple(MajorArc(a, q) for a, q in _farey(q_cut - 1)),
         domain=(Fraction(1, q_cut), 1 + Fraction(1, q_cut)),
     )
+
+
+def _farey(n: int):
+    """(a, q) for every reduced a/q in (0, 1] with q <= n, increasing.
+
+    The Farey sequence of order n after 0/1, by its next-term rule: after
+    the neighbours a/q < c/d comes (k c - a)/(k d - q), k = (n + q) // d.
+    """
+    a, q, c, d = 0, 1, 1, n
+    while a < q:
+        yield c, d
+        k = (n + q) // d
+        a, q, c, d = c, d, k * c - a, k * d - q
 
 
 def largest_disjoint_q(q_cut: int, h_span: int, epsilon: float) -> int:
@@ -446,7 +463,7 @@ def _make_clamp(dec: ArcDecomposition, kind: str):
         arc, g = _nearest(dec, alpha)
         if abs(g) <= dec.beta if kind == "major" else abs(g) >= dec.beta:
             return alpha % 1.0
-        return (float(arc.center) % 1.0 + math.copysign(dec.beta, g)) % 1.0
+        return (arc.a / arc.q % 1.0 + math.copysign(dec.beta, g)) % 1.0
 
     return clamp
 

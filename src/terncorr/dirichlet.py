@@ -7,9 +7,10 @@ two-scale Richardson extrapolation of partial means.  Each window f(q0 n)
 is reduced once to its residue-class sums mod q1 (`_class_sums`, exact for
 integer families), and each character mod q1 is one dot product with them.
 A principal character instead sums by Moebius inversion over gcd(n, q1):
-signed prefixes of the windows f(q0 d n), d | q1, that the series holds
-anyway, exact for exact families (`rounding.exact_sum`).  The singular
-series needs only these.  `local_densities` gives C(a, q) for every unit a
+signed prefixes of the windows f(q0 d n), d | q1, exact for exact families
+(`rounding.exact_sum`).  The singular series needs only these, so it
+reduces each window to its prefixes as the window is sieved or read, and
+keeps none of them.  `local_densities` gives C(a, q) for every unit a
 of q from one set of character densities, through the expansion
 (`_character_expansion`) that the twisted-progression check also reads.
 `main_term_gap` is the one place that decides whether a correlation has
@@ -30,7 +31,9 @@ from .rounding import INT64_MAX, exact_sum
 
 MAX_CHARACTER_MODULUS = 1_000_000
 MAX_TABLE_ENTRIES = 1 << 25  # phi(q) * q guard for full group tables
-MAX_SERIES_BYTES = 1 << 32  # the progression windows a series holds at once
+# The bytes of the progression windows a series sieves (and writes, with a
+# cache directory); it holds at most one window per thread at once.
+MAX_SERIES_BYTES = 1 << 32
 
 # Memoised window reductions of one spec (see mean_density).
 Sums = dict[tuple, int | complex | list[np.ndarray]]
@@ -314,9 +317,7 @@ def _principal_sums(
     summed once into sums.
     """
     totals = [0, 0]
-    for d, mu in _moebius_divisors(q1):
-        k = q0 * d
-        ms = [n_terms // 2 // d, n_terms // d]
+    for mu, k, ms in _principal_terms(q0, q1, n_terms):
         missing = [m for m in ms if (k, m) not in sums]
         if missing:
             win = cache.window(spec, k, 1, n_terms)
@@ -325,6 +326,13 @@ def _principal_sums(
         for i, m in enumerate(ms):
             totals[i] += mu * sums[(k, m)]
     return totals
+
+
+def _principal_terms(q0: int, q1: int, n_terms: int) -> list[tuple[int, int, tuple]]:
+    """(mu(d), k, (M // 2 // d, M // d)) with k = q0 d and M = n_terms, for
+    every squarefree d | q1: the signed prefixes of `_principal_sums`."""
+    return [(mu, q0 * d, (n_terms // 2 // d, n_terms // d))
+            for d, mu in _moebius_divisors(q1)]
 
 
 def _moebius_divisors(q: int) -> list[tuple[int, int]]:
@@ -336,9 +344,9 @@ def _moebius_divisors(q: int) -> list[tuple[int, int]]:
 
 
 def _prefix_sum(win: CoefficientWindow, m: int) -> int | complex:
-    """sum_{n <= m} of the window's values: exact (`rounding.exact_sum`,
-    bounded by the window's peak) for int64 windows."""
-    values = win.values[:m]
+    """sum_{lo <= n <= m} of the window's values, m >= lo - 1: exact
+    (`rounding.exact_sum`, bounded by the window's peak) for int64 windows."""
+    values = win.values[: m - win.lo + 1]
     if values.dtype != np.int64:
         return complex(values.sum())
     return exact_sum(values, win.peak)
@@ -502,34 +510,48 @@ def singular_series_sum(
 ) -> SingularSeries:
     """Assemble C_q for q < q_cut and the main-term factor sum phi(q) C_q^3.
 
-    Each C_q is a sum of means of f(q0 n), n <= n_terms, over the divisors
-    q0 of q.  All those progression windows come from one
-    WindowCache.windows call, which sieves the missing ones together on
-    threads workers; the q-loop then reduces over exactly the windows it
-    returned, however few of them the cache can keep.
+    Each C_q is a sum of principal means of f(k n), n <= n_terms, over
+    the divisors k of q, and each mean reads two prefix sums of its
+    window.  One WindowCache.windows stream sieves the missing windows
+    together (or reads them) on threads workers and reduces each window,
+    or each segment of it, to every prefix sum the q-loop reads, then
+    drops it.  The q-loop finds all of them memoised and asks for no
+    window.  Exact sums come in per-segment pieces of Python ints, float
+    ones from the whole window, so each sum is the one that
+    `_principal_sums` forms from a whole window.
     """
     if q_cut < 2:
         raise DomainError("q_cut must be >= 2")
     cache = cache or WindowCache()
     sums: Sums = {}
 
-    # The windows are the expensive part; the q-loop is a cheap
-    # deterministic reduction over them.
-    q0_set = sorted(
-        {q // q1 for q in range(1, q_cut) for q1 in range(1, q + 1)
-         if q % q1 == 0 and moebius(q1) != 0}
-    )
-    size = len(q0_set) * n_terms * (8 if spec.is_real else 16)
+    cuts: dict[int, set[int]] = {}  # window q0 -> the prefix cuts read
+    for q in range(1, q_cut):
+        for q1, _ in _moebius_divisors(q):
+            for _, k, ms in _principal_terms(q // q1, q1, n_terms):
+                cuts.setdefault(k, set()).update(ms)
+    size = len(cuts) * n_terms * (8 if spec.is_real else 16)
     if size > MAX_SERIES_BYTES:
-        raise BudgetError(f"{len(q0_set)} series windows of N = {n_terms} terms take "
+        raise BudgetError(f"{len(cuts)} series windows of N = {n_terms} terms take "
                           f"{size} bytes, over budget {MAX_SERIES_BYTES}")
-    held = WindowCache.holding(
-        cache.windows(spec, q0_set, 1, n_terms, threads=threads)
-    )
+
+    def reduce(win: CoefficientWindow):
+        # Each cut fetches the window from a one-window cache, as
+        # _principal_sums fetches a cached one, so the cache calls that a
+        # tracer of WindowCache.window sees keep their shape.  A segment
+        # adds a piece to each cut it reaches; the first starts every cut.
+        held = WindowCache.holding(win)
+        for m in sorted(cuts[win.q0]):
+            if m >= win.lo or win.lo == 1:
+                piece = _prefix_sum(held.window(spec, win.q0, win.lo, win.hi), m)
+                key = (win.q0, m)
+                sums[key] = sums[key] + piece if key in sums else piece
+
+    cache.windows(spec, sorted(cuts), 1, n_terms, reduce, threads=threads)
     c_table = np.zeros(q_cut - 1, dtype=np.complex128)
     c_err = np.zeros(q_cut - 1, dtype=np.float64)
     for q in range(1, q_cut):
-        c, e = singular_coefficient(spec, q, n_terms, held, sums)
+        c, e = singular_coefficient(spec, q, n_terms, cache, sums)
         c_table[q - 1] = c
         c_err[q - 1] = e
 

@@ -18,7 +18,9 @@ arithmetic and their windows hold only those int64 values; a window in
 which some value could reach 2^62 is refused with BudgetError.
 
 WindowCache keeps windows in memory and, optionally, in MFW3 files named by
-spec id, and builds all the windows one request misses with one sieve.
+spec id.  Its stream (`WindowCache.windows`) sieves all the windows one
+request misses with one sieve per segment, hands each window or segment to
+a consumer as soon as it is assembled or read, and keeps none of them.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Mapping
 
@@ -357,9 +359,13 @@ def _valuations(p: int, start: int, hi: int) -> np.ndarray:
 
 def _sieve_segment(
     spec: MultSpec, q0s: tuple[int, ...], lo: int, hi: int,
-    outs: list[np.ndarray], mapper=map,
+    outs: list[np.ndarray] | None, mapper=map, consume=None,
 ) -> None:
     """Fill outs[i] with f(q0s[i]*n) for n in [lo, hi], from one sieve.
+
+    With outs None each q0 is assembled into a fresh array instead, and
+    consume(i, values) takes it as soon as it is filled, so no more arrays
+    are alive than mapper runs at once.
 
     Let S be the primes dividing some q0.  The sieve multiplies in every
     prime outside S and only records v_p(n) for p in S (an int8 table on
@@ -402,7 +408,8 @@ def _sieve_segment(
 
     # B <= f(q0 n) for divisor_k, so B reaching the limit refuses every q0.
     top = max(q0s)
-    base = np.ones(size, dtype=outs[0].dtype)
+    dtype = np.int64 if spec.is_exact else np.complex128
+    base = np.ones(size, dtype=dtype)
     base_mag = np.ones(size, dtype=np.float64) if guarded(top) else None
     smooth = np.ones(size, dtype=np.int64)
     # v_p on the multiples of p in the segment, for p in S
@@ -424,13 +431,15 @@ def _sieve_segment(
     leftover = rest > 1
     if leftover.any():
         stamp(base, base_mag, leftover, local_factor(spec, rest[leftover], 1), top)
+    del smooth, rest, leftover  # three window-size arrays fewer while assembling
 
     # The factors at the multiples of p, shared by every q0 that p misses.
     plain = {p: local_factor(spec, p, v) for p, v in expos.items()
              if v.size and not all(p in fac for fac in facs)}
 
     def assemble(i):
-        q0, fac, out = q0s[i], facs[i], outs[i]
+        q0, fac = q0s[i], facs[i]
+        out = np.empty(size, dtype) if outs is None else outs[i]
         np.copyto(out, base)
         mag = base_mag.copy() if guarded(q0) else None
         for p, v in expos.items():
@@ -444,17 +453,31 @@ def _sieve_segment(
             # the multiples of p, f(p^e0) off them.
             stamp(out, mag, where, local_factor(spec, p, v + e0), q0,
                   others=local_factor(spec, p, e0))
+        if consume is not None:
+            consume(i, out)
 
     list(mapper(assemble, range(len(q0s))))
 
 
-def _check_budget(q0: int, lo: int, hi: int):
+def _segments(lo: int, hi: int):
+    """The sieve segments [a, b] of [lo, hi], _SEGMENT terms each but the last."""
+    for a in range(lo, hi + 1, _SEGMENT):
+        yield a, min(a + _SEGMENT - 1, hi)
+
+
+def _check_request(q0s, lo: int, hi: int):
+    """DomainError or BudgetError unless every window f(q0*n), n in [lo, hi],
+    of q0s may be built."""
+    if not (1 <= lo <= hi):
+        raise DomainError(f"window requires 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    if any(q0 < 1 for q0 in q0s):
+        raise DomainError("q0 must be >= 1")
     if hi - lo + 1 > MAX_WINDOW_LEN:
         raise BudgetError(
             f"window length {hi - lo + 1} exceeds budget {MAX_WINDOW_LEN}"
         )
-    if q0 * hi > MAX_POINT:
-        raise BudgetError(f"window endpoint {q0 * hi} exceeds budget {MAX_POINT}")
+    if q0s and max(q0s) * hi > MAX_POINT:
+        raise BudgetError(f"window endpoint {max(q0s) * hi} exceeds budget {MAX_POINT}")
 
 
 def _build_windows(
@@ -468,12 +491,7 @@ def _build_windows(
     refuses the whole call.
     """
     q0s = tuple(q0s)
-    if not (1 <= lo <= hi):
-        raise DomainError(f"window requires 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    if any(q0 < 1 for q0 in q0s):
-        raise DomainError("q0 must be >= 1")
-    for q0 in q0s:
-        _check_budget(q0, lo, hi)
+    _check_request(q0s, lo, hi)
     if not q0s:
         return []
 
@@ -501,14 +519,11 @@ def _build_windows(
     outs = [np.empty(size, dtype=dtype) for _ in q0s]
     groups = [range(len(q0s))] if spec.is_exact else [[i] for i in range(len(q0s))]
     for group in groups:
-        a = lo
-        while a <= hi:
-            b = min(a + _SEGMENT - 1, hi)
+        for a, b in _segments(lo, hi):
             _sieve_segment(
                 spec, tuple(q0s[i] for i in group), a, b,
                 [outs[i][a - lo : b - lo + 1] for i in group], mapper,
             )
-            a = b + 1
     if not spec.is_exact and spec.is_real:
         # imaginary parts exactly zero for real rules
         outs = [out.real.copy() for out in outs]
@@ -561,28 +576,39 @@ def _block_dtype(spec: MultSpec) -> str:
     return "<i8" if spec.is_exact else "<f8"
 
 
-def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:
-    """Serialise a window: MFW3 header, then one block of its values.
+@contextmanager
+def _cache_writer(path: Path, spec: MultSpec | None, q0: int, lo: int, hi: int):
+    """Yield write(values), which appends values to the MFW3 file of the
+    window (spec, q0, lo, hi) at path, in order from lo.
 
     Only built-in families are cached, each under its spec id, and their
     values are real: the block is <i8 for exact families and <f8 for tau.
     The bytes go to a per-thread temporary file that replaces path in one
-    step, so concurrent writers of one key never leave a torn file behind.
+    step when the block is whole, so concurrent writers of one key never
+    leave a torn file behind, and a writer that fails leaves none.
     """
-    if win.spec is None or win.spec.kind is Kind.USER_EULER:
+    if spec is None or spec.kind is Kind.USER_EULER:
         raise DomainError("only windows of a built-in family can be cached")
-    path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            sid = win.spec.spec_id.encode("ascii")
-            fh.write(_HEADER.pack(_MAGIC, sid, win.q0, win.lo, win.hi))
-            # the block's own buffer: no bytes copy of a window that is
+            fh.write(_HEADER.pack(_MAGIC, spec.spec_id.encode("ascii"), q0, lo, hi))
+            # the values' own buffer: no bytes copy of values that are
             # already contiguous little-endian
-            fh.write(np.ascontiguousarray(win.values, dtype=_block_dtype(win.spec)))
+            yield lambda values: fh.write(
+                np.ascontiguousarray(values, dtype=_block_dtype(spec))
+            )
+            if fh.tell() != _HEADER.size + 8 * (hi - lo + 1):
+                raise DomainError(f"{path}: the block of [{lo},{hi}] is not whole")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_window_cache(win: CoefficientWindow, path: str | Path) -> None:
+    """Serialise a window: MFW3 header, then one block of its values."""
+    with _cache_writer(Path(path), win.spec, win.q0, win.lo, win.hi) as write:
+        write(win.values)
 
 
 def read_window_cache(path: str | Path) -> CoefficientWindow:
@@ -644,12 +670,10 @@ class WindowCache:
         )
 
     @classmethod
-    def holding(cls, wins) -> "WindowCache":
-        """A memory-only cache of exactly wins: reading them back builds nothing."""
-        wins = list(wins)
-        held = cls(max_items=max(1, len(wins)))
-        for win in wins:
-            held._store(win)
+    def holding(cls, win: CoefficientWindow) -> "WindowCache":
+        """A memory-only cache of exactly win: reading it back builds nothing."""
+        held = cls(max_items=1)
+        held._store(win)
         return held
 
     def counts(self) -> dict[str, int]:
@@ -678,7 +702,17 @@ class WindowCache:
             write_window_cache(win, path)
             self._count("disk_writes")
 
-    def window(self, spec: MultSpec, q0: int, lo: int, hi: int) -> CoefficientWindow:
+    def _build(self, spec: MultSpec, q0: int, lo: int, hi: int) -> CoefficientWindow:
+        win = window_on_progression(spec, q0, lo, hi)
+        self._count("builds")
+        self._write(win)
+        return win
+
+    def window(
+        self, spec: MultSpec, q0: int, lo: int, hi: int, keep: bool = True
+    ) -> CoefficientWindow:
+        """The window f(q0*n), n in [lo, hi], from memory, disk or a sieve;
+        kept in memory afterwards unless keep is False."""
         if spec.kind is Kind.DIVISOR_K and spec.k == 1:
             self._count("builds")
             return window_on_progression(spec, q0, lo, hi)  # cheaper to rebuild than hold
@@ -693,43 +727,76 @@ class WindowCache:
         if win is not None:
             self._count("disk_reads")
         else:
-            win = window_on_progression(spec, q0, lo, hi)
-            self._count("builds")
-            self._write(win)
-        self._store(win)
+            win = self._build(spec, q0, lo, hi)
+        if keep:
+            self._store(win)
         return win
 
     def windows(
-        self, spec: MultSpec, q0s, lo: int, hi: int, threads: int = 1
-    ) -> list[CoefficientWindow]:
-        """The windows f(q0*n), n in [lo, hi], of every q0 in q0s, in order.
+        self, spec: MultSpec, q0s, lo: int, hi: int, consume, threads: int = 1
+    ) -> None:
+        """Hand consume(win) the window f(q0*n), n in [lo, hi], of every
+        distinct q0 in q0s, and keep none of them.
 
-        A window held in memory or on disk comes back through window(),
-        which rebuilds it alone if its file fails the key check; the others
-        are built together, from one sieve per segment, and written
-        through.  The list returned holds every window, whatever memory
-        could keep.  threads workers read the files, assemble the built
-        windows and write them.
+        A window held in memory or on disk comes through window(), which
+        rebuilds it alone if its file fails the key check.  The others are
+        sieved together, one sieve per segment, and written through.  An
+        exact window longer than one segment reaches consume as its
+        segments, windows of [a, b] in increasing order, and its file is
+        written segment by segment; every other window reaches consume
+        whole.  threads workers read, assemble, write and consume the
+        windows, so besides those memory held already at most threads of
+        them are alive at once.  Any refusal refuses the whole call.
         """
-        q0s = list(q0s)
-        if spec.kind is Kind.DIVISOR_K and spec.k == 1:
-            return [self.window(spec, q0, lo, hi) for q0 in q0s]
         distinct = list(dict.fromkeys(q0s))
-        with self._lock:
-            held = {q0 for q0 in distinct if (spec, q0, lo, hi) in self._mem}
-        for q0 in distinct:
-            path = self._path(spec, q0, lo, hi)
-            if path is not None and path.exists():
-                held.add(q0)
+        _check_request(distinct, lo, hi)
+        if spec.kind is Kind.DIVISOR_K and spec.k == 1:
+            held = set(distinct)  # window() rebuilds each alone
+        else:
+            with self._lock:
+                held = {q0 for q0 in distinct if (spec, q0, lo, hi) in self._mem}
+            for q0 in distinct:
+                path = self._path(spec, q0, lo, hi)
+                if path is not None and path.exists():
+                    held.add(q0)
         found = [q0 for q0 in distinct if q0 in held]
         missing = [q0 for q0 in distinct if q0 not in held]
         with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
             mapper = map if pool is None else pool.map
-            got = dict(zip(found, mapper(lambda q0: self.window(spec, q0, lo, hi), found)))
-            built = _build_windows(spec, missing, lo, hi, mapper)
-            self._count("builds", len(built))
-            list(mapper(self._write, built))
-        for win in built:
-            self._store(win)
-            got[win.q0] = win
-        return [got[q0] for q0 in q0s]
+            list(mapper(lambda q0: consume(self.window(spec, q0, lo, hi, keep=False)),
+                        found))
+            if spec.is_exact:
+                self._sieve_through(spec, missing, lo, hi, consume, mapper)
+            else:  # float windows are sieved and reduced whole, one q0 at a time
+                list(mapper(lambda q0: consume(self._build(spec, q0, lo, hi)), missing))
+
+    def _sieve_through(self, spec: MultSpec, q0s, lo, hi, consume, mapper) -> None:
+        """Sieve the exact windows of q0s jointly, segment by segment, writing
+        each through and handing it (or its segments) to consume."""
+        if not q0s:
+            return
+        self._count("builds", len(q0s))
+        whole = hi - lo < _SEGMENT
+        with ExitStack() as files:
+            writers = [None] * len(q0s)
+            if not whole and self._dir is not None:
+                self._dir.mkdir(parents=True, exist_ok=True)
+                writers = [
+                    files.enter_context(_cache_writer(
+                        self._path(spec, q0, lo, hi), spec, q0, lo, hi))
+                    for q0 in q0s
+                ]
+
+            def take(a, b, i, values):
+                win = CoefficientWindow(lo=a, hi=b, q0=q0s[i], values=values, spec=spec)
+                if whole:
+                    self._write(win)
+                elif writers[i] is not None:
+                    writers[i](values)
+                consume(win)
+
+            for a, b in _segments(lo, hi):
+                _sieve_segment(spec, tuple(q0s), a, b, None, mapper,
+                               partial(take, a, b))
+        if not whole and self._dir is not None:
+            self._count("disk_writes", len(q0s))

@@ -74,6 +74,18 @@ def test_farey_arcs_reduced_and_sorted():
     )
 
 
+def test_farey_arcs_match_the_sorted_fractions():
+    # The next-term recurrence gives the sorted reduced fractions, each
+    # centre is Fraction(a, q), and the float centres are float(a/q) mod 1.
+    for q_cut in range(2, 81):
+        dec = decompose(q_cut, 10**8, 0.01)
+        fracs = sorted(Fraction(a, q) for q in range(1, q_cut)
+                       for a in range(1, q + 1) if math.gcd(a, q) == 1)
+        assert [(arc.a, arc.q, arc.center) for arc in dec.major] == [
+            (f.numerator, f.denominator, f) for f in fracs], q_cut
+        assert dec.centers.tolist() == [float(f) % 1.0 for f in fracs], q_cut
+
+
 def test_minor_set_tiles_complement():
     # Every bin of a fine grid is a major point or a minor one, and the
     # minor share is 1 - 2 beta per arc, to a bin per arc end.

@@ -2,6 +2,10 @@
 
 import math
 import random
+import sys
+import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -461,6 +465,98 @@ def test_series_builds_each_window_once(monkeypatch, threads):
     assert series.series_value == reference.series_value
 
 
+@pytest.mark.parametrize("sid, segment, threads", [
+    ("one_star_chi4", 2500, 1), ("one_star_chi4", 4999, 2),
+    ("divisor3", 4999, 2), ("moebius", 2500, 2), ("one_star_chi4", 2500, 4),
+])
+def test_streamed_segments_match_whole_windows(monkeypatch, tmp_path, sid, segment,
+                                               threads):
+    # Windows of several segments (2500 puts segment ends on the cuts 5000,
+    # 10000 and 20000, 4999 a segment start on the cut 5000): each exact
+    # prefix sum comes in per-segment pieces and each cache file is written
+    # segment by segment, and both equal what whole windows give, as does a
+    # warm run that reads the files back.  Four workers with a short switch
+    # interval would show a lost update to the shared sums.
+    spec, q_cut, n_terms = spec_from_id(sid), 50, 20000
+    whole = [multfunc.window_on_progression(spec, q0, 1, n_terms)
+             for q0 in range(1, q_cut)]
+    held = WindowCache(max_items=64)
+    for win in whole:
+        held._store(win)
+    reference = singular_series_sum(spec, q_cut, n_terms, cache=held)
+    assert held.counts()["memory_hits"] == 49 and held.counts()["builds"] == 0
+    monkeypatch.setattr(multfunc, "_SEGMENT", segment)
+    directory = tmp_path / "cache"
+    cache = WindowCache(directory)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        streamed = singular_series_sum(spec, q_cut, n_terms, cache=cache,
+                                       threads=threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert cache.counts() == {"memory_hits": 0, "disk_reads": 0, "builds": 49,
+                              "disk_writes": 49}
+    warm = singular_series_sum(spec, q_cut, n_terms, cache=WindowCache(directory))
+    for got in (streamed, warm):
+        assert np.array_equal(got.c_table, reference.c_table)
+        assert np.array_equal(got.c_errors, reference.c_errors)
+        assert got.series_value == reference.series_value
+    assert len(list(directory.iterdir())) == 49  # no temporary file is left
+    for win in whole:
+        multfunc.write_window_cache(win, tmp_path / "whole.bin")
+        name = multfunc.cache_file_name(spec, win.q0, 1, n_terms)
+        assert (directory / name).read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_series_keeps_at_most_one_window_per_thread(monkeypatch, threads):
+    # 49 windows of 10^5 int64 values take 39 MB; the stream reduces each
+    # as it is assembled, so at most `threads` of them are alive at once.
+    refs, most, lock = [], [0], threading.Lock()
+    prefix_sum = dirichlet._prefix_sum
+
+    def counting(win, m):
+        with lock:
+            if not any(r() is win for r in refs):
+                refs.append(weakref.ref(win))
+            most[0] = max(most[0], sum(r() is not None for r in refs))
+        return prefix_sum(win, m)
+
+    monkeypatch.setattr(dirichlet, "_prefix_sum", counting)
+    n_terms = 10**5
+    tracemalloc.start()
+    try:
+        singular_series_sum(OSC, 50, n_terms, cache=WindowCache(), threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(refs) == 49 and 1 <= most[0] <= threads
+    assert peak < 12 * 8 * n_terms, peak  # the sieve's arrays and `threads` windows
+
+
+def _real_rule(bound):
+    return MultSpec.user_euler(
+        {(p, e): math.cos(0.37 * p + 1.1 * e)
+         for p in map(int, multfunc.primes_up_to(bound))
+         for e in range(1, int(math.log(bound, p)) + 1)},
+        k_bound=1,
+    )
+
+
+@pytest.mark.parametrize("spec", [MultSpec.ramanujan_tau_norm(), _real_rule(29 * 4000)],
+                         ids=["tau", "real-rule"])
+def test_float_series_matches_per_window_sums(spec):
+    # Float windows are reduced whole, through the prefix sums a per-window
+    # route forms, so the table keeps its bits.
+    q_cut, n_terms = 30, 4000
+    series = singular_series_sum(spec, q_cut, n_terms, cache=WindowCache(), threads=2)
+    cache = WindowCache(max_items=64)
+    expect = [singular_coefficient(spec, q, n_terms, cache, {}) for q in range(1, q_cut)]
+    assert series.c_table.tolist() == [c for c, _ in expect]
+    assert series.c_errors.tolist() == [e for _, e in expect]
+
+
 def test_series_value_below_is_a_shorter_series():
     # A prefix of one table gives, bit for bit, the series summed to that Q.
     whole = singular_series_sum(OSC, 20, 5000, cache=CACHE)
@@ -485,8 +581,11 @@ def test_twisted_terms_match_principal_series():
     # The ternary singular series with every character term,
     # sum_q sum_a C(a, q)^2 C(-2a/q) over the units a mod q, against the
     # principal-only sum phi(q) C_q^3 that singular_series_sum reports.
-    # The series' one joint sieve warms every window the tables read.
+    # The series keeps no window, so one joint build warms every window
+    # the tables read.
     q_cut, n_terms, cache = 50, 2 * 10**5, WindowCache(max_items=96)
+    for win in multfunc._build_windows(OSC, range(1, q_cut), 1, n_terms):
+        cache._store(win)
     series = singular_series_sum(OSC, q_cut, n_terms, cache=cache)
     dens, sums = {}, {}
     for q in range(1, q_cut):

@@ -192,7 +192,7 @@ def test_joint_build_refuses_where_single_windows_do(q0s, lo, hi, refused):
         with pytest.raises(BudgetError):
             multfunc._build_windows(d40, q0s, lo, hi)
         with pytest.raises(BudgetError):
-            WindowCache().windows(d40, q0s, lo, hi, threads=2)
+            WindowCache().windows(d40, q0s, lo, hi, lambda win: None, threads=2)
     else:
         for win in multfunc._build_windows(d40, q0s, lo, hi):
             assert np.array_equal(win.values, alone[win.q0].values)
@@ -593,10 +593,12 @@ def test_window_cache_windows_reads_what_it_holds_and_builds_the_rest(tmp_path):
     cache.window(spec, 5, 1, 500)
     assert cache.counts() == {"memory_hits": 0, "disk_reads": 0, "builds": 1,
                               "disk_writes": 1}
-    # 5 is in memory, 3 on disk; 1 and 7 are built by one sieve, although
-    # memory keeps only two windows.
-    wins = cache.windows(spec, [1, 3, 5, 7, 3], 1, 500, threads=2)
-    assert [w.q0 for w in wins] == [1, 3, 5, 7, 3]
+    # 5 is in memory, 3 on disk; 1 and 7 are built by one sieve.  Each
+    # distinct window reaches the consumer once, and memory keeps none of
+    # the streamed ones.
+    wins = []
+    cache.windows(spec, [1, 3, 5, 7, 3], 1, 500, wins.append, threads=2)
+    assert sorted(w.q0 for w in wins) == [1, 3, 5, 7]
     for win in wins:
         alone = window_on_progression(spec, win.q0, 1, 500)
         assert np.array_equal(win.values, alone.values)
@@ -604,8 +606,11 @@ def test_window_cache_windows_reads_what_it_holds_and_builds_the_rest(tmp_path):
                               "disk_writes": 3}
     for q0 in (1, 3, 5, 7):
         assert (tmp_path / multfunc.cache_file_name(spec, q0, 1, 500)).exists()
-    held = WindowCache.holding(wins)
-    assert held.window(spec, 7, 1, 500) is wins[3]
+    cache.window(spec, 5, 1, 500)
+    cache.window(spec, 3, 1, 500)
+    assert cache.counts()["memory_hits"] == 2 and cache.counts()["disk_reads"] == 2
+    held = WindowCache.holding(wins[0])
+    assert held.window(spec, wins[0].q0, 1, 500) is wins[0]
     assert held.counts()["builds"] == 0
 
 
