@@ -290,7 +290,7 @@ def test_series_roundtrip_via_record(tmp_path):
 
 
 def test_pole_free_trend_sieves_no_series(capsys):
-    # tau progressions would pass the 2^21 tau budget (exit 3), but a
+    # tau progressions would pass the 2^22 tau budget (exit 3), but a
     # pole-free trend reads no series: its gap is |S| / (X H^(1 - eps)).
     assert main(["main-term-trend", "--spec", "tau", "--X-list", "10000"]) == 0
     (point,) = json.loads(capsys.readouterr().out)["payload"]["points"]
@@ -662,14 +662,14 @@ def test_arc_scan_far_from_origin(tmp_path):
 
 
 def test_tau_correlation_at_a_million(monkeypatch, capsys):
-    # X = 10^6 reads tau up to 2X + 2H = 2002000, inside the 2^21 budget.
-    # The monkeypatch drops the 2^21 table when the test ends.
+    # X = 10^6 reads tau up to 2X + 2H = 2002000: a table of capacity 2^21,
+    # below the 2^22 budget.  The monkeypatch drops it when the test ends.
     monkeypatch.setattr(tau, "_table", tau._EMPTY)
     assert main(["correlate", "--spec", "tau", "--X", "1000000", "--H", "1000",
                  "--method", "conv"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     info = payload["tau_table"]
-    assert (info["capacity"], info["builds"]) == (tau.MAX_TAU_INDEX, 1)
+    assert (info["capacity"], info["builds"]) == (1 << 21, 1)
     assert len(info["digit_bits"]) == 3 and info["rounding_bound"] < 0.5
     assert payload["value_im"] == 0.0
     assert 0 < payload["error_bound"] <= 1e-6 * abs(payload["value_re"])

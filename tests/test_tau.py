@@ -3,9 +3,12 @@ and a reference engine of exact number-theoretic transforms that checks it."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terncorr import multfunc, tau
 from terncorr.errors import BudgetError
@@ -14,13 +17,18 @@ from terncorr.errors import BudgetError
 # table built by number-theoretic transforms and CRT (fixed six primes, %
 # butterflies), before the float-FFT engine.
 TAU_131072_SHA256 = "1d4962860eb6e2531edcb60882c4f0d2af4fabb20c9425a8ed99037dab7731db"
+# sha256 of the bytes of the float64 column tau(n) / n^(11/2) at capacity
+# 131072, pinned from the build that joined Python ints and rounded them.
+COLUMN_131072_SHA256 = "3323bcf261d7860308109d85969333891fbd655e0abcc374b21ea6ac522bf05f"
 N_TABLE = 1 << 17
 
 
 @pytest.fixture(scope="module")
 def taus():
-    """A table of 131072 terms built here, whatever the process holds."""
-    return tau._compute_tau(N_TABLE)[0]
+    """A table of 131072 terms built here, whatever the process holds, from
+    the classes of the build's own last squaring."""
+    bits, classes, _ = tau._tau_classes(N_TABLE)
+    return to_ints(classes, bits)
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -35,7 +43,7 @@ def primes_up_to(n: int) -> list[int]:
 def test_tau_table_digest_and_prime_counts(monkeypatch, taus):
     """A fresh build up to 131072 equals the pinned one, each of its three
     squarings ran at a width whose recorded bound is below 1/2, and the
-    table holds float(tau(n)) / n^(11/2)."""
+    table holds float(tau(n)) / n^(11/2), to the pinned bytes."""
     text = ",".join(str(t) for t in taus)
     assert hashlib.sha256(text.encode()).hexdigest() == TAU_131072_SHA256
     monkeypatch.setattr(tau, "_table", tau._EMPTY)
@@ -52,6 +60,7 @@ def test_tau_table_digest_and_prime_counts(monkeypatch, taus):
     n = np.arange(1, N_TABLE + 1, dtype=np.float64)
     assert np.array_equal(lam, np.array(list(taus), dtype=object).astype(np.float64)
                           / n ** 5.5)
+    assert hashlib.sha256(lam.tobytes()).hexdigest() == COLUMN_131072_SHA256
 
 
 @pytest.mark.parametrize("capacity, bits, bound", [
@@ -102,7 +111,7 @@ def test_requests_within_capacity_reuse_one_build(monkeypatch):
 
     def fake_compute(n_terms):
         builds.append(n_terms)
-        return np.arange(1, n_terms + 1).astype(object), ((1, 0.0),) * 3
+        return np.arange(1, n_terms + 1, dtype=np.float64), ((1, 0.0),) * 3
 
     monkeypatch.setattr(tau, "_compute_tau", fake_compute)
     for n in (100_000, 102_000, 131_072):
@@ -119,10 +128,11 @@ def test_requests_within_capacity_reuse_one_build(monkeypatch):
 
 
 def test_tau_budget_follows_transform_budget(monkeypatch):
-    # The cap is where the certificate was measured to hold (12-bit digits,
-    # bound 0.48 at capacity 2^21); a request past it builds nothing.
-    assert tau.MAX_TAU_INDEX == 1 << 21
-    assert tau._transform_size(tau.MAX_TAU_INDEX) == 1 << 22
+    # The cap is where the certificate was measured to hold (14-, 12- and
+    # 11-bit digits, bound 0.29 at capacity 2^22); a request past it builds
+    # nothing.
+    assert tau.MAX_TAU_INDEX == 1 << 22
+    assert tau._transform_size(tau.MAX_TAU_INDEX) == 1 << 23
     held = tau._table
 
     def no_build(n_terms):
@@ -160,17 +170,72 @@ def test_int64_powers_refused_past_the_limit(monkeypatch):
 
 @pytest.mark.parametrize("bits", [1, 5, 12, 20])
 def test_class_joins_match_python_ints(bits):
-    # Classes of both signs, with carries through every digit and limb.
+    # Classes of both signs, with carries through every digit and limb:
+    # the float join rounds the exact sum as float() rounds a Python int.
     rng = np.random.default_rng(bits)
     classes = [rng.integers(-(2**45), 2**45, 500) for _ in range(9)]
     classes[-1][:3] = (-1, 0, 1)
     want = [sum(int(c[i]) << (bits * k) for k, c in enumerate(classes))
             for i in range(500)]
-    assert list(tau._to_ints(iter(classes), bits)) == want
+    assert list(to_ints(classes, bits)) == want
+    got = tau._to_floats(iter([c.copy() for c in classes]), bits, np.empty(500))
+    assert got.tobytes() == np.array([float(v) for v in want]).tobytes()
     small = [c >> 40 for c in classes[:3]]
     want = [sum(int(c[i]) << (bits * k) for k, c in enumerate(small))
             for i in range(500)]
     assert tau._join(iter([c.copy() for c in small]), bits).tolist() == want
+
+
+def magnitudes():
+    """Sums where rounding to float64 is delicate: 0, values near 2^53, 2^62
+    and 2^63, exact half-ulp ties (odd 54-bit multiples of a power of two)
+    and their neighbours, and any size up to 2^130."""
+    def near(point):
+        return st.integers(-4096, 4096).map(lambda d: point + d)
+
+    ties = st.builds(lambda m, e, d: ((2 * m + 1) << e) + d,
+                     st.integers(1 << 52, (1 << 53) - 1), st.integers(0, 76),
+                     st.sampled_from([-1, 0, 0, 0, 1]))
+    return st.one_of(st.just(0), near(1 << 53), near(1 << 62), near(1 << 63),
+                     ties, st.integers(0, 1 << 130))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(magnitudes(), st.sampled_from([1, -1])), min_size=1,
+                max_size=12),
+       st.integers(4, 20), st.integers(0, 2**32 - 1))
+def test_float_join_rounds_as_python_floats(values, bits, seed):
+    # The limbs' round-to-odd join equals float() of the exact join, bit for
+    # bit, on classes that carry both ways between digits.
+    values = [m * sign for m, sign in values]
+    count = max(v.bit_length() for v in values) // bits + 2
+    mask = (1 << bits) - 1
+    digits = [[(v >> (bits * k)) & mask for v in values] for k in range(count - 1)]
+    digits.append([v >> (bits * (count - 1)) for v in values])
+    classes = [np.array(d, dtype=np.int64) for d in digits]
+    rng = np.random.default_rng(seed)
+    for k in range(count - 1):  # move a multiple of 2^bits between classes
+        moved = rng.integers(-(2**40), 2**40, len(values))
+        classes[k] += moved << bits
+        classes[k + 1] -= moved
+    assert list(to_ints(classes, bits)) == values
+    got = tau._to_floats(iter(classes), bits, np.empty(len(values)))
+    assert got.tobytes() == np.array([float(v) for v in values]).tobytes()
+
+
+def test_build_peak_stays_below_the_python_int_join():
+    # tracemalloc's peak over a 2^18 build, numpy arrays included: 42.0 MiB
+    # when the last classes were joined into Python ints and every class
+    # allocated its own sums, 32.0 MiB from the int64 limbs with one set of
+    # buffers.
+    tau._compute_tau(16)  # imports and plans outside the traced build
+    tracemalloc.start()
+    try:
+        tau._compute_tau(1 << 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 37 * 2**20
 
 
 def test_small_tables_and_self_check():
@@ -297,6 +362,15 @@ def crt(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
     return np.where(total > modulus // 2, total - modulus, total)
 
 
+def to_ints(classes, bits: int) -> np.ndarray:
+    """sum_k classes[k] << (bits k) as an object array of Python ints: the
+    exact join that the float column is rounded from."""
+    total = 0
+    for k, c in enumerate(classes):
+        total = total + (c.astype(object) << (bits * k))
+    return total
+
+
 def tau_bound(n: int) -> int:
     # |tau(m)| <= d(m) m^(11/2) (Deligne) and d(m) <= 2 sqrt(m).
     return 2 * n**6
@@ -376,14 +450,17 @@ def test_float_square_matches_convolution(size, scale):
     want = np.convolve(a.astype(object), a.astype(object))[:size]
     bits, bound, classes = tau._square(a, 1 << (2 * size - 1).bit_length())
     assert bound < 0.5
-    assert list(tau._to_ints(classes, bits)) == list(want)
+    assert list(to_ints(classes, bits)) == list(want)
 
 
 def test_table_matches_reference_transforms(taus):
     n_terms = 1 << 12
     want = reference_taus(n_terms).tolist()
-    assert tau._compute_tau(n_terms)[0].tolist() == want
+    bits, classes, _ = tau._tau_classes(n_terms)
+    assert to_ints(classes, bits).tolist() == want
     assert taus[:n_terms].tolist() == want
+    floats = tau._compute_tau(n_terms)[0]
+    assert floats.tobytes() == np.array([float(t) for t in want]).tobytes()
 
 
 def test_square_classes_match_scipy_fft(monkeypatch):
@@ -393,9 +470,13 @@ def test_square_classes_match_scipy_fft(monkeypatch):
     size = 1 << (2 * a.size - 1).bit_length()
     bits, bound, classes = tau._square(a, size)
     got = list(classes)
+    def irfft(a, n, out):
+        out[...] = scipy.fft.irfft(a, n)
+        return out
+
     with monkeypatch.context() as mp:
         mp.setattr(np.fft, "rfft", scipy.fft.rfft)
-        mp.setattr(np.fft, "irfft", scipy.fft.irfft)
+        mp.setattr(np.fft, "irfft", irfft)
         want_bits, want_bound, classes = tau._square(a, size)
         want = list(classes)
     assert (bits, bound) == (want_bits, want_bound) and len(got) == len(want) > 1
