@@ -9,13 +9,18 @@ sum_h (H - |h|) T_h, which is an integer for integer-valued families, so the
 two routes can be compared bit for bit.  Shifted arguments run outside
 [X, 2X]; windows are padded by 2H on both sides.
 
-`ternary_direct` is the reference: every term of the definition, O(X H),
-summed in cache-sized tiles of lags by terms of n.  `ternary_convolution`
-is a different algorithm.  It writes H * S as sum_r f2(r) K(r), where K
-is a convolution of f1 and f3 restricted to the band |k - n| < 2H with the
-Fejer weight H - |k - n|/2.  Split by the parity of n and cut into blocks
-of H terms, the band leaves a diagonal and strict triangles of
-neighbouring blocks, on which the weight is linear.  Each triangle is
+`ternary_direct` is the reference: the definition, O(X H), summed in
+cache-sized tiles of lags by terms of n.  For mixed triples and float
+families that is every term.  For an exact family with f1 = f3 (checked by
+value on [X - 2H, 2X + 2H]) the lags -h fold onto +h where that costs
+less: T_(-h) = T_h + L_h - U_h, with two strips of 2h terms
+(`_folded_parts`), so lags 0..H and the strips do about 1/2 + H/X of the
+work.  `ternary_convolution` is a different algorithm.  It writes H * S as
+sum_r f2(r) K(r), where K is a convolution of f1 and f3 restricted to the
+band |k - n| < 2H with the Fejer weight H - |k - n|/2.  Split by the
+parity of n and cut into blocks of H terms, the band leaves a diagonal and
+strict triangles of neighbouring blocks, on which the weight is linear;
+a triangle that another one equals is computed once.  Each triangle is
 evaluated by recursive halving (van der Hoeven, "Relax, but don't be too
 lazy", J. Symb. Comput. 34, 2002): each level is a batch of full squares,
 four forward and one inverse real FFT of length 2m, so the whole route
@@ -33,10 +38,10 @@ accumulated in int64, since it can pass 2^53, and its products with f2
 are summed by `rounding.exact_sum`.
 
 Both routes split their work over `threads` workers, the calling thread
-among them (`_in_order`): direct its tiles of n, the band its `_triangles`
-batches.  The pieces are fixed by the request, and their results are added
-in the order one thread adds them, so every sum, float or exact, has the
-same bits for every thread count.
+among them (`_in_order`): direct its tiles of n, the band its runs of
+`_triangles` rows.  The pieces are fixed by the request, and their
+results are added in the order one thread adds them, so every sum, float
+or exact, has the same bits for every thread count.
 """
 
 from __future__ import annotations
@@ -106,6 +111,8 @@ class CorrelationResult:
     # float families, a bound on |S - value|.  Direct: None.
     error_bound: float | None = None
     digits: tuple[int, int, int] | None = None  # exact families: per window
+    folded: bool | None = None  # direct: whether lags -h were folded onto +h
+    twin_rows: int | None = None  # conv: rows computed once for two kinds
 
     @property
     def exact_value(self) -> Fraction | None:
@@ -144,12 +151,14 @@ def ternary_direct(
     Every family runs the float tiles of `_lag_sums`.  Exact families split
     the windows into digits (`_direct_digit_bits`) small enough that every
     tile is exact in float64 and every lag sum fits in int64, and add the
-    weighted lag sums as Python ints.  Float and complex families run the
-    tiles in float64 or complex128 and take a Kahan-compensated sum over
-    lags; h_order ("forward" | "reverse") only orders that sum, so
-    reproducibility under reordering can be measured.  Exact results do
-    not depend on it.  threads workers share the tiles of n; no result
-    depends on their number.
+    weighted lag sums as Python ints; `folded` says whether a symmetric
+    triple summed lags 0..H and two strips in place of lags -H..H (see
+    `_folded_parts`).  Float and complex families run the tiles in float64
+    or complex128 and take a Kahan-compensated sum over lags; h_order
+    ("forward" | "reverse") only orders that sum, so reproducibility under
+    reordering can be measured.  Exact results do not depend on it.
+    threads workers share the tiles of n; no result depends on their
+    number.
     """
     t0 = time.perf_counter()
     w1, w2, w3 = windows or correlation_windows(req, cache)
@@ -159,26 +168,40 @@ def ternary_direct(
     f3 = w3.segment(x - 2 * h, 2 * x + 2 * h)
 
     numerator = digits = None
+    folded = False
     if _use_exact(req):
         limit = min((1 << 53) // _TILE_TERMS, INT64_MAX // (x + 1))
-        bits = _direct_digit_bits(max_abs(f1), max_abs(f2), max_abs(f3), limit)
-        (_, d1), (_, d2), (_, d3) = map(split_digits, (f1, f2, f3), bits)
+        lo, hi = x - 2 * h, 2 * x + 2 * h
+        share = None  # of a whole pass, for a folded one: lags 0 .. H and two strips
+        if w1.covers(lo, hi) and np.array_equal(w1.segment(lo, hi), f3):
+            share = (h + 1) * (x + 1 + 2 * h) / ((x + 1) * (2 * h + 1))
+        bits, folded = _direct_digit_bits(max_abs(f1), max_abs(f2), max_abs(f3),
+                                          limit, share)
+        (_, d2), (_, d3) = split_digits(f2, bits[1]), split_digits(f3, bits[2])
+        # Folded, f1 takes F's digits on [X - 2H, 2X + 2H] (`_folded_parts`
+        # slices [X, 2X]), so each digit triple has its mirror.
+        d1 = d3 if folded else split_digits(f1, bits[0])[1]
         digits = (len(d1), len(d2), len(d3))
         u1 = np.stack([d for _, d in d1], axis=1).astype(np.float64)
-        weights = np.array([h - abs(hh) for hh in range(-h, h + 1)], dtype=object)
+        if folded:  # H T_0 + sum_{h=1}^{H} (H - h) (2 T_h + L_h - U_h)
+            tri = np.arange(h, -1, -1).astype(object)  # H - h for h = 0 .. H
+            weights = (np.concatenate(([h], 2 * tri[1:])), tri, -tri)
+        else:
+            weights = (np.array([h - abs(hh) for hh in range(-h, h + 1)], dtype=object),)
         numerator = 0
         for (s2, u2), (s3, u3) in product(d2, d3):
-            sums = _lag_sums(u1, u2.astype(np.float64), u3.astype(np.float64),
-                             np.int64, threads)
-            for (s1, _), t in zip(d1, sums.T):
-                numerator += int(np.dot(weights, t.astype(object))) << (s1 + s2 + s3)
+            u2, u3 = (np.ascontiguousarray(u, dtype=np.float64) for u in (u2, u3))
+            parts = _folded_parts(u1, u2, u3, x, h) if folded else [(u1, u2, u3, 0)]
+            for w, sums in zip(weights, _lag_sums(parts, np.int64, threads)):
+                for (s1, _), t in zip(d1, sums.T):
+                    numerator += int(np.dot(w, t.astype(object))) << (s1 + s2 + s3)
         value = numerator / h
     else:
         # Float tiles for every family: int64 products of a mixed request
         # can wrap (divisor40 values pass 2^44 at X = 8192).
         dtype = np.result_type(f1, f2, f3, np.float64)
-        sums = _lag_sums(f1.astype(dtype)[:, None], f2.astype(dtype),
-                         f3.astype(dtype), dtype, threads)[:, 0]
+        parts = [(f1.astype(dtype)[:, None], f2.astype(dtype), f3.astype(dtype), 0)]
+        sums = _lag_sums(parts, dtype, threads)[0][:, 0]
         lags = range(2 * h + 1) if h_order == "forward" else range(2 * h, -1, -1)
         total = 0.0 + 0.0j
         comp = 0.0 + 0.0j  # Kahan carry over the mixed-sign h-accumulation
@@ -193,74 +216,122 @@ def ternary_direct(
     elapsed = time.perf_counter() - t0
     return CorrelationResult(
         value, Method.DIRECT, x, h, timing=elapsed, exact_numerator=numerator,
-        digits=digits,
+        digits=digits, folded=folded,
     )
 
 
-def _direct_digit_bits(m1: int, m2: int, m3: int, limit: int) -> tuple[int, int, int]:
-    """Digit widths for f1, f2, f3 (max |f_i| = m_i) on the direct route.
+def _direct_digit_bits(m1: int, m2: int, m3: int, limit: int,
+                       share: float | None = None) -> tuple[tuple[int, int, int], bool]:
+    """(digit widths for f1, f2, f3, fold) on the direct route, max |f_i| = m_i.
 
     Every digit triple bound D1 D2 D3 stays within limit.  Each digit pair
     of f2 and f3 is one pass of `_lag_sums`, and the digits of f1 are the
     columns of its matmul, each about 1/_PASS_COLUMNS of a pass, so the
     widths give the least passes * (_PASS_COLUMNS + digits of f1), then
-    the fewest passes.
+    the fewest passes.  A symmetric triple may fold (`_folded_parts`): f1
+    then takes the width of f3 (m1 = m3), and a pass costs share of an
+    unfolded one.  It folds where that costs less.
     """
     best = None
     d1s = [digit_shape(m1, b)[0] for b in range(1, m1.bit_length() + 1)]  # sorted
     widths = (range(1, m.bit_length() + 1) for m in (m2, m3))
     for b2, b3 in product(*widths):
         (d2, n2), (d3, n3) = digit_shape(m2, b2), digit_shape(m3, b3)
+        passes = n2 * n3
         b1 = bisect_right(d1s, limit // (d2 * d3))  # widest f1 digits that fit, or 0
-        if b1:
-            passes = n2 * n3
-            cost = (passes * (_PASS_COLUMNS + digit_shape(m1, b1)[1]), passes)
-            if best is None or cost < best[0]:
-                best = cost, (b1, b2, b3)
+        options = [(b1, digit_shape(m1, b1)[1] if b1 else 0, 1.0, False)]
+        if share is not None and d2 * d3 * d3 <= limit:
+            options.append((b3, n3, share, True))
+        for b1, n1, scale, fold in options:
+            cost = (passes * (_PASS_COLUMNS + n1) * scale, passes, fold)
+            if b1 and (best is None or cost < best[0]):
+                best = cost, ((b1, b2, b3), fold)
     return best[1]
 
 
-def _lag_sums(u1, u2, u3, dtype, threads: int = 1) -> np.ndarray:
-    """T[j, c] = sum_n u1[n, c] u2[n + j] u3[n + 2j] for the lags j = h + H.
+def _folded_parts(fm, u2, u3, x: int, h: int) -> list[tuple]:
+    """The `_lag_sums` parts of one folded pass: T_h, L_h and U_h for h = 0 .. H.
 
-    u1 is (X + 1, k), the digits of f1 side by side (k = 1 for float
-    families); u2 and u3 hold X + 1 + 2H and X + 1 + 4H terms, all three
-    float64 or all three complex128.  The sum runs in tiles of _LAG_BLOCK
-    lags by _TILE_TERMS terms of n: a tile of u2 u3 is formed from two
-    strided views of the windows into one buffer and contracted against
-    the matching rows of u1 with one matmul, so the windows pass through
-    the cache once per tile of n instead of once per lag.
-
-    Each tile of n is one piece of `_in_order`: a worker forms all its lags
-    in a buffer and a partial-sum array of its own, and the partials add up
-    per lag in tile order, in dtype: int64 for exact digits, where
-    _TILE_TERMS * D1 D2 D3 <= 2^53 makes every partial sum of a tile, in
-    any order, an integer that float64 holds, and (X + 1) D1 D2 D3 < 2^63
-    keeps every lag sum within int64; else the tile dtype.
+    With F = f1 = f3 and g_h(m) = F(m) f2(m + h) F(m + 2h), the lag -h sums
+    g_h over [X - 2h, 2X - 2h], so T_(-h) = T_h + L_h - U_h with
+    L_h = sum_{m=X-2h}^{X-1} g_h(m) and U_h = sum_{m=2X-2h+1}^{2X} g_h(m).
+    fm holds the digits of F on [X - 2H, 2X + 2H] as columns; u2 and u3 are
+    one digit of f2 and of F.  A strip of 2H terms m = m0 + i takes f2 from
+    u2 at m0 - X + H and F from u3 at m0 - X + 2H, with F(m + 2h) set to 0
+    below i + 2h = 2H, which leaves lag h its last 2h terms (lead = 2H).
     """
-    n, k = u1.shape
-    lags = len(u2) - n + 1
-    v2 = sliding_window_view(u2, n)  # v2[j, i] = u2[j + i]
-    v3 = sliding_window_view(u3, n)[::2]  # v3[j, i] = u3[2j + i]
-    sums = np.zeros((lags, k), dtype=dtype)
+    zeros = np.zeros(2 * h)
+    low = (fm[: 2 * h], np.concatenate((zeros[:h], u2[: 2 * h])),
+           np.concatenate((zeros, u3[2 * h : 4 * h])), 2 * h)
+    top = (fm[x + 1 : x + 1 + 2 * h], u2[x + 1 - h :],
+           np.concatenate((zeros, u3[x + 1 + 2 * h :])), 2 * h)
+    return [(fm[2 * h : 2 * h + x + 1], u2[h:], u3[2 * h :], 0), low, top]
+
+
+def _lag_sums(parts, dtype, threads: int = 1) -> list[np.ndarray]:
+    """T[j, c] = sum_n u1[n, c] u2[n + j] u3[n + 2j] for each (u1, u2, u3, lead).
+
+    u1 is (N, k), the digits of f1 side by side (k = 1 for float
+    families); u2 and u3 hold N + J - 1 and N + 2J - 2 terms for J lags,
+    all three float64 or all three complex128, and u3 is zero below index
+    lead.  The sum runs in tiles of _LAG_BLOCK lags by _TILE_TERMS terms of
+    n: a tile of u2 u3 is formed from two strided views of the windows into
+    one buffer and contracted against the matching rows of u1 with one
+    matmul, so the windows pass through the cache once per tile of n
+    instead of once per lag.  A lag block j0 .. j1 - 1 starts at n =
+    lead - 2 (j1 - 1), since every earlier term is zero: a strip with lead
+    forms only its triangle and the leading 2 (j1 - j0 - 1) columns of each
+    lag block.  A strip of N < _TILE_TERMS terms takes lag blocks
+    _TILE_TERMS // N times as tall, packed into the same buffer, so that it
+    makes as few calls as a tile's area allows.
+
+    Each tile of n of each part is one piece of `_in_order`, parts in turn:
+    a worker forms all its lags in a buffer and a partial-sum array of its
+    own, and the partials add up per lag in tile order, in dtype: int64 for
+    exact digits, where _TILE_TERMS * D1 D2 D3 <= 2^53 makes every partial
+    sum of a tile, in any order, an integer that float64 holds, and
+    N D1 D2 D3 < 2^63 keeps every lag sum within int64; else the tile
+    dtype.  When the first part is one tile, everything runs on the calling
+    thread.
+    """
+    views, pieces = [], []
+    for p, (u1, u2, u3, lead) in enumerate(parts):
+        n = len(u1)
+        v2 = sliding_window_view(u2, n)  # v2[j, i] = u2[j + i]
+        v3 = sliding_window_view(u3, n)[::2]  # v3[j, i] = u3[2j + i]
+        block = _LAG_BLOCK * (max(1, _TILE_TERMS // n) if lead else 1)
+        sums = np.zeros((len(v2), u1.shape[1]), dtype=dtype)
+        views.append((u1, v2, v3, lead, block, sums))
+        pieces += [(p, i0) for i0 in range(0, n, _TILE_TERMS)]
+    lags = max(len(v[1]) for v in views)
+    k, tile_dtype = parts[0][0].shape[1], parts[0][0].dtype
 
     def worker():
-        buf = _cache_aligned((_LAG_BLOCK, _TILE_TERMS), u1.dtype)
-        part = np.empty((lags, k), dtype=u1.dtype)
+        buf = _cache_aligned((_LAG_BLOCK, _TILE_TERMS), tile_dtype)
+        flat = buf.reshape(-1)
+        part = np.empty((lags, k), dtype=tile_dtype)
 
-        def tile(i0: int) -> Callable[[], None]:
-            i1 = min(i0 + _TILE_TERMS, n)
-            for j0 in range(0, lags, _LAG_BLOCK):
-                j1 = min(j0 + _LAG_BLOCK, lags)
-                prod = np.multiply(v2[j0:j1, i0:i1], v3[j0:j1, i0:i1],
-                                   out=buf[: j1 - j0, : i1 - i0])
-                np.matmul(prod, u1[i0:i1], out=part[j0:j1])
-            return lambda: np.add(sums, part.astype(dtype, copy=False), out=sums)
+        def tile(piece) -> Callable[[], None]:
+            p, i0 = piece
+            u1, v2, v3, lead, block, sums = views[p]
+            i1 = min(i0 + _TILE_TERMS, len(u1))
+            first = max(0, (lead - i1) // 2 + 1)  # lags with a term below i1
+            for j0 in range(first, len(sums), block):
+                j1 = min(j0 + block, len(sums))
+                a = max(i0, lead - 2 * (j1 - 1))
+                rows, cols = j1 - j0, i1 - a
+                # a strip's block, rows * cols <= buf.size, packs its rows
+                out = flat[: rows * cols].reshape(rows, cols) if lead else buf[:rows, :cols]
+                prod = np.multiply(v2[j0:j1, a:i1], v3[j0:j1, a:i1], out=out)
+                np.matmul(prod, u1[a:i1], out=part[j0:j1])
+            done, new = sums[first:], part[first : len(sums)]
+            return lambda: np.add(done, new.astype(dtype, copy=False), out=done)
 
         return tile
 
-    _in_order(range(0, n, _TILE_TERMS), threads, worker)
-    return sums
+    one_tile = len(parts[0][0]) <= _TILE_TERMS
+    _in_order(pieces, 1 if one_tile else threads, worker)
+    return [v[-1] for v in views]
 
 
 def _in_order(items, threads: int, worker: Callable) -> None:
@@ -274,6 +345,11 @@ def _in_order(items, threads: int, worker: Callable) -> None:
     is alive, and the sums are made in the order one thread makes them:
     their bits do not depend on threads.  One item or one thread starts no
     thread.
+
+    The price is lockstep: a worker that has finished its item waits until
+    every earlier item is added, however cheap the items queued between
+    two heavy ones, and sits idle meanwhile.  So work known to be empty is
+    left out of items, not passed as items that do nothing.
     """
     items = list(items)
     workers = min(threads, len(items))
@@ -365,16 +441,18 @@ def ternary_convolution(
         bits = _band_digit_bits(max_abs(f1), max_abs(f3), b2, h, fmax)
         (b1, d1), (b3, d3) = split_digits(f1, bits), split_digits(f3, bits)
         digits = (len(d1), len(d2), len(d3))
-        numerator = 0
+        numerator = twin_rows = 0
         for (s1, u1), (s3, u3) in product(d1, d3):
-            band = _fejer_band(u1, u3, h, np.int64, threads)
+            band, twins = _fejer_band(u1, u3, h, np.int64, threads)
+            twin_rows += twins
             bound = b2 * max_abs(band)  # |K| <= H^2 b1 b3: int64-safe
             for s2, u2 in d2:
                 numerator += exact_sum(u2 * band, bound) << (s1 + s2 + s3)
         value = numerator / h
         error_bound = b1 * b3 * fmax
     else:
-        band = _fejer_band(f1, f3, h, np.result_type(f1, f3, np.float64), threads)
+        band, twin_rows = _fejer_band(f1, f3, h, np.result_type(f1, f3, np.float64),
+                                      threads)
         value = complex(np.dot(f2, band)) / h
         if all(s.is_real for s in (req.spec1, req.spec2, req.spec3)):
             value = value.real
@@ -383,6 +461,7 @@ def ternary_convolution(
     return CorrelationResult(
         value, Method.CONVOLUTION, x, h, timing=elapsed,
         exact_numerator=numerator, error_bound=error_bound, digits=digits,
+        twin_rows=twin_rows,
     )
 
 
@@ -430,7 +509,7 @@ def _band_digit_bits(m1: int, m3: int, b2: int, h: int, fmax: float) -> int:
 
 
 def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype,
-                threads: int = 1) -> np.ndarray:
+                threads: int = 1) -> tuple[np.ndarray, int]:
     """K(r) for r in [X - H, 2X + H], from f1 on [X, 2X] and f3 on [X - 2H, 2X + 2H].
 
     n and k = n + 2j share parity; with n = X + 2a + e and k = X + 2b + e
@@ -441,82 +520,122 @@ def _fejer_band(f1: np.ndarray, f3: np.ndarray, h: int, dtype,
     `_triangles` rows of four kinds, for blocks j = -1 .. ceil(len(g)/H)-1:
       0, 1: (g_j, y_j) and (y_j, g_j): same block, weight H - (q - p);
       2, 3: (y_(j+1), g_j) and (g_(j+1), y_j): next block, weight q - p.
-    Each `_triangles` call takes the rows of 1, 2 or 4 whole kinds, about
-    _GROUP_TERMS terms of rows (at least one row), which bounds its
-    transform buffers.  Rows with an all-zero block, such as kinds 0-2 at
-    j = -1, are zero and left out.
+    The rows are listed in batches of max(1, _GROUP_TERMS / 4 / P) blocks
+    (P: H padded to a power of two), kind by kind within a batch, and
+    added into K in that order.  Rows with an all-zero block, such as kinds
+    0-2 at j = -1, are zero and left out (`_band_rows`).  So is a twin
+    row: kind 1 equals kind 0 where block g_j equals block y_j, and kind 3
+    equals kind 2 where blocks j and j + 1 both agree, as they do inside
+    g when f1 = f3.  The row of kind 0 or 2 is computed once and added
+    into K once for each kind it stands for, where the two kinds' rows
+    would be added: no row between them reaches the same r, so K keeps its
+    bits.  The twin count is returned with K.
 
-    The diagonals and the calls are the pieces of `_in_order`, so the
-    workers hold at most `threads` batches at a time and add them into K
-    in the order of one thread.  A band with one call per parity (every
-    request with X <= 2000) runs on the calling thread.
+    The diagonals, and runs of at most _GROUP_TERMS / P listed rows (at
+    least one), are the pieces of `_in_order`: each run is one `_triangles`
+    call, which bounds its transform buffers, so the workers hold at most
+    `threads` runs at a time and add them into K in the order of one
+    thread.  A band with at most one run per parity (every request with
+    X <= 2000) runs on the calling thread.
     """
     size = 1 << (h - 1).bit_length()
     n2 = len(f1) + 2 * h
     acc = np.zeros(n2 + 3 * h, dtype=dtype)  # index r - (X - 2H)
     per_call = max(1, _GROUP_TERMS // size)  # rows per `_triangles` call
-    step = max(1, per_call // 4)  # blocks per batch
-    kinds = min(4, per_call)  # kinds per `_triangles` call
-    pieces = []  # (e, j0, nb, k0), j0 None for the diagonal
+    pieces, twins = [], 0
     for e in (0, 1):
-        nblocks = -(-len(f1[e::2]) // h)
-        pieces.append((e, None, 0, 0))
-        for j0 in range(-1, nblocks, step):
-            nb = min(step, nblocks - j0)
-            pieces += [(e, j0, nb, k0) for k0 in range(0, 4, kinds)]
+        rows = _band_rows(f1[e::2], f3[e::2], h, max(1, per_call // 4))
+        twins += int(np.count_nonzero(rows[2] == 2))
+        pieces.append((e, None))
+        pieces += [(e, [r[i : i + per_call] for r in rows])
+                   for i in range(0, len(rows[0]), per_call)]
 
     def piece(where) -> Callable[[], None]:
-        e, j0, nb, k0 = where
+        e, rows = where
         g, y = f1[e::2], f3[e::2]
         base = e + 2 * h  # acc index of s = 0
-        if j0 is None:
+        if rows is None:
             diag = h * np.multiply(g, y[h : h + len(g)], dtype=dtype)
             dst = acc[base : base + 2 * len(g) : 2]
             return lambda: np.add(dst, diag, out=dst)
-        blocks = np.zeros((2 * nb + 2, size), dtype=dtype)
-        _blocks(g, j0, h, blocks[: nb + 1])
-        _blocks(y, j0 + 1, h, blocks[nb + 1 :])
-        # rows of kind 0..3 for blocks j0 + i, i < nb (see above)
-        gi, yi = np.arange(nb), np.arange(nb + 1, 2 * nb + 1)
-        r = slice(k0 * nb, (k0 + kinds) * nb)
-        ix = np.concatenate((gi, yi, yi + 1, gi + 1))[r]
-        iy = np.concatenate((yi, gi, gi, yi))[r]
-        c = np.repeat([h, h, 0, 0], nb)[r, None, None]
-        sign = np.repeat([1, 1, -1, -1], nb)[r, None, None]
-        # A row with an all-zero block is zero: the edge blocks past g, and
-        # blocks of zeros in the data.  Adding it would leave K's bits as
-        # they are, so it is left out.
-        live = blocks.any(axis=1)
-        keep = live[ix] & live[iy]
-        rows = _triangles(blocks[ix[keep]], blocks[iy[keep]], c[keep], sign[keep])
-        # Row i of a kind lands at acc[start + 2Hi : start + 2H(i+1)]
-        # (p + q <= 2H - 2, so the rest of the row is zero).
-        keep = keep.reshape(kinds, nb)
-        parts = np.split(rows[:, : 2 * h], np.cumsum(keep.sum(axis=1))[:-1])
+        kind, j, times = rows
+        lo = int(j.min())
+        count = int(j.max()) + 2 - lo  # blocks lo .. max(j) + 1
+        blocks = np.zeros((2 * count, size), dtype=dtype)  # g_j, then y_j
+        blocks[:count, :h] = _blocks(g, lo, count, h)
+        blocks[count:, :h] = _blocks(y, lo + 1, count, h)  # y_j = y[(j + 1) H ..]
+        gi = j - lo
+        yi = gi + count
+        # kind 0..3: x = g_j, y_j, y_(j+1), g_(j+1) and y = y_j, g_j, g_j, y_j
+        xb = blocks[np.choose(kind, (gi, yi, yi + 1, gi + 1))]
+        yb = blocks[np.choose(kind, (yi, gi, gi, yi))]
+        near = kind < 2
+        c = np.where(near, h, 0)[:, None, None]
+        sign = np.where(near, 1, -1)[:, None, None]
+        out = _triangles(xb, yb, c, sign)[:, : 2 * h]
+        # Row (kind, j) lands at acc[start : start + 2H], start = base +
+        # (2j + kind // 2) H (p + q <= 2H - 2, so the rest of the row is
+        # zero).  Rows of one kind never meet, so each run of one kind is
+        # added at once, and its twin rows a second time.
+        cuts = [0, *(np.flatnonzero(np.diff(kind)) + 1), len(kind)]
+        runs = []
+        for a, b in zip(cuts, cuts[1:]):
+            at = j[a:b] - j[a]
+            start = base + (2 * j[a] + kind[a] // 2) * h
+            dst = acc[start : start + 2 * h * (at[-1] + 1)].reshape(-1, 2 * h)
+            twice = times[a:b] == 2
+            runs.append((dst, at, out[a:b], at[twice], out[a:b][twice]))
 
         def add():
-            for k, part in enumerate(parts):
-                start = base + (2 * j0 + (k0 + k) // 2) * h
-                dst = acc[start : start + 2 * h * nb].reshape(nb, 2 * h)
-                dst[keep[k]] += part
+            for dst, at, part, at2, part2 in runs:
+                dst[at] += part
+                dst[at2] += part2
 
         return add
 
-    one_call = len(pieces) == 4  # per parity, the diagonal and one batch
-    _in_order(pieces, 1 if one_call else threads, lambda: piece)
-    return acc[h : h + n2]
+    _in_order(pieces, threads if len(pieces) > 4 else 1, lambda: piece)
+    return acc[h : h + n2], twins
 
 
-def _blocks(view, first: int, h: int, out: np.ndarray) -> None:
-    """Row i of out (zeroed) gets view[(first+i)H : (first+i+1)H], zeros
+def _band_rows(g: np.ndarray, y: np.ndarray, h: int, step: int):
+    """(kind, j, times) of the `_triangles` rows of one parity, in the order
+    they are added: batches of step blocks, kind by kind, block by block.
+
+    Rows with an all-zero block are left out, and so is kind 1 (3) where it
+    is the twin of kind 0 (2) (see `_fejer_band`); the row it twins then
+    has times = 2.  Blocks are compared by value, in one pass over g and y.
+    """
+    nblocks = -(-len(g) // h)
+    gb = _blocks(g, -1, nblocks + 2, h)  # g_j for j = -1 .. nblocks
+    yb = _blocks(y, 0, nblocks + 2, h)  # y_j for j = -1 .. nblocks
+    gl, yl = gb.any(axis=1), yb.any(axis=1)
+    same = (gb == yb).all(axis=1)
+    del gb, yb
+    # times[kind, j + 1] for j = -1 .. nblocks - 1: how often the row is
+    # added, 0 for a zero row or a twin left out
+    near, far = gl[:-1] & yl[:-1], yl[1:] & gl[:-1]  # kinds 0, 1 and kind 2 live
+    one, two = same[:-1], same[:-1] & same[1:]  # kind 1 and kind 3 are twins
+    nbatch = -(-(nblocks + 1) // step)
+    grid = np.zeros((4, nbatch * step), dtype=np.int64)
+    times = grid[:, : nblocks + 1]
+    times[0], times[1] = near, near & ~one
+    times[2], times[3] = far, gl[1:] & yl[:-1] & ~two
+    times[0] += near & one  # a twin row is added twice
+    times[2] += far & two
+    grid = grid.reshape(4, nbatch, step).transpose(1, 0, 2)  # batch, kind, block
+    batch, kind, i = np.nonzero(grid)
+    return kind, batch * step + i - 1, grid[batch, kind, i]
+
+
+def _blocks(view, first: int, count: int, h: int) -> np.ndarray:
+    """(count, H): row i holds view[(first + i) H : (first + i + 1) H], zeros
     outside view."""
-    count = len(out)
+    out = np.zeros(count * h, dtype=view.dtype)
     lo = first * h
     a, b = max(lo, 0), min(lo + count * h, len(view))
     if b > a:
-        flat = np.zeros(count * h, dtype=out.dtype)
-        flat[a - lo : b - lo] = view[a:b]
-        out[:, :h] = flat.reshape(count, h)
+        out[a - lo : b - lo] = view[a:b]
+    return out.reshape(count, h)
 
 
 def _triangles(x: np.ndarray, y: np.ndarray, c, sign) -> np.ndarray:

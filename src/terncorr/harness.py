@@ -579,6 +579,8 @@ def _run_correlate(cfg, specs, cache, warnings) -> dict:
                             else str(result.exact_numerator)),
         "error_bound": result.error_bound,
         "digits": list(result.digits) if result.digits is not None else None,
+        "folded": result.folded,
+        "twin_rows": result.twin_rows,
         **_tau_table((s1, s2, s3)),
     }
 

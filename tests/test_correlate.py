@@ -394,12 +394,18 @@ def check_direct_digits(wins, res):
     _TILE_TERMS D1 D2 D3 <= 2^53; a lag sums X + 1 of them, so it fits in
     int64 while (X + 1) D1 D2 D3 <= 2^63 - 1.
     """
-    x = res.x_start
+    x, h = res.x_start, res.h_span
     limit = min(2**53 // _TILE_TERMS, INT64_MAX // (x + 1))
     segs = [w.segment(lo, hi) for w, (lo, hi) in zip(
-        wins, [(x, 2 * x), (x - res.h_span, 2 * x + res.h_span),
-               (x - 2 * res.h_span, 2 * x + 2 * res.h_span)])]
-    bits = _direct_digit_bits(*(max_abs(f) for f in segs), limit)
+        wins, [(x, 2 * x), (x - h, 2 * x + h), (x - 2 * h, 2 * x + 2 * h)])]
+    share = None  # f1 = f3 on [X - 2H, 2X + 2H]: a folded pass does this share
+    if wins[0].covers(x - 2 * h, 2 * x + 2 * h) and np.array_equal(
+            wins[0].segment(x - 2 * h, 2 * x + 2 * h), segs[2]):
+        share = (h + 1) * (x + 1 + 2 * h) / ((x + 1) * (2 * h + 1))
+    bits, folded = _direct_digit_bits(*(max_abs(f) for f in segs), limit, share)
+    assert res.folded == folded
+    if folded:  # f1 takes the digits of F on [X - 2H, 2X + 2H]
+        segs[0] = segs[2]
     splits = [split_digits(f, b) for f, b in zip(segs, bits)]
     assert res.digits == tuple(len(d) for _, d in splits)
     bound = math.prod(b for b, _ in splits)
@@ -436,10 +442,11 @@ def test_direct_tiles_exact_at_their_edges(x, h, mags, digits):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 2**20), min_size=3, max_size=3),
-       st.integers(27, 2**40))
-def test_direct_digit_bits_least_cost(mags, limit):
+       st.integers(27, 2**40), st.sampled_from([None, 0.5, 0.6, 0.99]))
+def test_direct_digit_bits_least_cost(mags, limit, share):
     # Brute force over every width triple, digits counted by split_digits;
-    # the cost of a choice is passes * (_PASS_COLUMNS + digits of f1).
+    # the cost of a choice is passes * (_PASS_COLUMNS + digits of f1), times
+    # share for a folded one, where f1 takes f3's width (and m1 = m3).
     def options(m):
         out = []
         for b in range(1, m.bit_length() + 1):
@@ -447,17 +454,23 @@ def test_direct_digit_bits_least_cost(mags, limit):
             out.append((b, bound, len(digits)))
         return out
 
-    best = min(
-        (n2 * n3 * (_PASS_COLUMNS + n1), n2 * n3)
-        for (_, e1, n1), (_, e2, n2), (_, e3, n3) in product(*map(options, mags))
-        if e1 * e2 * e3 <= limit
-    )
-    bits = _direct_digit_bits(*mags, limit)
+    if share is not None:
+        mags[0] = mags[2]
+    choices = [
+        ((n2 * n3 * (_PASS_COLUMNS + n1) * scale, n2 * n3, fold), fold)
+        for fold, scale in ([(False, 1.0)] + ([(True, share)] if share else []))
+        for (b1, e1, n1), (_, e2, n2), (b3, e3, n3) in product(*map(options, mags))
+        if e1 * e2 * e3 <= limit and (b1 == b3 or not fold)
+    ]
+    best, fold = min(choices)
+    bits, folded = _direct_digit_bits(*mags, limit, share)
+    assert folded == fold and (share is not None or not folded)
     (e1, d1), (e2, d2), (e3, d3) = (split_digits(np.array([m, -m]), b)
                                     for m, b in zip(mags, bits))
-    assert e1 * e2 * e3 <= limit
+    assert e1 * e2 * e3 <= limit and (bits[0] == bits[2] or not folded)
     passes = len(d2) * len(d3)
-    assert (passes * (_PASS_COLUMNS + len(d1)), passes) == best
+    scale = share if folded else 1.0
+    assert (passes * (_PASS_COLUMNS + len(d1)) * scale, passes, folded) == best
 
 
 @pytest.mark.parametrize("shape, dtype", [
@@ -492,6 +505,74 @@ def test_direct_exact_numerator_ignores_h_order():
     fwd = ternary_direct(req, cache=CACHE)
     rev = ternary_direct(req, cache=CACHE, h_order="reverse")
     assert rev.exact_numerator == fwd.exact_numerator
+
+
+@pytest.mark.parametrize("h", [1, 2, 15, 16, 17, 33, 300])
+@pytest.mark.parametrize("width", ["2H+1", "2H+2", "7H+13"])
+def test_symmetric_triples_fold_exactly(h, width):
+    # f1 = f3: the direct route sums lags 0..H and the strips L_h, U_h of
+    # 2h terms (one partial lag block at H <= 15, three blocks at 33); the
+    # band computes its twin rows once.  At X = 2H + 1 a folded pass does
+    # the work of a whole one ((H + 1)(X + 1 + 2H) = (X + 1)(2H + 1)), so
+    # the direct route stays unfolded; from X = 2H + 2 on it folds.
+    x = {"2H+1": 2 * h + 1, "2H+2": 2 * h + 2, "7H+13": 7 * h + 13}[width]
+    for spec in (MultSpec.one_star_chi4(), MultSpec.divisor_k(3), MultSpec.moebius()):
+        req = CorrelationRequest(spec, spec, spec, x, h)
+        wins = correlation_windows(req, CACHE)
+        expect = object_reference(wins, x, h)
+        direct = ternary_direct(req, windows=wins)
+        conv = ternary_convolution(req, windows=wins)
+        assert direct.folded is (x > 2 * h + 1) and conv.folded is None
+        assert direct.twin_rows is None and conv.twin_rows >= 0
+        assert direct.exact_numerator == conv.exact_numerator == expect, spec.spec_id
+
+
+def symmetric_windows(x, h, mags, rng):
+    """Windows with f1 = f3 (one window on [X - 2H, 2X + 2H]) and max|f2| = mags[1]."""
+    w2, w3 = synthetic_windows(x, h, mags, rng)[1:]
+    return w3, w2, w3
+
+
+@pytest.mark.parametrize("x, h, tile, mags, digits", [
+    # strips of 2H = 200 terms in four tiles of 64, and X + 1 = 1001 in 16
+    (1000, 100, 64, (5, 7, 5), (1, 1, 1)),
+    # 2H = 40 terms: a tile of 64 holds a whole strip; 12 main tiles
+    (700, 20, 64, (2**13, 2**13, 2**13), (1, 1, 1)),
+    # 2^17 everywhere at X = 8000, H = 20: unfolded, f1 would take three
+    # 6-bit digits in one pass (cost 7); folded, f1 and f3 take two 11-bit
+    # digits in two passes, at 0.52 of a pass each (cost 6.2)
+    (8000, 20, 8192, (2**17, 2**17, 2**17), (2, 1, 2)),
+])
+def test_fold_strips_across_tiles(monkeypatch, x, h, tile, mags, digits):
+    monkeypatch.setattr(correlate, "_TILE_TERMS", tile)
+    d2 = MultSpec.divisor_k(2)
+    req = CorrelationRequest(d2, d2, d2, x, h)
+    wins = symmetric_windows(x, h, mags, np.random.default_rng(x + h))
+    one, two = (ternary_direct(req, windows=wins, threads=t) for t in (1, 2))
+    assert one.folded and one.digits == digits
+    check_direct_digits(wins, one)
+    assert one.exact_numerator == object_reference(wins, x, h)
+    assert (two.value, two.exact_numerator, two.digits) == (
+        one.value, one.exact_numerator, one.digits)
+
+
+def test_fold_needs_f1_equal_f3_on_the_whole_range():
+    # A mixed triple never folds; nor does a copy of f3's window that
+    # differs from f1 in one point of [X - 2H, X), outside f1's own [X, 2X].
+    x, h = 2000, 150
+    d1, d2, d3 = (MultSpec.divisor_k(k) for k in (1, 2, 3))
+    mixed = CorrelationRequest(d2, d1, d3, x, h)
+    wins = correlation_windows(mixed, CACHE)
+    res = ternary_direct(mixed, windows=wins)
+    assert res.folded is False and res.exact_numerator == object_reference(wins, x, h)
+    req = CorrelationRequest(d3, d3, d3, x, h)
+    w1, w2, w3 = correlation_windows(req, CACHE)
+    assert ternary_direct(req, windows=(w1, w2, w3)).folded is True
+    vals = w3.values.copy()
+    vals[x - 2 * h - w3.lo + 7] += 1
+    wins = (w1, w2, replace(w3, values=vals))
+    res = ternary_direct(req, windows=wins)
+    assert res.folded is False and res.exact_numerator == object_reference(wins, x, h)
 
 
 @pytest.mark.parametrize("h", [1, 2, 16, 17, 31, 32, 33, 64, 65, 300])
@@ -551,6 +632,60 @@ def test_banded_route_leaves_out_zero_rows(monkeypatch, gap):
     res = ternary_convolution(req, windows=(w1, w2, w3))
     assert res.exact_numerator == object_reference((w1, w2, w3), x, h)
     assert sum(rows) == (24 if gap else 40)
+
+
+def test_banded_route_computes_twin_rows_once(monkeypatch):
+    # X = 333, H = 40, f1 = f3 = one_star_chi4: per parity g has 167 terms,
+    # blocks 0-3 of 40 and block 4 of 7, so 4 kinds x 6 blocks (j = -1 ..
+    # 4) = 24 rows, 20 once kinds 0-2 at j = -1 and kind 3 at j = 4 (zero
+    # blocks of g) are left out.  Blocks g_j and y_j agree for j = 0 .. 3
+    # (g_4 ends after 7 terms and g_(-1) is zero), so kind 1 twins kind 0 at
+    # j = 0 .. 3 and kind 3 twins kind 2 at j = 0 .. 2: 7 twins, 13 rows
+    # computed per parity, 26 in all, and twin_rows = 14.
+    h, x = 40, 333
+    chi4 = MultSpec.one_star_chi4()
+    req = CorrelationRequest(chi4, chi4, chi4, x, h)
+    wins = correlation_windows(req, CACHE)
+    rows = []
+    triangles = correlate._triangles
+
+    def checked(xb, yb, c, sign):
+        assert len(xb) > 0
+        assert xb.any(axis=1).all() and yb.any(axis=1).all()
+        rows.append(len(xb))
+        return triangles(xb, yb, c, sign)
+
+    monkeypatch.setattr(correlate, "_triangles", checked)
+    res = ternary_convolution(req, windows=wins)
+    assert res.exact_numerator == object_reference(wins, x, h)
+    assert sum(rows) == 26 and res.twin_rows == 14
+
+
+@pytest.mark.parametrize("group", [64, 256, 1 << 14])
+def test_twin_rows_keep_float_bits(monkeypatch, group):
+    # K of a symmetric float triple has the same bits with twin rows computed
+    # once and added twice as with every row computed: the twins put back
+    # where the list has them (batch, kind, block) and each added once.
+    monkeypatch.setattr(correlate, "_GROUP_TERMS", group)
+    x, h = 3000, 40
+    tau = MultSpec.ramanujan_tau_norm()
+    w1, _, w3 = correlation_windows(CorrelationRequest(tau, tau, tau, x, h), CACHE)
+    f1, f3 = w1.segment(x, 2 * x), w3.segment(x - 2 * h, 2 * x + 2 * h)
+    band, twins = correlate._fejer_band(f1, f3, h, np.float64, threads=2)
+    band_rows = correlate._band_rows
+
+    def every_row(g, y, h, step):
+        kind, j, times = band_rows(g, y, h, step)
+        twin = times == 2
+        kind = np.concatenate((kind, kind[twin] + 1))
+        j = np.concatenate((j, j[twin]))
+        order = np.lexsort((j, kind, (j + 1) // step))
+        return kind[order], j[order], np.ones_like(j)
+
+    monkeypatch.setattr(correlate, "_band_rows", every_row)
+    full, none = correlate._fejer_band(f1, f3, h, np.float64, threads=1)
+    assert twins > 0 and none == 0
+    assert band.tobytes() == full.tobytes()
 
 
 def test_square_error_bounds_max_magnitude_products():
@@ -655,12 +790,18 @@ def test_divisor3_routes_agree_across_old_int64_guard(x):
     assert ternary_convolution(req, windows=wins).exact_numerator == expect
 
 
-@pytest.mark.parametrize("k, digits", [(4, (2, 1, 1)), (5, (3, 1, 1)), (6, (2, 2, 1))])
+@pytest.mark.parametrize("k, digits", [(4, (2, 1, 1)), (5, (3, 1, 1)), (6, (2, 1, 2))])
 def test_divisor_k_routes_agree_past_one_digit(k, digits):
     # max d_k on these windows is 19200, 123750 and 598752, all past one
     # digit each: the direct route splits f1 and keeps one pass, except for
     # divisor6, where one pass would leave room for 1-bit digits of f1 only
-    # (598752^2 D1 <= 2^40 needs D1 <= 3) and two cost less.  The reference sums
+    # (598752^2 D1 <= 2^40 needs D1 <= 3).  Folding gives f1 and f3 one width;
+    # a folded pass costs 0.6 of a whole one here, so divisor4 and divisor5
+    # stay unfolded (2 * 5 * 0.6 = 6 against 1 * 6, 2 * 6 * 0.6 against 7)
+    # and divisor6 folds, in two passes of 2 digits of f1 and f3 (2 * 6 *
+    # 0.6 against 2 * 6 unfolded).  The numerators are those of the unfolded
+    # code, 10185892455051038120, 825634071050726124100 and
+    # 40101923621654187029404.  The reference sums
     # each lag's int64 triple products, which stay below 2^63 (598752^3 <
     # 2^58) and whose sums of magnitudes stay below 2^62, checked here.
     x, h = 20000, 2000
@@ -675,8 +816,10 @@ def test_divisor_k_routes_agree_past_one_digit(k, digits):
         expect += (h - abs(hh)) * int(terms.sum())
     direct = ternary_direct(req, windows=wins)
     check_direct_digits(wins, direct)
-    assert direct.digits == digits
-    assert direct.exact_numerator == expect
+    assert direct.digits == digits and direct.folded == (k == 6)
+    assert direct.exact_numerator == expect == {
+        4: 10185892455051038120, 5: 825634071050726124100,
+        6: 40101923621654187029404}[k]
     assert ternary_convolution(req, windows=wins).exact_numerator == expect
 
 
@@ -845,7 +988,7 @@ def test_threaded_band_matches_python_int_sums_at_a_million():
     cache = WindowCache()
     f1 = cache.window(chi4, 1, x, 2 * x).values
     f3 = cache.window(chi4, 1, x - 2 * h, 2 * x + 2 * h).values
-    band = correlate._fejer_band(f1, f3, h, np.int64, threads=2)
+    band, _ = correlate._fejer_band(f1, f3, h, np.int64, threads=2)
     assert len(band) == x + 1 + 2 * h  # K(r) for r = X - H + i
     g = [0] * 2 * h + f1.tolist() + [0] * 2 * h  # g[k] = f1(X - 2H + k)
     y = f3.tolist()  # y[k] = f3(X - 2H + k)
