@@ -1,13 +1,15 @@
 """Farey arc decompositions, short exponential sums, and supremum scans.
 
 The circle [1/Q, 1+1/Q) is split into major arcs (a/q +- beta, q < Q,
-beta = H^(8 eps - 1)) and their complement, the minor set.  The arcs are
-disjoint when the least gap between two centres, that of 1/(Q-1) and
-1/(Q-2), is at least 2 beta: that one comparison decides `decompose` and
-`largest_disjoint_q`.  Where alpha lies relative to the arc set is read
-from one rule, `_nearest`: the centre nearest alpha on the circle, and
-alpha's signed distance g from it (|g| <= beta on the major arcs, >= beta
-on the minor set).  A scan's clamp and its report's (q, a, gamma) use it.
+beta = H^(8 eps - 1)) and their complement, the minor set, held as two
+int64 arrays `a` and `q` and walked by array operations, never by a Python
+loop over arcs.  The arcs are disjoint when the least gap between two
+centres, that of 1/(Q-1) and 1/(Q-2), is at least 2 beta: that one
+comparison decides `decompose` and `largest_disjoint_q`.  Where alpha lies
+relative to the arc set is read from one rule, `_nearest`: the index of the
+centre nearest alpha on the circle, and alpha's signed distance g from it
+(|g| <= beta on the major arcs, >= beta on the minor set).  A scan's clamp
+and its report's (q, a, gamma) use it.
 
 Window sums S(alpha; x) = sum_{x <= n <= x+L} f(n) e(n alpha) are evaluated
 either pointwise (phase recurrence, resynchronised in blocks) or on a full
@@ -72,32 +74,18 @@ def _scipy():
     return sys.modules[__name__].scipy
 
 
-@dataclass(frozen=True)
-class MajorArc:
-    a: int
-    q: int
-
-    @property
-    def center(self) -> Fraction:
-        return Fraction(self.a, self.q)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcDecomposition:
     q_cut: int
-    h_span: int
-    epsilon: float
     beta: float  # the radius of every major arc
-    major: tuple[MajorArc, ...]
-    domain: tuple[Fraction, Fraction]  # [1/Q, 1 + 1/Q)
+    a: np.ndarray  # int64: every reduced a/q in (0, 1] with q < Q,
+    q: np.ndarray  # in increasing order of a/q, 1/1 last
 
     @cached_property
     def centers(self) -> np.ndarray:
-        """a/q mod 1 for each arc, in the order of `major`: a float64 quotient
-        of integers below 2^53 is correctly rounded, float(Fraction(a, q))."""
-        a = np.array([arc.a for arc in self.major], dtype=np.float64)
-        q = np.array([arc.q for arc in self.major], dtype=np.float64)
-        return (a / q) % 1.0
+        """a/q mod 1 for each arc: a float64 quotient of integers below 2^53
+        is correctly rounded, float(Fraction(a, q))."""
+        return (self.a / self.q) % 1.0
 
 
 def _least_gap(q_cut: int) -> float:
@@ -132,27 +120,23 @@ def decompose(q_cut: int, h_span: int, epsilon: float) -> ArcDecomposition:
         )
     if q_cut > MAX_DECOMPOSE_Q:
         raise BudgetError(f"Q = {q_cut} exceeds arc budget {MAX_DECOMPOSE_Q}")
-    return ArcDecomposition(
-        q_cut=q_cut,
-        h_span=h_span,
-        epsilon=epsilon,
-        beta=beta,
-        major=tuple(MajorArc(a, q) for a, q in _farey(q_cut - 1)),
-        domain=(Fraction(1, q_cut), 1 + Fraction(1, q_cut)),
-    )
+    a, q = _farey(q_cut - 1)
+    return ArcDecomposition(q_cut=q_cut, beta=beta, a=a, q=q)
 
 
-def _farey(n: int):
+def _farey(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, q) for every reduced a/q in (0, 1] with q <= n, increasing.
 
-    The Farey sequence of order n after 0/1, by its next-term rule: after
-    the neighbours a/q < c/d comes (k c - a)/(k d - q), k = (n + q) // d.
+    The units a of each q, ordered by one stable sort of the doubles a/q:
+    two of them differ by at least 1/(n(n-1)) (Hardy & Wright, Thm 28), far
+    above a double's spacing, so the float order is the exact one.
     """
-    a, q, c, d = 0, 1, 1, n
-    while a < q:
-        yield c, d
-        k = (n + q) // d
-        a, q, c, d = c, d, k * c - a, k * d - q
+    q = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
+    a = np.arange(1, q.size + 1) - (q - 1) * q // 2  # 1..q within each block of q
+    units = np.gcd(a, q) == 1
+    a, q = a[units], q[units]
+    order = np.argsort(a / q, kind="stable")
+    return a[order], q[order]
 
 
 def largest_disjoint_q(q_cut: int, h_span: int, epsilon: float) -> int:
@@ -304,14 +288,16 @@ def _major_bins(
     inside one).  fold=True (real windows) reflects bins above M/2: |S| and
     the arc set are symmetric under alpha -> 1 - alpha.
     """
+    lo = np.ceil((dec.centers - dec.beta) * m_grid - pad).astype(np.int64)
+    hi = np.floor((dec.centers + dec.beta) * m_grid + pad).astype(np.int64) + 1
+    counts = np.maximum(hi - lo, 0)  # a minor cell's negative pad can empty a range
+    starts = np.cumsum(counts) - counts
+    idx = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(lo - starts, counts)
+    idx %= m_grid
+    if fold:
+        idx = np.minimum(idx, m_grid - idx)
     mask = np.zeros(half + 1, dtype=bool)
-    for c in dec.centers.tolist():
-        i = math.ceil((c - dec.beta) * m_grid - pad)
-        j = math.floor((c + dec.beta) * m_grid + pad) + 1
-        idx = np.arange(i, j, dtype=np.int64) % m_grid
-        if fold:
-            idx = np.minimum(idx, m_grid - idx)
-        mask[idx[idx <= half]] = True
+    mask[idx[idx <= half]] = True
     return mask
 
 
@@ -423,7 +409,8 @@ def sup_scan(
     sup, arg, round_sups = _refine(window, x, length, seeds, 1.0 / m_grid, 3, clamp)
 
     near, gamma = _nearest(dec, arg)
-    bound = short_sum_bound(near.q, gamma, x, max(2, length), eta, k, epsilon)
+    q, a = int(dec.q[near]), int(dec.a[near])
+    bound = short_sum_bound(q, gamma, x, max(2, length), eta, k, epsilon)
     return SupScanReport(
         kind=kind,
         sup_abs=sup,
@@ -432,8 +419,8 @@ def sup_scan(
         argmax_alpha=arg,
         bound_value=bound,
         ratio=sup / bound if bound > 0 else math.inf,
-        nearest_q=near.q,
-        nearest_a=near.a,
+        nearest_q=q,
+        nearest_a=a,
         gamma=gamma,
         grid_spacing=1.0 / m_grid,
         refinement_depth=3,
@@ -443,13 +430,18 @@ def sup_scan(
     )
 
 
-def _nearest(dec: ArcDecomposition, alpha: float) -> tuple[MajorArc, float]:
-    """The major arc whose centre c is nearest alpha on the circle, and the
-    signed distance g = (alpha mod 1 + shift) - c, shift in {-1, 0, 1}, of
-    alpha from it; the first such arc, in the order of `major`, on a tie."""
-    g = (alpha % 1.0 + np.array([-1.0, 0.0, 1.0])) - dec.centers[:, None]
+def _nearest(dec: ArcDecomposition, alpha: float) -> tuple[int, float]:
+    """The index of the arc whose centre c is nearest alpha on the circle,
+    and the signed distance g = (alpha mod 1 + shift) - c, shift in
+    {-1, 0, 1}, of alpha from it; the lowest such index on a tie.  The
+    centres rise but for the last, 1/1, which wraps to 0: the nearest is
+    alpha's neighbour k - 1 or k among the others, or an end."""
+    last = dec.centers.size - 1
+    k = int(np.searchsorted(dec.centers[:-1], alpha % 1.0))  # 0 <= k <= last
+    near = np.array(sorted({0, max(k - 1, 0), k, last}))
+    g = (alpha % 1.0 + np.array([-1.0, 0.0, 1.0])) - dec.centers[near, None]
     i = int(np.argmin(np.abs(g)))
-    return dec.major[i // 3], float(g.flat[i])
+    return int(near[i // 3]), float(g.flat[i])
 
 
 def _make_clamp(dec: ArcDecomposition, kind: str):
@@ -460,10 +452,10 @@ def _make_clamp(dec: ArcDecomposition, kind: str):
     the nearest point of either set.
     """
     def clamp(alpha: float) -> float:
-        arc, g = _nearest(dec, alpha)
+        i, g = _nearest(dec, alpha)
         if abs(g) <= dec.beta if kind == "major" else abs(g) >= dec.beta:
             return alpha % 1.0
-        return (arc.a / arc.q % 1.0 + math.copysign(dec.beta, g)) % 1.0
+        return (float(dec.centers[i]) + math.copysign(dec.beta, g)) % 1.0
 
     return clamp
 

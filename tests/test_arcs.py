@@ -1,6 +1,7 @@
 """Arc decompositions, short exponential sums, sup scans, major-arc model."""
 
 import cmath
+import json
 import math
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from terncorr.arcs import (
 )
 from terncorr.dirichlet import local_densities
 from terncorr.errors import BudgetError, ConfigurationError, DomainError
-from terncorr.harness import resolve_q
+from terncorr.harness import main, resolve_q
 from terncorr.multfunc import MultSpec, WindowCache, sieve_window
 
 ONE = MultSpec.divisor_k(1)
@@ -35,10 +36,9 @@ ONE = MultSpec.divisor_k(1)
 
 def test_decompose_single_arc_at_q2():
     dec = decompose(2, 10**4, 0.05)
-    assert dec.domain == (Fraction(1, 2), Fraction(3, 2))
-    assert len(dec.major) == 1
-    arc = dec.major[0]
-    assert (arc.a, arc.q, arc.center) == (1, 1, 1)
+    assert (dec.a.tolist(), dec.q.tolist(), dec.centers.tolist()) == ([1], [1], [0.0])
+    # the one centre 1/1 lies in the circle [1/Q, 1 + 1/Q)
+    assert Fraction(1, 2) <= Fraction(int(dec.a[0]), int(dec.q[0])) < Fraction(3, 2)
     assert dec.beta == pytest.approx((10**4) ** -0.6)
 
 
@@ -62,28 +62,58 @@ def test_decompose_validation():
         decompose(4, 100, 0.2)
 
 
+def _fractions(dec):
+    return [Fraction(a, q) for a, q in zip(dec.a.tolist(), dec.q.tolist())]
+
+
 def test_farey_arcs_reduced_and_sorted():
     dec = decompose(8, 10**5, 0.05)
-    centers = [a.center for a in dec.major]
+    assert dec.a.dtype == dec.q.dtype == np.int64
+    centers = _fractions(dec)
     assert centers == sorted(centers)
-    for arc in dec.major:
-        assert math.gcd(arc.a, arc.q) == 1
-        assert 1 <= arc.q < 8
-    assert sum(1 for _ in dec.major) == sum(
+    assert (np.gcd(dec.a, dec.q) == 1).all()
+    assert ((1 <= dec.q) & (dec.q < 8)).all()
+    assert dec.a.size == sum(
         1 for q in range(1, 8) for a in range(1, q + 1) if math.gcd(a, q) == 1
     )
 
 
+def _farey_recurrence(n):
+    """(a, q) for every reduced a/q in (0, 1] with q <= n, increasing.
+
+    The Farey sequence of order n after 0/1, by its next-term rule: after
+    the neighbours a/q < c/d comes (k c - a)/(k d - q), k = (n + q) // d.
+    """
+    a, q, c, d = 0, 1, 1, n
+    while a < q:
+        yield c, d
+        k = (n + q) // d
+        a, q, c, d = c, d, k * c - a, k * d - q
+
+
+def _arcs(dec):
+    return list(zip(dec.a.tolist(), dec.q.tolist()))
+
+
 def test_farey_arcs_match_the_sorted_fractions():
-    # The next-term recurrence gives the sorted reduced fractions, each
-    # centre is Fraction(a, q), and the float centres are float(a/q) mod 1.
+    # The sort of the doubles a/q gives the sorted reduced fractions, as the
+    # next-term recurrence does, and the float centres are float(a/q) mod 1.
     for q_cut in range(2, 81):
         dec = decompose(q_cut, 10**8, 0.01)
         fracs = sorted(Fraction(a, q) for q in range(1, q_cut)
                        for a in range(1, q + 1) if math.gcd(a, q) == 1)
-        assert [(arc.a, arc.q, arc.center) for arc in dec.major] == [
-            (f.numerator, f.denominator, f) for f in fracs], q_cut
+        assert _arcs(dec) == [(f.numerator, f.denominator) for f in fracs], q_cut
+        assert _arcs(dec) == list(_farey_recurrence(q_cut - 1)), q_cut
         assert dec.centers.tolist() == [float(f) % 1.0 for f in fracs], q_cut
+
+
+@pytest.mark.parametrize("q_cut", [1999, 2000])
+def test_farey_arcs_match_the_recurrence_at_the_arc_budget(q_cut):
+    # Two of the 1.2 million centres are at least 1/(1999 * 1998) apart, far
+    # above a double's spacing: the float sort is the exact order.
+    dec = decompose(q_cut, 10**14, 0.01)
+    assert _arcs(dec) == list(_farey_recurrence(q_cut - 1))
+    assert dec.centers.tolist() == [a / q % 1.0 for a, q in _arcs(dec)]
 
 
 def test_minor_set_tiles_complement():
@@ -92,8 +122,8 @@ def test_minor_set_tiles_complement():
     dec = decompose(5, 10**4, 0.05)
     m = 1 << 22
     minor = ~arcs._major_bins(dec, m, m - 1, 0.0, False)
-    expect = 1.0 - 2 * dec.beta * len(dec.major)
-    assert minor.sum() / m == pytest.approx(expect, abs=2 * len(dec.major) / m)
+    expect = 1.0 - 2 * dec.beta * dec.a.size
+    assert minor.sum() / m == pytest.approx(expect, abs=2 * dec.a.size / m)
 
 
 def test_largest_disjoint_q():
@@ -158,9 +188,8 @@ def _same_decompositions(cases):
         got = _outcome(decompose, q, h, eps)
         want = _outcome(_reference_decompose, q, h, eps)
         if isinstance(want, tuple) and isinstance(want[0], float):
-            assert (got.beta, [a.center for a in got.major]) == want, (q, h, eps)
-            assert all((a.a, a.q) == (a.center.numerator, a.center.denominator)
-                       for a in got.major)
+            assert (got.beta, _fractions(got)) == want, (q, h, eps)
+            assert _arcs(got) == [(f.numerator, f.denominator) for f in want[1]]
         else:
             assert got == want, (q, h, eps)
         assert (_outcome(largest_disjoint_q, q, h, eps)
@@ -450,20 +479,49 @@ def test_scan_cells_that_meet_the_arc_set(m, kind, points, cells):
     assert [np.flatnonzero(g).tolist() for g in got] == [list(points), list(cells)]
 
 
+@pytest.fixture(scope="module")
+def budget_edge():
+    """The decomposition at the arc budget: Q = 2000, 1,215,788 arcs."""
+    return decompose(arcs.MAX_DECOMPOSE_Q, 10**14, 0.01)
+
+
+def _reference_bins(dec, m_grid, pad):
+    """Every bin k with |k - c M| <= beta M + pad of some centre c, mod M,
+    range by range as one loop over the arcs."""
+    hit = set()
+    for c in dec.centers.tolist():
+        hit.update(range(math.ceil((c - dec.beta) * m_grid - pad),
+                         math.floor((c + dec.beta) * m_grid + pad) + 1))
+    return np.array(sorted(hit), dtype=np.int64) % m_grid
+
+
+@pytest.mark.parametrize("pad", [0.0, arcs._CELL_PAD, -arcs._CELL_PAD])
+def test_major_bins_match_the_loop_at_the_arc_budget(budget_edge, pad):
+    m = 1 << 13
+    idx = _reference_bins(budget_edge, m, pad)
+    for fold, half in ((False, m - 1), (True, m // 2)):
+        want = np.zeros(half + 1, dtype=bool)
+        folded = np.minimum(idx, m - idx) if fold else idx
+        want[folded[folded <= half]] = True
+        got = arcs._major_bins(budget_edge, m, half, pad, fold)
+        assert (got == want).all(), fold
+        # beta M = 1.1e-9: an arc less half a cell on each side is empty
+        assert got.any() == (pad >= 0) and not got.all()
+
+
 def _in_arc_set(dec, kind, alphas, slack=0.0):
     """Which alphas lie in the closed major arcs, or in the minor set, with
     the arc ends moved out by slack."""
-    centers = np.array([float(a.center) % 1.0 for a in dec.major])
-    dist = np.abs((alphas[:, None] - centers + 0.5) % 1.0 - 0.5).min(axis=1)
+    dist = np.abs((alphas[:, None] - dec.centers + 0.5) % 1.0 - 0.5).min(axis=1)
     return dist <= dec.beta + slack if kind == "major" else dist >= dec.beta - slack
 
 
 def _reference_minor_clamp(dec):
     """The minor clamp as arcs once made it: the complement of the arcs in
     [1/Q, 1 + 1/Q) as float intervals, trying alpha and alpha + 1 in each."""
-    lo, hi = float(dec.domain[0]), float(dec.domain[1])
-    cuts = sorted((max(lo, float(a.center) - dec.beta), min(hi, float(a.center) + dec.beta))
-                  for a in dec.major)
+    lo, hi = float(Fraction(1, dec.q_cut)), float(1 + Fraction(1, dec.q_cut))
+    cuts = sorted((max(lo, float(c) - dec.beta), min(hi, float(c) + dec.beta))
+                  for c in _fractions(dec))
     intervals, cursor = [], lo
     for a, b in cuts:
         if a > cursor:
@@ -490,11 +548,11 @@ def _reference_minor_clamp(dec):
 def _reference_nearest(dec, alpha):
     """The nearest-centre loop, first of equal distances kept."""
     best, best_g = None, math.inf
-    for arc in dec.major:
+    for i, center in enumerate(_fractions(dec)):
         for shift in (-1.0, 0.0, 1.0):
-            g = (alpha % 1.0) + shift - (float(arc.center) % 1.0)
+            g = (alpha % 1.0) + shift - (float(center) % 1.0)
             if abs(g) < abs(best_g):
-                best, best_g = arc, g
+                best, best_g = i, g
     return best, best_g
 
 
@@ -503,11 +561,46 @@ def test_nearest_center_matches_the_loop(q, h):
     # Equal results, ties included: alpha halfway between two centres, and
     # 1/4 at Q = 3, the midpoint of 1/2 and 1 that a grid k/M can hit.
     dec = decompose(q, h, 0.05)
-    centers = [float(a.center) for a in dec.major]
+    centers = [float(c) for c in _fractions(dec)]
     mids = [(a + b) / 2 for a, b in zip(centers, centers[1:])]
     draws = np.random.default_rng(q).uniform(-2.0, 3.0, 200).tolist()
     for alpha in draws + mids + [0.25, 0.75, 0.0, 1.0, -0.5, 0.5]:
         assert arcs._nearest(dec, alpha) == _reference_nearest(dec, alpha), alpha
+
+
+def _reference_nearest_argmin(dec, alpha):
+    """The least |g| over every arc and shift at once: the first arc that
+    attains it, then that arc's first shift."""
+    g = (alpha % 1.0 + np.array([-1.0, 0.0, 1.0]))[:, None] - dec.centers
+    dist = np.abs(g)
+    i = int(np.argmin(dist.min(axis=0)))
+    return i, float(g[int(np.argmin(dist[:, i])), i])
+
+
+def test_nearest_center_matches_the_argmin_at_the_arc_budget(budget_edge):
+    c, beta = budget_edge.centers, budget_edge.beta
+    rng = np.random.default_rng(2000)
+    edges = np.concatenate([c[:13] - beta, c[:12] + beta, c[-13:] - beta, c[-12:] + beta])
+    pick = rng.choice(c.size - 1, 100, replace=False)
+    alphas = np.concatenate([
+        rng.uniform(-2.0, 3.0, 200), c[:50], c[-50:], edges,
+        (c[pick] + c[pick + 1]) / 2, [0.0, 0.25, 0.5, 0.75, 1.0],
+    ])
+    for alpha in alphas.tolist():
+        got = arcs._nearest(budget_edge, alpha)
+        assert got == _reference_nearest_argmin(budget_edge, alpha), alpha
+
+
+def test_scan_at_the_arc_budget_keeps_its_payload(capsys):
+    # 1,215,788 arcs, and a 101-term window: the arc set is all the work.
+    assert main(["arcs", "scan", "--spec", "divisor1", "--X", "1000",
+                 "--H", "1000000000000", "--L", "100", "--Q", "2000"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["Q_used"] == 2000
+    assert payload["sup_abs"] == 100.99499961175471
+    assert payload["sup_upper"] == 101.00631291820743
+    assert (payload["q"], payload["a"]) == (1, 1)
+    assert payload["gamma"] == payload["argmax_alpha"] == 5.43212890625e-05
 
 
 def _circle_distance(a, b):
@@ -520,7 +613,7 @@ def test_clamp_moves_to_the_nearest_point_of_the_arc_set(kind, q, h):
     dec = decompose(q, h, 0.05)
     clamp = arcs._make_clamp(dec, kind)
     draws = np.random.default_rng(q * h).uniform(-2.0, 3.0, 300)
-    edges = [float(a.center) + s * dec.beta for a in dec.major for s in (-1, 1)]
+    edges = [float(c) + s * dec.beta for c in _fractions(dec) for s in (-1, 1)]
     alphas = np.concatenate([draws, edges, np.array(edges) + 1.0])
     got = np.array([clamp(a) for a in alphas])
     # an arc end c + beta, and its distance from c, are float sums: a moved
